@@ -53,7 +53,6 @@ from .lia import (
     label_from_value,
     label_to_value,
     load_table_algebra,
-    make_product_algebra,
 )
 from .tacit import (
     CongenerReport,

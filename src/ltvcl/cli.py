@@ -6,7 +6,7 @@ Subcommands: ``algebra`` (inspect/validate an algebra), ``concepts``
 against an extension). Exit codes are stable for scripting: 0 for success
 or an affirmative verdict, 1 for a negative verdict or failed validation,
 2 for usage and input errors. The environment variable ``LTVCL_BUDGET``
-overrides the enumeration candidate budget.
+(a positive integer) overrides the enumeration candidate budget.
 """
 
 from __future__ import annotations
@@ -40,9 +40,12 @@ def _budget() -> int:
     if raw is None:
         return DEFAULT_CANDIDATE_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
-        raise ValueError(f"LTVCL_BUDGET must be an integer, got {raw!r}") from None
+        budget = 0
+    if budget <= 0:
+        raise ValueError(f"LTVCL_BUDGET must be a positive integer, got {raw!r}")
+    return budget
 
 
 def _load_context(path: str):

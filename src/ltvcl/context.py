@@ -358,6 +358,10 @@ def serialize_context(context: FuzzyContext) -> str:
     Parsing the result reproduces the context exactly, except that derived
     columns come back as plain data: their provenance is emitted as comments
     for the reader, not as machine state.
+
+    The algebra line names a product's chain sizes or a table's source path,
+    so a table algebra built in memory (one with no ``source``) cannot be
+    serialized: this raises ValueError.
     """
     lines = [f"algebra {context.algebra.describe()}"]
     lines.append(("attributes " + " ".join(context.attributes)).rstrip())

@@ -170,10 +170,12 @@ class ConceptLattice:
     """The concepts of one context, ordered by extent inclusion.
 
     Concepts are kept in canonical display order: extents sorted descending
-    lexicographically on their coordinate vectors, which is a linear
-    extension of the pointwise order, so index 0 is the greatest concept and
-    the last index the least. Cover pairs (i, j) mean concept i is covered
-    by concept j.
+    lexicographically on their coordinate vectors. That is a linear
+    extension of the pointwise order only when the element numbering is one
+    (true for products, not for every table algebra), so ``top`` and
+    ``bottom`` are located by their all-top extent and all-top intent rather
+    than by position. Cover pairs (i, j) mean concept i is covered by
+    concept j.
     """
 
     def __init__(self, context: FuzzyContext, concepts: Iterable[Concept]):
@@ -205,11 +207,20 @@ class ConceptLattice:
 
     @property
     def top(self) -> Concept:
-        return self.concepts[0]
+        """The concept whose extent is all-top."""
+        return self._with_top_side("extent")
 
     @property
     def bottom(self) -> Concept:
-        return self.concepts[-1]
+        """The concept whose intent is all-top."""
+        return self._with_top_side("intent")
+
+    def _with_top_side(self, side: str) -> Concept:
+        top = self.context.algebra.top
+        for c in self.concepts:
+            if all(v == top for v in getattr(c, side).values):
+                return c
+        raise StructureError(f"no concept has an all-top {side}")
 
     def extent_set(self) -> frozenset[FuzzySet]:
         return frozenset(c.extent for c in self.concepts)

@@ -1,12 +1,25 @@
 """Finite lattice implication algebras.
 
-Two constructions are provided. ``ProductAlgebra`` combines Lukasiewicz
-chains coordinatewise; on a factor chain of size n the implication is
-``(i, j) -> min(n - i + j, n)``, negation is ``i -> n + 1 - i``, and
-meet/join are the coordinatewise min/max. ``TableAlgebra`` takes explicit
-implication and negation tables and derives its order from them; nothing
-is assumed about a loaded table, so run :func:`check_axioms` to find out
-whether it actually is a lattice implication algebra.
+Every algebra is one table-backed :class:`Algebra`: its elements in display
+order, their spellings, and every operation precomputed as a table, so
+``leq``, ``meet``, ``join``, ``imp`` and ``neg`` are lookups and a value
+that is not an element raises :class:`DimensionError`. Two builders emit
+the tables:
+
+- ``ProductAlgebra`` combines Lukasiewicz chains coordinatewise; on a factor
+  chain of size n the implication is ``(i, j) -> min(n - i + j, n)``,
+  negation is ``i -> n + 1 - i``, and meet/join come out as the
+  coordinatewise min/max. A product may have at most
+  ``PRODUCT_ELEMENT_LIMIT`` (512) elements; a larger one raises
+  :class:`BudgetError` before any table is built.
+- ``TableAlgebra`` (usually via :func:`load_table_algebra`) takes explicit
+  implication and negation tables. Nothing is assumed about a loaded table,
+  so run :func:`check_axioms` to find out whether it actually is a lattice
+  implication algebra.
+
+From the implication the algebra derives the rest once, at construction:
+top is the common value of the diagonal, x <= y iff imp(x, y) = top, and
+meets and joins come from that order.
 
 The default product of a 3-chain and a 2-chain carries the six linguistic
 labels AbT, VeT, SlT, SlF, VeF, AbF (modifier + polarity); every other
@@ -16,13 +29,16 @@ algebra spells its values as comma-separated coordinates or table names.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import BudgetError, DimensionError, LoadError, StructureError
 
 DEFAULT_AXIOM_BUDGET = 64
+# Products build every table eagerly, about n^2 entries each; larger
+# products raise BudgetError instead of exhausting time and memory.
+PRODUCT_ELEMENT_LIMIT = 512
 
 MODIFIERS = ("Sl", "Ve", "Ab")
 META_TRUE = "Tr"
@@ -68,19 +84,141 @@ class LinguisticLabel:
 
 
 class Algebra:
-    """Interface shared by product and table algebras.
+    """A finite algebra whose operations are precomputed tables.
 
-    Concrete algebras expose ``top``, ``bottom``, ``elements`` (in canonical
-    display order) and the operations ``leq``, ``meet``, ``join``, ``imp``,
-    ``neg``; plus ``format_value``/``parse_value`` for the textual form and
-    ``describe`` for the one-line header used by context files.
+    Builders pass the elements in display order, their spellings, and the
+    implication and negation as index tables (``imp[i][j]`` and ``neg[i]``
+    are positions in ``values``). The constructor derives top, the order,
+    bottom, meet and join. It rejects a non-constant diagonal or a
+    non-antisymmetric order with LoadError; every other law is left to
+    :func:`check_axioms`.
 
     Algebras are immutable after construction and every operation is a pure
     function, so instances may be shared freely between threads.
     """
 
-    top: TruthValue
-    bottom: TruthValue
+    def __init__(
+        self,
+        values: Sequence[TruthValue],
+        spellings: Sequence[str],
+        imp: Sequence[Sequence[int]],
+        neg: Sequence[int],
+    ):
+        els = tuple(values)
+        spellings = tuple(spellings)
+        n = len(els)
+        self.elements = els
+        self._rank = {v: i for i, v in enumerate(els)}
+        self._spelling = dict(zip(els, spellings))
+        self._by_spelling = dict(zip(spellings, els))
+
+        diagonal = {imp[i][i] for i in range(n)}
+        if len(diagonal) != 1:
+            raise LoadError(
+                "derived order is not reflexive: the diagonal takes values "
+                f"{sorted(spellings[k] for k in diagonal)} instead of a single top element"
+            )
+        t = diagonal.pop()
+        # up[i] / down[i]: bitmasks of the elements above / below element i
+        up = [sum(1 << j for j, k in enumerate(row) if k == t) for row in imp]
+        down = [sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)]
+        for i in range(n):
+            both = up[i] & down[i] & ~((2 << i) - 1)
+            if both:
+                j = (both & -both).bit_length() - 1
+                raise LoadError(
+                    f"derived order is not antisymmetric: {spellings[i]} and {spellings[j]} "
+                    "lie below each other"
+                )
+        self._up, self._down = up, down
+        self.top = els[t]
+        bottoms = [i for i in range(n) if up[i] == (1 << n) - 1]
+        self._bottom = els[bottoms[0]] if bottoms else None
+
+        def by_value(table):
+            return {
+                x: {y: None if k is None else els[k] for y, k in zip(els, row)}
+                for x, row in zip(els, table)
+            }
+
+        self._meet = by_value(_meet_table(down))
+        self._join = by_value(_meet_table(up))
+        self._imp = by_value(imp)
+        self._neg = {x: els[k] for x, k in zip(els, neg)}
+
+    @property
+    def bottom(self) -> TruthValue:
+        if self._bottom is None:
+            raise StructureError("the derived order has no least element")
+        return self._bottom
+
+    def __eq__(self, other) -> bool:
+        return self is other or (
+            isinstance(other, Algebra)
+            and self.elements == other.elements
+            and self._spelling == other._spelling
+            and self._imp == other._imp
+            and self._neg == other._neg
+        )
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._spelling.values()))
+
+    def _has(self, v) -> bool:
+        try:
+            return v in self._rank
+        except TypeError:  # unhashable, so certainly not an element
+            return False
+
+    def _foreign(self, *values) -> DimensionError:
+        bad = next(v for v in values if not self._has(v))
+        return DimensionError(f"{bad!r} is not an element of {self!r}")
+
+    def _unbounded(self, what: str, x: TruthValue, y: TruthValue) -> StructureError:
+        return StructureError(
+            f"no unique {what} for ({self._spelling[x]}, {self._spelling[y]}): "
+            "the derived order is not a lattice"
+        )
+
+    def check_member(self, v: TruthValue) -> None:
+        if not self._has(v):
+            raise self._foreign(v)
+
+    def leq(self, x: TruthValue, y: TruthValue) -> bool:
+        try:
+            return bool(self._up[self._rank[x]] >> self._rank[y] & 1)
+        except (KeyError, TypeError):
+            raise self._foreign(x, y) from None
+
+    def meet(self, x: TruthValue, y: TruthValue) -> TruthValue:
+        try:
+            z = self._meet[x][y]
+        except (KeyError, TypeError):
+            raise self._foreign(x, y) from None
+        if z is None:
+            raise self._unbounded("greatest lower bound", x, y)
+        return z
+
+    def join(self, x: TruthValue, y: TruthValue) -> TruthValue:
+        try:
+            z = self._join[x][y]
+        except (KeyError, TypeError):
+            raise self._foreign(x, y) from None
+        if z is None:
+            raise self._unbounded("least upper bound", x, y)
+        return z
+
+    def imp(self, x: TruthValue, y: TruthValue) -> TruthValue:
+        try:
+            return self._imp[x][y]
+        except (KeyError, TypeError):
+            raise self._foreign(x, y) from None
+
+    def neg(self, x: TruthValue) -> TruthValue:
+        try:
+            return self._neg[x]
+        except (KeyError, TypeError):
+            raise self._foreign(x) from None
 
     def meet_all(self, values: Iterable[TruthValue]) -> TruthValue:
         """Fold meet over the values; the empty meet is the top element."""
@@ -89,17 +227,22 @@ class Algebra:
             out = self.meet(out, v)
         return out
 
-    def join_all(self, values: Iterable[TruthValue]) -> TruthValue:
-        """Fold join over the values; the empty join is the bottom element."""
-        out = self.bottom
-        for v in values:
-            out = self.join(out, v)
-        return out
+    def format_value(self, v: TruthValue) -> str:
+        try:
+            return self._spelling[v]
+        except (KeyError, TypeError):
+            raise self._foreign(v) from None
+
+    def parse_value(self, token: str) -> TruthValue:
+        try:
+            return self._by_spelling[token]
+        except KeyError:
+            raise ValueError(f"unknown element {token!r}") from None
 
     def generated_subalgebra(self, values: Iterable[TruthValue]) -> tuple[TruthValue, ...]:
         """Close the given values, plus top, under imp/neg/meet/join.
 
-        The result is returned in canonical element order. Seeding with top
+        The result is returned in display order. Seeding with top
         guarantees the closure is never empty and always contains bottom
         (as ``neg(top)``).
         """
@@ -121,60 +264,56 @@ class Algebra:
             if not new:
                 break
             closed |= new
-        return tuple(sorted(closed, key=self.sort_key))
+        return tuple(sorted(closed, key=self._rank.__getitem__))
 
     def hasse_covers(self) -> tuple[tuple[TruthValue, TruthValue], ...]:
-        """Cover pairs (x, y) with x strictly below y and nothing between."""
-        els = self.elements
+        """Cover pairs (x, y) with x strictly below y and nothing between,
+        sorted by the display positions of x, then y."""
+        els, up, down = self.elements, self._up, self._down
         covers = []
-        for x in els:
-            for y in els:
-                if x == y or not self.leq(x, y):
-                    continue
-                if any(z != x and z != y and self.leq(x, z) and self.leq(z, y) for z in els):
-                    continue
-                covers.append((x, y))
-        covers.sort(key=lambda pair: (self.sort_key(pair[0]), self.sort_key(pair[1])))
+        for i, x in enumerate(els):
+            for j in _bits(up[i] & ~(1 << i)):
+                if not up[i] & down[j] & ~(1 << i | 1 << j):
+                    covers.append((x, els[j]))
         return tuple(covers)
 
-    # concrete algebras implement the rest
-    @property
-    def elements(self) -> tuple[TruthValue, ...]:
-        raise NotImplementedError
 
-    def check_member(self, v: TruthValue) -> None:
-        raise NotImplementedError
+def _bits(mask: int) -> Iterable[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    def sort_key(self, v: TruthValue):
-        raise NotImplementedError
 
-    def leq(self, x: TruthValue, y: TruthValue) -> bool:
-        raise NotImplementedError
+def _meet_table(below: list[int]) -> list[list[int | None]]:
+    """Meet table of an order given as bitmasks: ``below[i]`` holds the
+    elements below i. Given the masks of the elements above instead, it
+    returns the join table, the meet of the dual order.
 
-    def meet(self, x: TruthValue, y: TruthValue) -> TruthValue:
-        raise NotImplementedError
-
-    def join(self, x: TruthValue, y: TruthValue) -> TruthValue:
-        raise NotImplementedError
-
-    def imp(self, x: TruthValue, y: TruthValue) -> TruthValue:
-        raise NotImplementedError
-
-    def neg(self, x: TruthValue) -> TruthValue:
-        raise NotImplementedError
-
-    def format_value(self, v: TruthValue) -> str:
-        raise NotImplementedError
-
-    def parse_value(self, token: str) -> TruthValue:
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        raise NotImplementedError
+    The meet of (i, j) is the common element whose own mask holds every
+    other common element. Antisymmetry makes it unique when it exists; a
+    pair without one gets None. Only the common elements are visited, never
+    all n per pair.
+    """
+    n = len(below)
+    table: list[list[int | None]] = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            common = below[i] & below[j]
+            for k in _bits(common):
+                if not common & ~below[k]:
+                    table[i][j] = table[j][i] = k
+                    break
+    return table
 
 
 class ProductAlgebra(Algebra):
-    """Product of Lukasiewicz chains, ordered coordinatewise."""
+    """Builder for a product of Lukasiewicz chains, ordered coordinatewise.
+
+    Products of more than ``PRODUCT_ELEMENT_LIMIT`` elements raise
+    BudgetError.
+    """
 
     def __init__(self, chain_sizes: Sequence[int]):
         sizes = tuple(int(n) for n in chain_sizes)
@@ -182,15 +321,28 @@ class ProductAlgebra(Algebra):
             raise ValueError("at least one factor chain is required")
         if any(n < 2 for n in sizes):
             raise ValueError(f"every chain size must be >= 2, got {list(sizes)}")
+        if math.prod(sizes) > PRODUCT_ELEMENT_LIMIT:
+            raise BudgetError(
+                f"product {' '.join(map(str, sizes))} has {math.prod(sizes)} elements, "
+                f"over the limit of {PRODUCT_ELEMENT_LIMIT}"
+            )
         self.chain_sizes = sizes
-        self.top = TruthValue(sizes)
-        self.bottom = TruthValue((1,) * len(sizes))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ProductAlgebra) and other.chain_sizes == self.chain_sizes
-
-    def __hash__(self) -> int:
-        return hash(("product", self.chain_sizes))
+        # display order runs top-down, later factors first; on the default
+        # algebra this yields AbT VeT SlT SlF VeF AbF
+        coords = sorted(
+            itertools.product(*[range(1, n + 1) for n in sizes]),
+            key=lambda c: c[::-1],
+            reverse=True,
+        )
+        index = {c: i for i, c in enumerate(coords)}
+        super().__init__(
+            [TruthValue(c) for c in coords],
+            [_label_of(c).spelling if self.is_linguistic else ",".join(map(str, c))
+             for c in coords],
+            [[index[tuple(min(n - a + b, n) for a, b, n in zip(x, y, sizes))] for y in coords]
+             for x in coords],
+            [index[tuple(n + 1 - a for a, n in zip(c, sizes))] for c in coords],
+        )
 
     def __repr__(self) -> str:
         return f"ProductAlgebra({list(self.chain_sizes)})"
@@ -199,93 +351,23 @@ class ProductAlgebra(Algebra):
         return "product " + " ".join(str(n) for n in self.chain_sizes)
 
     @property
-    def size(self) -> int:
-        out = 1
-        for n in self.chain_sizes:
-            out *= n
-        return out
-
-    @cached_property
-    def elements(self) -> tuple[TruthValue, ...]:
-        ranges = [range(1, n + 1) for n in self.chain_sizes]
-        values = [TruthValue(c) for c in itertools.product(*ranges)]
-        values.sort(key=self.sort_key)
-        return tuple(values)
-
-    def sort_key(self, v: TruthValue):
-        # canonical display order runs top-down, later factors first; on the
-        # default algebra this yields AbT VeT SlT SlF VeF AbF
-        return tuple(-c for c in reversed(v.coords))
-
-    def value(self, *coords: int) -> TruthValue:
-        v = TruthValue(tuple(int(c) for c in coords))
-        self.check_member(v)
-        return v
-
-    def check_member(self, v: TruthValue) -> None:
-        if not isinstance(v, TruthValue) or len(v.coords) != len(self.chain_sizes):
-            raise DimensionError(f"{v!r} does not have arity {len(self.chain_sizes)}")
-        for c, n in zip(v.coords, self.chain_sizes):
-            if not 1 <= c <= n:
-                raise DimensionError(f"coordinate {c} outside chain of size {n} in {v!r}")
-
-    def leq(self, x: TruthValue, y: TruthValue) -> bool:
-        self.check_member(x)
-        self.check_member(y)
-        return all(a <= b for a, b in zip(x.coords, y.coords))
-
-    def meet(self, x: TruthValue, y: TruthValue) -> TruthValue:
-        self.check_member(x)
-        self.check_member(y)
-        return TruthValue(tuple(a if a <= b else b for a, b in zip(x.coords, y.coords)))
-
-    def join(self, x: TruthValue, y: TruthValue) -> TruthValue:
-        self.check_member(x)
-        self.check_member(y)
-        return TruthValue(tuple(a if a >= b else b for a, b in zip(x.coords, y.coords)))
-
-    def imp(self, x: TruthValue, y: TruthValue) -> TruthValue:
-        self.check_member(x)
-        self.check_member(y)
-        return TruthValue(
-            tuple(min(n - a + b, n) for a, b, n in zip(x.coords, y.coords, self.chain_sizes))
-        )
-
-    def neg(self, x: TruthValue) -> TruthValue:
-        self.check_member(x)
-        return TruthValue(tuple(n + 1 - a for a, n in zip(x.coords, self.chain_sizes)))
-
-    @property
     def is_linguistic(self) -> bool:
         return self.chain_sizes == (3, 2)
 
-    def format_value(self, v: TruthValue) -> str:
+    def value(self, *coords: int) -> TruthValue:
+        """The element with the given coordinates."""
+        v = TruthValue(tuple(int(c) for c in coords))
         self.check_member(v)
-        if self.is_linguistic:
-            return label_from_value(v, self).spelling
-        return ",".join(str(c) for c in v.coords)
+        return self.elements[self._rank[v]]
 
     def parse_value(self, token: str) -> TruthValue:
-        if self.is_linguistic:
-            try:
-                return label_to_value(LinguisticLabel.from_spelling(token), self)
-            except ValueError:
-                pass
+        """A spelling, or on any product a comma-separated coordinate token."""
+        if token in self._by_spelling:
+            return self._by_spelling[token]
         try:
-            coords = tuple(int(part) for part in token.split(","))
-        except ValueError:
+            return self.value(*token.split(","))
+        except ValueError:  # also DimensionError, a ValueError
             raise ValueError(f"unknown value {token!r} for algebra '{self.describe()}'") from None
-        v = TruthValue(coords)
-        try:
-            self.check_member(v)
-        except DimensionError as exc:
-            raise ValueError(str(exc)) from None
-        return v
-
-
-def make_product_algebra(chain_sizes: Sequence[int]) -> ProductAlgebra:
-    """Build a product of Lukasiewicz chains; every size must be >= 2."""
-    return ProductAlgebra(chain_sizes)
 
 
 def default_algebra() -> ProductAlgebra:
@@ -294,24 +376,23 @@ def default_algebra() -> ProductAlgebra:
 
 
 def label_to_value(label: LinguisticLabel, algebra: Algebra) -> TruthValue:
-    """Encode a linguistic label on the default product 3 2 algebra.
-
-    Tr labels sit on the upper rail at their modifier rank; Fa labels mirror
-    the rank on the lower rail, so Ab pins the extremes (AbT = top,
-    AbF = bottom) and Sl sits closest to the middle.
-    """
+    """Encode a linguistic label on the default product 3 2 algebra."""
     _require_linguistic(algebra)
-    rank = MODIFIERS.index(label.modifier) + 1
-    if label.meta == META_TRUE:
-        return TruthValue((rank, 2))
-    return TruthValue((4 - rank, 1))
+    return algebra.parse_value(label.spelling)
 
 
 def label_from_value(value: TruthValue, algebra: Algebra) -> LinguisticLabel:
     """Decode a default-algebra value back to its linguistic label."""
     _require_linguistic(algebra)
     algebra.check_member(value)
-    i, j = value.coords
+    return _label_of(value.coords)
+
+
+def _label_of(coords: tuple[int, ...]) -> LinguisticLabel:
+    # Tr labels sit on the upper rail at their modifier rank; Fa labels
+    # mirror the rank on the lower rail, so Ab pins the extremes (AbT = top,
+    # AbF = bottom) and Sl sits closest to the middle.
+    i, j = coords
     if j == 2:
         return LinguisticLabel(MODIFIERS[i - 1], META_TRUE)
     return LinguisticLabel(MODIFIERS[(4 - i) - 1], META_FALSE)
@@ -323,15 +404,12 @@ def _require_linguistic(algebra: Algebra) -> None:
 
 
 class TableAlgebra(Algebra):
-    """Algebra described by explicit implication and negation tables.
+    """Builder for an algebra given by implication and negation tables.
 
-    The order is derived from the implication alone: the top element is the
-    common value of the diagonal (a non-constant diagonal means the relation
-    cannot even be reflexive and the table is rejected), and x <= y iff
-    imp(x, y) = top. Antisymmetry is validated at load; everything else is
-    left to :func:`check_axioms`. Meets and joins are searched in the
-    derived order and raise :class:`StructureError` when no unique bound
-    exists.
+    Elements are numbered in declared order, which is also the display
+    order. The order is derived from the implication alone (see
+    :class:`Algebra`), and meets and joins are derived from the order; a
+    pair with no unique bound raises :class:`StructureError` when used.
     """
 
     def __init__(
@@ -346,68 +424,28 @@ class TableAlgebra(Algebra):
             raise LoadError("a table algebra needs at least one element")
         if len(set(names)) != len(names):
             raise LoadError(f"duplicate element name in {list(names)}")
-        self.element_names = names
-        self.source = source
-        self._index = {name: i for i, name in enumerate(names)}
-
+        index = {name: i for i, name in enumerate(names)}
         for x in names:
             for y in names:
                 v = imp_table.get((x, y))
                 if v is None:
                     raise LoadError(f"implication table is missing entry ({x}, {y})")
-                if v not in self._index:
+                if v not in index:
                     raise LoadError(f"implication entry ({x}, {y}) = {v!r} is not an element")
         for x in names:
             v = neg_table.get(x)
             if v is None:
                 raise LoadError(f"negation table is missing entry for {x}")
-            if v not in self._index:
+            if v not in index:
                 raise LoadError(f"negation entry {x} -> {v!r} is not an element")
-        self._imp = {k: imp_table[k] for k in itertools.product(names, repeat=2)}
-        self._neg = {x: neg_table[x] for x in names}
-
-        diagonal = {self._imp[(x, x)] for x in names}
-        if len(diagonal) != 1:
-            raise LoadError(
-                "derived order is not reflexive: the diagonal takes values "
-                f"{sorted(diagonal)} instead of a single top element"
-            )
-        self._top_name = diagonal.pop()
-        n = len(names)
-        self._le = [
-            [self._imp[(names[i], names[j])] == self._top_name for j in range(n)]
-            for i in range(n)
-        ]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self._le[i][j] and self._le[j][i]:
-                    raise LoadError(
-                        f"derived order is not antisymmetric: {names[i]} and {names[j]} "
-                        "lie below each other"
-                    )
-
-        self.top = TruthValue((self._index[self._top_name] + 1,))
-        bottoms = [i for i in range(n) if all(self._le[i][j] for j in range(n))]
-        self._bottom_index = bottoms[0] if bottoms else None
-        self._meet_cache: dict[tuple[int, int], int] = {}
-        self._join_cache: dict[tuple[int, int], int] = {}
-
-    @property
-    def bottom(self) -> TruthValue:
-        if self._bottom_index is None:
-            raise StructureError("the derived order has no least element")
-        return TruthValue((self._bottom_index + 1,))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TableAlgebra)
-            and other.element_names == self.element_names
-            and other._imp == self._imp
-            and other._neg == self._neg
+        self.element_names = names
+        self.source = source
+        super().__init__(
+            [TruthValue((i + 1,)) for i in range(len(names))],
+            names,
+            [[index[imp_table[x, y]] for y in names] for x in names],
+            [index[neg_table[x]] for x in names],
         )
-
-    def __hash__(self) -> int:
-        return hash(("table", self.element_names))
 
     def __repr__(self) -> str:
         return f"TableAlgebra({list(self.element_names)})"
@@ -417,82 +455,7 @@ class TableAlgebra(Algebra):
             raise ValueError("table algebra was built in memory and has no source path")
         return f"table {self.source}"
 
-    @property
-    def size(self) -> int:
-        return len(self.element_names)
-
-    @cached_property
-    def elements(self) -> tuple[TruthValue, ...]:
-        return tuple(TruthValue((i + 1,)) for i in range(len(self.element_names)))
-
-    def sort_key(self, v: TruthValue):
-        return v.coords[0]
-
-    def value_of(self, name: str) -> TruthValue:
-        if name not in self._index:
-            raise ValueError(f"unknown element {name!r}")
-        return TruthValue((self._index[name] + 1,))
-
-    def name_of(self, v: TruthValue) -> str:
-        self.check_member(v)
-        return self.element_names[v.coords[0] - 1]
-
-    def check_member(self, v: TruthValue) -> None:
-        if not isinstance(v, TruthValue) or len(v.coords) != 1:
-            raise DimensionError(f"{v!r} is not a table-algebra value")
-        if not 1 <= v.coords[0] <= len(self.element_names):
-            raise DimensionError(f"{v!r} outside table of {len(self.element_names)} elements")
-
-    def leq(self, x: TruthValue, y: TruthValue) -> bool:
-        self.check_member(x)
-        self.check_member(y)
-        return self._le[x.coords[0] - 1][y.coords[0] - 1]
-
-    def _bound(self, x: TruthValue, y: TruthValue, cache, below: bool, what: str) -> TruthValue:
-        i, j = x.coords[0] - 1, y.coords[0] - 1
-        key = (i, j) if i <= j else (j, i)
-        hit = cache.get(key)
-        if hit is not None:
-            return TruthValue((hit + 1,))
-        n = len(self.element_names)
-        if below:
-            candidates = [k for k in range(n) if self._le[k][i] and self._le[k][j]]
-            best = [k for k in candidates if all(self._le[m][k] for m in candidates)]
-        else:
-            candidates = [k for k in range(n) if self._le[i][k] and self._le[j][k]]
-            best = [k for k in candidates if all(self._le[k][m] for m in candidates)]
-        if len(best) != 1:
-            raise StructureError(
-                f"no unique {what} for ({self.element_names[i]}, {self.element_names[j]}): "
-                "the derived order is not a lattice"
-            )
-        cache[key] = best[0]
-        return TruthValue((best[0] + 1,))
-
-    def meet(self, x: TruthValue, y: TruthValue) -> TruthValue:
-        self.check_member(x)
-        self.check_member(y)
-        return self._bound(x, y, self._meet_cache, True, "greatest lower bound")
-
-    def join(self, x: TruthValue, y: TruthValue) -> TruthValue:
-        self.check_member(x)
-        self.check_member(y)
-        return self._bound(x, y, self._join_cache, False, "least upper bound")
-
-    def imp(self, x: TruthValue, y: TruthValue) -> TruthValue:
-        self.check_member(x)
-        self.check_member(y)
-        return self.value_of(self._imp[(self.name_of(x), self.name_of(y))])
-
-    def neg(self, x: TruthValue) -> TruthValue:
-        self.check_member(x)
-        return self.value_of(self._neg[self.name_of(x)])
-
-    def format_value(self, v: TruthValue) -> str:
-        return self.name_of(v)
-
-    def parse_value(self, token: str) -> TruthValue:
-        return self.value_of(token)
+    value_of = Algebra.parse_value
 
 
 def load_table_algebra(text: str, source: str | None = None) -> TableAlgebra:
@@ -616,6 +579,7 @@ def check_axioms(algebra: Algebra, element_budget: int = DEFAULT_AXIOM_BUDGET) -
             bad.append(("join-defined", (name(x), name(y))))
             undefined_pairs.add((x, y))
 
+    # a pair missing either bound counts as undefined for both operations
     def meet(x, y):
         return None if (x, y) in undefined_pairs else safe(algebra.meet, x, y)
 

@@ -14,6 +14,7 @@ import pytest
 
 from ltvcl import (
     ExtensionConfig,
+    ProductAlgebra,
     check_axioms,
     default_algebra,
     derive_intent,
@@ -22,7 +23,6 @@ from ltvcl import (
     extend_context,
     is_congener,
     load_table_algebra,
-    make_product_algebra,
     mine,
     object_set,
 )
@@ -130,7 +130,7 @@ def test_c3_mining_pipeline_reproduces_the_extended_concepts(demo, tmp_path):
 def test_c4_axiom_suite():
     started = time.perf_counter()
     for sizes in ([2, 2], [3, 2], [4, 2], [5, 2]):
-        report = check_axioms(make_product_algebra(sizes))
+        report = check_axioms(ProductAlgebra(sizes))
         assert report.passed, f"violations on {sizes}: {report.violations}"
     boolean = (DATA_DIR / "bool2.lia").read_text()
     assert check_axioms(load_table_algebra(boolean)).passed
@@ -170,7 +170,7 @@ def test_c6_top_column_extensions_are_congener(campaign):
 
 
 def test_c7_galois_law_suite(demo):
-    algebra22 = make_product_algebra([2, 2])
+    algebra22 = ProductAlgebra([2, 2])
     population = list(itertools.product(algebra22.elements, repeat=4))
     rng = random.Random(0x6A15)
     failures = 0

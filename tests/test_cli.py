@@ -10,6 +10,49 @@ DEMO_EXT = str(DATA_DIR / "demo_extended.ctx")
 CHAIN5 = str(DATA_DIR / "chain5.lia")
 BOOL2 = str(DATA_DIR / "bool2.lia")
 
+PRODUCT_3_2_TABLES = """\
+elements: AbT VeT SlT SlF VeF AbF
+covers:
+  VeT < AbT
+  SlT < VeT
+  SlF < AbT
+  VeF < VeT
+  VeF < SlF
+  AbF < SlT
+  AbF < VeF
+imp table:
+  imp AbT AbT VeT SlT SlF VeF AbF
+  imp VeT AbT AbT VeT SlF SlF VeF
+  imp SlT AbT AbT AbT SlF SlF SlF
+  imp SlF AbT VeT SlT AbT VeT SlT
+  imp VeF AbT AbT VeT AbT AbT VeT
+  imp AbF AbT AbT AbT AbT AbT AbT
+neg table:
+  neg AbT AbF
+  neg VeT VeF
+  neg SlT SlF
+  neg SlF SlT
+  neg VeF VeT
+  neg AbF AbT
+axioms: PASS (216 triples)
+"""
+
+CHAIN5_CHECK = """\
+elements: O a b c I
+covers:
+  O < a
+  a < b
+  b < c
+  c < I
+axioms: FAIL (6 violations over 125 triples)
+  lia-5 at (a, c)
+  lia-5 at (b, c)
+  lia-5 at (c, a)
+  lia-5 at (c, b)
+  lia-1 at (b, c, a)
+  lia-1 at (c, b, a)
+"""
+
 
 class TestAlgebraCommand:
     def test_product_check_passes(self, capsys):
@@ -32,6 +75,10 @@ class TestAlgebraCommand:
         assert main(["algebra", "--product", "1", "2"]) == 2
         assert "chain size" in capsys.readouterr().err
 
+    def test_product_over_element_limit(self, capsys):
+        assert main(["algebra", "--product", "30", "30", "30"]) == 2
+        assert "over the limit of 512" in capsys.readouterr().err
+
     def test_missing_table_file(self, capsys):
         assert main(["algebra", "--table", "no/such/file.lia"]) == 2
 
@@ -40,6 +87,14 @@ class TestAlgebraCommand:
         out = capsys.readouterr().out
         assert "imp table:" in out
         assert "neg table:" in out
+
+    def test_product_tables_stdout_pinned(self, capsys):
+        assert main(["algebra", "--product", "3", "2", "--show-tables", "--check-axioms"]) == 0
+        assert capsys.readouterr().out == PRODUCT_3_2_TABLES
+
+    def test_chain5_stdout_pinned(self, capsys):
+        assert main(["algebra", "--table", CHAIN5, "--check-axioms"]) == 1
+        assert capsys.readouterr().out == CHAIN5_CHECK
 
     def test_product_and_table_conflict(self):
         with pytest.raises(SystemExit) as err:
@@ -86,6 +141,10 @@ class TestConceptsCommand:
         assert "budget" in capsys.readouterr().err
         monkeypatch.setenv("LTVCL_BUDGET", "banana")
         assert main(["concepts", DEMO]) == 2
+        for bad in ("0", "-5"):
+            monkeypatch.setenv("LTVCL_BUDGET", bad)
+            assert main(["concepts", DEMO]) == 2
+            assert "LTVCL_BUDGET must be a positive integer" in capsys.readouterr().err
 
 
 class TestMineCommand:

@@ -2,12 +2,14 @@ import pytest
 
 from ltvcl import (
     AttributeProvenance,
+    BudgetError,
     ExtensionConfig,
     FuzzyContext,
     ParseError,
     StructureError,
     default_algebra,
     extend_context,
+    load_table_algebra,
     parse_context,
     restrict_agrees,
     serialize_context,
@@ -52,6 +54,10 @@ class TestParse:
         with pytest.raises(ParseError, match="line 3"):
             parse_context("algebra product 2 2\nattributes m1\ng1 AbT\n")
 
+    def test_product_over_element_limit(self):
+        with pytest.raises(BudgetError, match="27000 elements"):
+            parse_context("algebra product 30 30 30\nattributes m1\n")
+
     def test_coordinate_tokens(self):
         ctx = parse_context("algebra product 4 2\nattributes m1 m2\ng1 4,2 1,1\n")
         assert ctx.rows[0][0].coords == (4, 2)
@@ -91,6 +97,12 @@ class TestSerialize:
         # comments are for readers only; reparsing yields plain data columns
         again = parse_context(text)
         assert all(p.kind == "original" for p in again.provenance)
+
+    def test_in_memory_table_algebra_cannot_be_serialized(self):
+        alg = load_table_algebra((DATA_DIR / "bool2.lia").read_text())
+        ctx = FuzzyContext(alg, ("g1",), ("m1",), ((alg.top,),))
+        with pytest.raises(ValueError, match="in memory"):
+            serialize_context(ctx)
 
     def test_zero_attribute_context(self):
         ctx = parse_context("algebra product 3 2\nattributes\ng1\ng2\n")

@@ -8,6 +8,7 @@ from ltvcl import (
     BudgetError,
     Concept,
     DimensionError,
+    FuzzyContext,
     MembershipError,
     attribute_set,
     closure_extent,
@@ -20,6 +21,7 @@ from ltvcl import (
     enumerate_concepts,
     export_dot,
     export_json,
+    load_table_algebra,
     object_set,
     parse_context,
 )
@@ -186,6 +188,19 @@ class TestLatticeStructure:
         assert lattice.bottom.extent == oset(demo, "AbF AbF")
         for i, j in itertools.combinations(range(len(lattice)), 2):
             assert not pointwise_leq(demo, lattice[i].extent, lattice[j].extent)
+
+    def test_top_and_bottom_of_a_top_first_table(self):
+        # a valid Boolean table that declares its top first, so the display
+        # order of extents is not a linear extension of the concept order
+        alg = load_table_algebra("elements I O\nimp I I O\nimp O I I\nneg I O\nneg O I\n")
+        I, O = alg.value_of("I"), alg.value_of("O")
+        ctx = FuzzyContext(alg, ("g1", "g2"), ("m1", "m2"), ((I, O), (O, I)))
+        lattice = enumerate_concepts(ctx, domain=FULL_DOMAIN)
+        assert lattice.top.extent == object_set((I, I))
+        assert lattice.bottom.intent == attribute_set((I, I))
+        for c in lattice:
+            assert lattice.leq(c, lattice.top)
+            assert lattice.leq(lattice.bottom, c)
 
     def test_covers_are_the_transitive_reduction(self, demo):
         lattice = enumerate_concepts(demo)

@@ -1,7 +1,9 @@
 import itertools
+import random
 
 import pytest
 
+from ltvcl import lia
 from ltvcl import (
     BudgetError,
     DimensionError,
@@ -9,13 +11,13 @@ from ltvcl import (
     LoadError,
     ProductAlgebra,
     StructureError,
+    TableAlgebra,
     TruthValue,
     check_axioms,
     default_algebra,
     label_from_value,
     label_to_value,
     load_table_algebra,
-    make_product_algebra,
 )
 from conftest import DATA_DIR
 
@@ -106,25 +108,37 @@ class TestProductConstruction:
         assert L6.bottom == v(1, 1)
 
     def test_four_element_product(self):
-        alg = make_product_algebra([2, 2])
+        alg = ProductAlgebra([2, 2])
         assert len(alg.elements) == 4
         assert check_axioms(alg).passed
 
     def test_eight_element_product(self):
-        alg = make_product_algebra([4, 2])
+        alg = ProductAlgebra([4, 2])
         assert len(alg.elements) == 8
         assert check_axioms(alg).passed
 
     def test_three_factor_product(self):
-        alg = make_product_algebra([2, 3, 2])
+        alg = ProductAlgebra([2, 3, 2])
         assert len(alg.elements) == 12
         assert check_axioms(alg).passed
 
     def test_chain_size_below_two_rejected(self):
         with pytest.raises(ValueError):
-            make_product_algebra([1, 2])
+            ProductAlgebra([1, 2])
         with pytest.raises(ValueError):
-            make_product_algebra([])
+            ProductAlgebra([])
+
+    def test_element_limit_fails_before_building(self):
+        with pytest.raises(BudgetError, match="27000 elements, over the limit of 512"):
+            ProductAlgebra([30, 30, 30])
+        with pytest.raises(BudgetError, match="576 elements"):
+            ProductAlgebra([8, 8, 9])
+
+    def test_element_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(lia, "PRODUCT_ELEMENT_LIMIT", 12)
+        assert len(ProductAlgebra([2, 3, 2]).elements) == 12
+        with pytest.raises(BudgetError):
+            ProductAlgebra([2, 3, 3])
 
     def test_dimension_errors(self):
         with pytest.raises(DimensionError):
@@ -234,14 +248,140 @@ class TestTableAlgebra:
         with pytest.raises(StructureError, match=r"\(a, b\)"):
             alg.meet(alg.value_of("a"), alg.value_of("b"))
 
+    def test_pair_missing_one_bound_is_skipped_for_both(self):
+        # the product 2 2 with imp(e11, e12) changed from top to e11: the pair
+        # loses its meet but keeps its join, and the later laws skip the pair
+        # for both operations
+        text = (
+            "elements e11 e12 e21 e22\n"
+            "imp e11 e22 e11 e22 e22\n"
+            "imp e12 e21 e22 e21 e22\n"
+            "imp e21 e12 e12 e22 e22\n"
+            "imp e22 e11 e12 e21 e22\n"
+            "neg e11 e22\nneg e12 e21\nneg e21 e12\nneg e22 e11\n"
+        )
+        assert check_axioms(load_table_algebra(text)).violations == [
+            ("bounded-bottom", ()),
+            ("meet-defined", ("e11", "e12")),
+            ("meet-defined", ("e12", "e11")),
+            ("meet-defined", ("e12", "e21")),
+            ("meet-defined", ("e21", "e12")),
+            ("neg-antitone", ("e21", "e22")),
+            ("lia-3", ("e11", "e12")),
+            ("lia-5", ("e11", "e12")),
+            ("lia-5", ("e12", "e11")),
+            ("lia-3", ("e21", "e22")),
+            ("lia-1", ("e11", "e12", "e12")),
+            ("lia-1", ("e11", "e21", "e11")),
+            ("lia-1", ("e11", "e21", "e12")),
+            ("lia-1", ("e12", "e11", "e12")),
+            ("lia-1", ("e21", "e11", "e11")),
+            ("lia-1", ("e21", "e11", "e12")),
+        ]
+
 
 class TestAxiomChecker:
     @pytest.mark.parametrize("sizes", [[2, 2], [3, 2], [4, 2], [5, 2]])
     def test_products_pass(self, sizes):
-        report = check_axioms(make_product_algebra(sizes))
+        report = check_axioms(ProductAlgebra(sizes))
         assert report.passed
 
     def test_budget_guard(self):
         with pytest.raises(BudgetError):
-            check_axioms(make_product_algebra([5, 13]))
-        assert check_axioms(make_product_algebra([3, 3]), element_budget=9).passed
+            check_axioms(ProductAlgebra([5, 13]))
+        assert check_axioms(ProductAlgebra([3, 3]), element_budget=9).passed
+
+
+# Reference Lukasiewicz operations on coordinate tuples, written out here so
+# the tables are checked against the formulas, not against themselves.
+def ref_leq(x, y):
+    return all(a <= b for a, b in zip(x, y))
+
+
+def ref_meet(x, y):
+    return tuple(min(a, b) for a, b in zip(x, y))
+
+
+def ref_join(x, y):
+    return tuple(max(a, b) for a, b in zip(x, y))
+
+
+def ref_imp(sizes, x, y):
+    return tuple(min(n - a + b, n) for a, b, n in zip(x, y, sizes))
+
+
+def ref_neg(sizes, x):
+    return tuple(n + 1 - a for a, n in zip(x, sizes))
+
+
+OP_SIZES = [[3, 2], [2, 2], [4, 2], [2, 3, 2], [3, 3, 3]]
+
+
+def shuffled_table(alg, seed):
+    """A table-algebra copy of ``alg`` under fresh names in a shuffled
+    declaration order, with the renaming from ``alg``'s values."""
+    els = list(alg.elements)
+    rng = random.Random(seed)
+    rng.shuffle(els)
+    name = {x: f"e{i}" for i, x in enumerate(els)}
+    imp = {(name[x], name[y]): name[alg.imp(x, y)] for x in els for y in els}
+    neg = {name[x]: name[alg.neg(x)] for x in els}
+    table = TableAlgebra([name[x] for x in els], imp, neg)
+    return table, {x: table.value_of(name[x]) for x in els}
+
+
+class TestTableBackedOps:
+    @pytest.mark.parametrize("sizes", OP_SIZES)
+    def test_product_ops_match_the_formulas(self, sizes):
+        alg = ProductAlgebra(sizes)
+        coords = list(itertools.product(*[range(1, n + 1) for n in sizes]))
+        assert sorted(x.coords for x in alg.elements) == sorted(coords)
+        assert alg.top.coords == tuple(sizes)
+        assert alg.bottom.coords == (1,) * len(sizes)
+        for x in alg.elements:
+            assert alg.neg(x).coords == ref_neg(sizes, x.coords)
+            for y in alg.elements:
+                assert alg.leq(x, y) == ref_leq(x.coords, y.coords)
+                assert alg.meet(x, y).coords == ref_meet(x.coords, y.coords)
+                assert alg.join(x, y).coords == ref_join(x.coords, y.coords)
+                assert alg.imp(x, y).coords == ref_imp(sizes, x.coords, y.coords)
+
+    @pytest.mark.parametrize("sizes", OP_SIZES)
+    def test_shuffled_table_copy_agrees_under_renaming(self, sizes):
+        alg = ProductAlgebra(sizes)
+        table, rename = shuffled_table(alg, seed=sum(sizes))
+        assert table.top == rename[alg.top]
+        assert table.bottom == rename[alg.bottom]
+        for x in alg.elements:
+            assert table.neg(rename[x]) == rename[alg.neg(x)]
+            for y in alg.elements:
+                rx, ry = rename[x], rename[y]
+                assert table.leq(rx, ry) == alg.leq(x, y)
+                assert table.meet(rx, ry) == rename[alg.meet(x, y)]
+                assert table.join(rx, ry) == rename[alg.join(x, y)]
+                assert table.imp(rx, ry) == rename[alg.imp(x, y)]
+        covers = {(rename[x], rename[y]) for x, y in alg.hasse_covers()}
+        assert set(table.hasse_covers()) == covers
+
+    @pytest.mark.parametrize("build", [
+        lambda: ProductAlgebra([3, 2]),
+        lambda: load_table_algebra(BOOL2),
+    ], ids=["product", "table"])
+    @pytest.mark.parametrize("stranger", [v(9, 1), v(1, 1, 1), v(7), "AbT", [1, 1]],
+                             ids=["range", "arity", "index", "str", "unhashable"])
+    def test_non_member_raises_dimension_error(self, build, stranger):
+        alg = build()
+        x = alg.top
+        for call in (
+            lambda: alg.leq(stranger, x),
+            lambda: alg.leq(x, stranger),
+            lambda: alg.meet(stranger, x),
+            lambda: alg.meet(x, stranger),
+            lambda: alg.join(stranger, x),
+            lambda: alg.join(x, stranger),
+            lambda: alg.imp(stranger, x),
+            lambda: alg.imp(x, stranger),
+            lambda: alg.neg(stranger),
+        ):
+            with pytest.raises(DimensionError):
+                call()
