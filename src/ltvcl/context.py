@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ParseError, StructureError
 from .lia import Algebra, ProductAlgebra, TruthValue, load_table_algebra
@@ -115,8 +116,14 @@ class FuzzyContext:
     def value(self, g: int, m: int) -> TruthValue:
         return self.rows[g][m]
 
+    @cached_property
+    def columns(self) -> tuple[tuple[TruthValue, ...], ...]:
+        """The transposed grid: one tuple per attribute, in object order
+        (built per attribute, so a context without objects keeps them)."""
+        return tuple(tuple(row[m] for row in self.rows) for m in range(len(self.attributes)))
+
     def column(self, m: int) -> tuple[TruthValue, ...]:
-        return tuple(row[m] for row in self.rows)
+        return self.columns[m]
 
     def attribute_index(self, name: str) -> int:
         try:
@@ -184,7 +191,7 @@ def extend_context(context: FuzzyContext, config: ExtensionConfig | None = None)
             for combo in itertools.combinations(range(n_attrs), arity)
         ]
 
-    seen = {context.column(m) for m in range(n_attrs)}
+    seen = set(context.columns)
     new_columns: list[tuple[AttributeProvenance, tuple[TruthValue, ...]]] = []
 
     def admit(provenance: AttributeProvenance, column: tuple[TruthValue, ...]) -> None:

@@ -3,9 +3,12 @@
 The derivation pair maps an object-side fuzzy set A to the intent
 ``m -> meet_g imp(A(g), I(g, m))`` and dually for attribute-side sets; its
 composites are closure operators and the fixpoint pairs form a complete
-lattice. Enumeration is an exhaustive scan-plus-closure over one chosen
-side, which keeps a dual-side oracle available: scanning extents and
-scanning intents must produce the same concept set.
+lattice. Both derivations run one kernel, over the context's columns for an
+intent and over its rows for an extent. Enumeration is an exhaustive
+scan-plus-closure over one chosen side; the intent engine is the extent
+engine on the transposed grid, run by the same scan loop, which keeps a
+dual-side oracle available: scanning extents and scanning intents must
+produce the same concept set.
 
 A scan needs a value domain. ``"generated"`` (the default) scans the
 subalgebra generated by the values actually present in the context, which
@@ -24,7 +27,7 @@ from typing import Iterable, Iterator
 
 from .context import FuzzyContext
 from .errors import BudgetError, DimensionError, MembershipError, StructureError
-from .lia import TruthValue
+from .lia import TruthValue, _cover_pairs
 
 OBJECTS = "objects"
 ATTRIBUTES = "attributes"
@@ -104,6 +107,13 @@ def pointwise_join(context: FuzzyContext, left: FuzzySet, right: FuzzySet) -> Fu
     return FuzzySet(left.side, tuple(join(a, b) for a, b in zip(left.values, right.values)))
 
 
+def _derive(algebra, lines, values) -> tuple[TruthValue, ...]:
+    """The derivation kernel: per line, the meet over k of
+    imp(values[k], line[k]). An empty line gives the empty meet, top."""
+    meet_all, imp = algebra.meet_all, algebra.imp
+    return tuple(meet_all(imp(a, v) for a, v in zip(values, line)) for line in lines)
+
+
 def derive_intent(context: FuzzyContext, extent: FuzzySet) -> FuzzySet:
     """Map an object-side set to its intent.
 
@@ -111,24 +121,14 @@ def derive_intent(context: FuzzyContext, extent: FuzzySet) -> FuzzySet:
     objects the meet is empty and every intent component is top.
     """
     _check_sized(extent, OBJECTS, len(context.objects))
-    alg = context.algebra
-    values = tuple(
-        alg.meet_all(alg.imp(a, row[m]) for a, row in zip(extent.values, context.rows))
-        for m in range(len(context.attributes))
-    )
-    return FuzzySet(ATTRIBUTES, values)
+    return FuzzySet(ATTRIBUTES, _derive(context.algebra, context.columns, extent.values))
 
 
 def derive_extent(context: FuzzyContext, intent: FuzzySet) -> FuzzySet:
     """Dual of derive_intent: per object, meet over attributes of
     imp(B(m), I(g, m)); the empty attribute set yields an all-top extent."""
     _check_sized(intent, ATTRIBUTES, len(context.attributes))
-    alg = context.algebra
-    values = tuple(
-        alg.meet_all(alg.imp(b, v) for b, v in zip(intent.values, row))
-        for row in context.rows
-    )
-    return FuzzySet(OBJECTS, values)
+    return FuzzySet(OBJECTS, _derive(context.algebra, context.rows, intent.values))
 
 
 def closure_extent(context: FuzzyContext, extent: FuzzySet) -> FuzzySet:
@@ -240,15 +240,13 @@ class ConceptLattice:
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """Transitive reduction of the order: the Hasse edges."""
-        below = {}
+        """Transitive reduction of the order: the Hasse edges, sorted."""
+        up = [0] * len(self.concepts)
+        down = [0] * len(self.concepts)
         for i, j in self.order_pairs:
-            below.setdefault(j, set()).add(i)
-        out = []
-        for i, j in self.order_pairs:
-            if not any(i in below.get(k, ()) for k in below.get(j, ()) if k != i):
-                out.append((i, j))
-        return tuple(sorted(out))
+            up[i] |= 1 << j
+            down[j] |= 1 << i
+        return tuple(_cover_pairs(up, down))
 
 
 def enumerate_concepts(
@@ -270,36 +268,28 @@ def enumerate_concepts(
     """
     values = scan_domain(context, domain)
     if engine == EXTENT_SCAN:
-        side = len(context.objects)
+        side, forward, back = OBJECTS, derive_intent, derive_extent
+        width = len(context.objects)
     elif engine == INTENT_SCAN:
-        side = len(context.attributes)
+        side, forward, back = ATTRIBUTES, derive_extent, derive_intent
+        width = len(context.attributes)
     else:
         raise ValueError(f"unknown engine {engine!r}; use 'extent' or 'intent'")
-    count = len(values) ** side
+    count = len(values) ** width
     if count > budget:
         raise BudgetError(
             f"{engine} scan needs {count} candidates, over the budget of {budget}"
         )
 
+    closed = {
+        back(context, forward(context, FuzzySet(side, combo)))
+        for combo in itertools.product(values, repeat=width)
+    }
     concepts = []
-    if engine == EXTENT_SCAN:
-        extents = set()
-        for combo in itertools.product(values, repeat=side):
-            intent = derive_intent(context, FuzzySet(OBJECTS, combo))
-            extents.add(derive_extent(context, intent))
-        for extent in extents:
-            intent = derive_intent(context, extent)
-            if derive_extent(context, intent) == extent:
-                concepts.append(Concept(extent, intent))
-    else:
-        intents = set()
-        for combo in itertools.product(values, repeat=side):
-            extent = derive_extent(context, FuzzySet(ATTRIBUTES, combo))
-            intents.add(derive_intent(context, extent))
-        for intent in intents:
-            extent = derive_extent(context, intent)
-            if derive_intent(context, extent) == intent:
-                concepts.append(Concept(extent, intent))
+    for fset in closed:
+        other = forward(context, fset)
+        if back(context, other) == fset:
+            concepts.append(Concept(fset, other) if side == OBJECTS else Concept(other, fset))
     return ConceptLattice(context, concepts)
 
 
@@ -344,10 +334,12 @@ def concept_label(lattice: ConceptLattice, index: int) -> str:
 
 def export_dot(lattice: ConceptLattice) -> str:
     """Graphviz digraph: one box per concept, one edge per cover, drawn
-    bottom-to-top so the greatest concept lands at the top."""
+    bottom-to-top so the greatest concept lands at the top. Backslashes and
+    double quotes in labels are escaped, so any element spelling is safe."""
     lines = ["digraph concept_lattice {", "  rankdir=BT;", "  node [shape=box];"]
     for i in range(len(lattice)):
-        lines.append(f'  c{i} [label="{concept_label(lattice, i)}"];')
+        label = concept_label(lattice, i).replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  c{i} [label="{label}"];')
     for i, j in lattice.covers:
         lines.append(f"  c{i} -> c{j};")
     lines.append("}")

@@ -269,13 +269,21 @@ class Algebra:
     def hasse_covers(self) -> tuple[tuple[TruthValue, TruthValue], ...]:
         """Cover pairs (x, y) with x strictly below y and nothing between,
         sorted by the display positions of x, then y."""
-        els, up, down = self.elements, self._up, self._down
-        covers = []
-        for i, x in enumerate(els):
-            for j in _bits(up[i] & ~(1 << i)):
-                if not up[i] & down[j] & ~(1 << i | 1 << j):
-                    covers.append((x, els[j]))
-        return tuple(covers)
+        els = self.elements
+        return tuple((els[i], els[j]) for i, j in _cover_pairs(self._up, self._down))
+
+
+def _cover_pairs(up: Sequence[int], down: Sequence[int]) -> Iterable[tuple[int, int]]:
+    """Hasse edges of a relation given as bitmasks: ``up[i]`` holds the
+    elements above i and ``down[j]`` those below j, with or without i and j
+    themselves. (i, j) is a cover when j is above i, j is not i, and no k
+    other than i and j lies above i and below j; transitivity is not
+    assumed. Pairs come in (i, j) order.
+    """
+    for i, above in enumerate(up):
+        for j in _bits(above & ~(1 << i)):
+            if not above & down[j] & ~(1 << i | 1 << j):
+                yield i, j
 
 
 def _bits(mask: int) -> Iterable[int]:

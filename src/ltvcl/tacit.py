@@ -3,10 +3,11 @@
 An attribute extension is congener when it leaves the family of concept
 extents unchanged; columns that are meets of existing columns, or constant
 top, are sufficient for that and are exactly the tacit attributes this
-module hunts for. The fast extension path rewrites each base concept's
-intent directly (appending the meet of the source intent components, or
-top) instead of re-enumerating, and the mining pipeline cross-checks it
-against a full recomputation.
+module hunts for. The constant-top column is the meet of no columns. The
+fast extension path rewrites each base concept's intent directly (appending
+the meet of the source intent components, top when there are none) instead
+of re-enumerating, and the mining pipeline cross-checks it against a full
+recomputation.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .galois import (
     ConceptLattice,
     FuzzySet,
     closure_extent,
+    derive_intent,
     enumerate_concepts,
     scan_domain,
 )
@@ -57,9 +59,10 @@ class TheoremCheck:
     """Which sufficient condition a new column satisfies, if any.
 
     ``rule`` is "pair-meet" for a meet of two original columns, "k-meet"
-    for any other source count, "all-top" for the constant-top column, and
-    None when no condition matched (the column is unclassified and only a
-    full enumeration can settle the congener question).
+    for any other source count, "all-top" for the constant-top column (the
+    meet of no columns), and None when no condition matched (the column is
+    unclassified and only a full enumeration can settle the congener
+    question).
     """
 
     attribute: str
@@ -115,15 +118,6 @@ def _require_restriction(base: FuzzyContext, extended: FuzzyContext) -> None:
         )
 
 
-def _joint_domain(base: FuzzyContext, extended: FuzzyContext, domain):
-    """Both lattices must be scanned over one domain; for 'generated' that
-    is the subalgebra generated by the extension (a superset of the base's,
-    since the original columns are shared)."""
-    if domain == GENERATED_DOMAIN:
-        return scan_domain(extended, GENERATED_DOMAIN)
-    return domain
-
-
 def _congener_report(
     base: FuzzyContext, base_lattice: ConceptLattice, extended_lattice: ConceptLattice
 ) -> CongenerReport:
@@ -151,7 +145,10 @@ def is_congener(
 ) -> CongenerReport:
     """Enumerate both concept lattices and compare their extent families."""
     _require_restriction(base, extended)
-    values = _joint_domain(base, extended, domain)
+    # Both lattices are scanned over one domain. "generated" resolves on the
+    # extension, a superset of the base's; the contexts share one algebra
+    # (checked above), so "full" and explicit values resolve the same.
+    values = scan_domain(extended, domain)
     base_lattice = enumerate_concepts(base, engine, domain=values, budget=budget)
     ext_lattice = enumerate_concepts(extended, engine, domain=values, budget=budget)
     return _congener_report(base, base_lattice, ext_lattice)
@@ -161,20 +158,21 @@ def check_pointwise_condition(base: FuzzyContext, extended: FuzzyContext, extent
     """For one object-side set A, test whether the base closure stays below
     the closure taken through each new column alone.
 
-    Per new attribute n with column values c and v = meet_g imp(A(g), c(g)),
-    the test is closure(A)(g) <= imp(v, c(g)) for every g. Quantified over
+    Per new attribute n with column values c and v = meet_g imp(A(g), c(g))
+    (the extension's intent of A at n), the test is
+    closure(A)(g) <= imp(v, c(g)) for every g. Quantified over
     every A in the scan domain this agrees with the congener verdict, which
     the test suite checks exhaustively at desk scale.
     """
     _require_restriction(base, extended)
     alg = base.algebra
     closed = closure_extent(base, extent)
+    intent = derive_intent(extended, extent).values
     base_names = set(base.attributes)
     for m, name in enumerate(extended.attributes):
         if name in base_names:
             continue
-        column = extended.column(m)
-        v = alg.meet_all(alg.imp(a, c) for a, c in zip(extent.values, column))
+        column, v = extended.columns[m], intent[m]
         for g in range(len(base.objects)):
             if not alg.leq(closed.values[g], alg.imp(v, column[g])):
                 return False
@@ -186,49 +184,40 @@ def classify_columns(
     extended: FuzzyContext,
     *,
     min_arity: int = 2,
-    max_arity: int | None = None,
 ) -> list[TheoremCheck]:
     """Match every new column against the sufficient conditions.
 
-    A column equal to top everywhere is classified all-top; otherwise the
-    original-attribute subsets of arity min_arity..max_arity are searched in
-    lexicographic order, arity ascending, for an exact column match (the
-    algebra is finite and discrete, so equality is exact by construction).
-    Columns matching nothing come back unsatisfied with rule None.
+    The original-attribute subsets are searched for an exact column match
+    (the algebra is finite and discrete, so equality is exact by
+    construction): the empty subset first, whose meet is the all-top
+    column, then every subset of arity min_arity and up, in lexicographic
+    order, arity ascending. An empty match is all-top, two sources are
+    pair-meet, any other count is k-meet. Columns matching nothing come
+    back unsatisfied with rule None.
     """
     _require_restriction(base, extended)
     alg = base.algebra
     n_orig = len(base.attributes)
-    if max_arity is None:
-        max_arity = n_orig
+    arities = (0, *range(max(min_arity, 1), n_orig + 1))
     base_names = set(base.attributes)
-    base_columns = [base.column(m) for m in range(n_orig)]
+
+    def meet_of(subset):
+        return tuple(alg.meet_all(row[s] for s in subset) for row in base.rows)
+
     checks: list[TheoremCheck] = []
     for m, name in enumerate(extended.attributes):
         if name in base_names:
             continue
-        column = extended.column(m)
-        if all(v == alg.top for v in column):
-            checks.append(TheoremCheck(name, RULE_ALL_TOP, True))
-            continue
-        match: tuple[int, ...] | None = None
-        for arity in range(max(min_arity, 1), max_arity + 1):
-            for subset in itertools.combinations(range(n_orig), arity):
-                candidate = tuple(
-                    alg.meet_all(base_columns[s][g] for s in subset)
-                    for g in range(len(base.objects))
-                )
-                if candidate == column:
-                    match = subset
-                    break
-            if match is not None:
-                break
+        column = extended.columns[m]
+        subsets = itertools.chain.from_iterable(
+            itertools.combinations(range(n_orig), arity) for arity in arities
+        )
+        match = next((subset for subset in subsets if meet_of(subset) == column), None)
         if match is None:
             checks.append(TheoremCheck(name, None, False))
-        else:
-            rule = RULE_PAIR_MEET if len(match) == 2 else RULE_K_MEET
-            sources = tuple(base.attributes[s] for s in match)
-            checks.append(TheoremCheck(name, rule, True, sources))
+            continue
+        rule = {0: RULE_ALL_TOP, 2: RULE_PAIR_MEET}.get(len(match), RULE_K_MEET)
+        checks.append(TheoremCheck(name, rule, True, tuple(base.attributes[s] for s in match)))
     return checks
 
 
@@ -243,10 +232,10 @@ def extend_concepts_fast(
     re-enumerating.
 
     Every concept keeps its extent; its intent gains, per new column, the
-    meet of the intent components at the column's sources, or top for the
-    constant-top column. Sound only when every new column is classified; an
-    unclassified column raises and the caller must fall back to
-    enumerate_concepts on the extension.
+    meet of the intent components at the column's sources (the empty meet,
+    top, for the constant-top column). Sound only when every new column is
+    classified; an unclassified column raises and the caller must fall back
+    to enumerate_concepts on the extension.
     """
     if checks is None:
         checks = classify_columns(base, extended)
@@ -259,25 +248,19 @@ def extend_concepts_fast(
             f"{unexplained}; enumerate the extended context instead"
         )
     by_attr = {c.attribute: c for c in checks}
-    alg = base.algebra
+    meet_all = base.algebra.meet_all
     base_index = {name: i for i, name in enumerate(base.attributes)}
 
     concepts = []
     for concept in base_lattice:
         intent = concept.intent.values
-        extended_values = []
-        for name in extended.attributes:
-            if name in base_index:
-                extended_values.append(intent[base_index[name]])
-                continue
-            check = by_attr[name]
-            if check.rule == RULE_ALL_TOP:
-                extended_values.append(alg.top)
-            else:
-                extended_values.append(
-                    alg.meet_all(intent[base_index[s]] for s in check.sources)
-                )
-        concepts.append(Concept(concept.extent, FuzzySet(ATTRIBUTES, tuple(extended_values))))
+        extended_values = tuple(
+            intent[base_index[name]]
+            if name in base_index
+            else meet_all(intent[base_index[s]] for s in by_attr[name].sources)
+            for name in extended.attributes
+        )
+        concepts.append(Concept(concept.extent, FuzzySet(ATTRIBUTES, extended_values)))
     return ConceptLattice(extended, concepts)
 
 
@@ -297,7 +280,7 @@ def mine(
     """
     extended = extend_context(context, config)
     checks = classify_columns(context, extended)
-    values = _joint_domain(context, extended, domain)
+    values = scan_domain(extended, domain)
     base_lattice = enumerate_concepts(context, engine, domain=values, budget=budget)
     full_lattice = enumerate_concepts(extended, engine, domain=values, budget=budget)
     congener = _congener_report(context, base_lattice, full_lattice)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -28,6 +29,14 @@ from ltvcl import (
 from ltvcl.galois import FULL_DOMAIN, GENERATED_DOMAIN, concept_label, pointwise_leq, scan_domain
 from conftest import DATA_DIR, aset, concept_set, oset, random_context
 from golden import BASE_CONCEPTS
+
+
+def chain5_context():
+    """A context over the chain5 table, which fails the implication axioms."""
+    return parse_context(
+        "algebra table chain5.lia\nattributes m1 m2 m3\ng1 O O I\ng2 a a b\n",
+        base_dir=str(DATA_DIR),
+    )
 
 
 class TestDerivations:
@@ -128,10 +137,7 @@ class TestEnumeration:
         # chain5 fails the implication axioms, so scan closures need not be
         # fixpoints (this matrix produces one that is not); only verified
         # fixpoints may be emitted, which keeps the engines in agreement
-        ctx = parse_context(
-            "algebra table chain5.lia\nattributes m1 m2 m3\ng1 O O I\ng2 a a b\n",
-            base_dir=str(DATA_DIR),
-        )
+        ctx = chain5_context()
         alg = ctx.algebra
         raw_closures = {
             closure_extent(ctx, object_set(combo))
@@ -202,8 +208,16 @@ class TestLatticeStructure:
             assert lattice.leq(c, lattice.top)
             assert lattice.leq(lattice.bottom, c)
 
-    def test_covers_are_the_transitive_reduction(self, demo):
-        lattice = enumerate_concepts(demo)
+    @pytest.mark.parametrize("case", ["demo", "random0", "random1", "random2", "chain5"])
+    def test_covers_are_the_transitive_reduction(self, demo, case):
+        if case == "demo":
+            lattice = enumerate_concepts(demo)
+        elif case == "chain5":
+            lattice = enumerate_concepts(chain5_context(), domain=FULL_DOMAIN)
+        else:
+            rng = random.Random(int(case.removeprefix("random")))
+            context = random_context(rng, default_algebra(), 3, 3)
+            lattice = enumerate_concepts(context, domain=FULL_DOMAIN)
         order = set(lattice.order_pairs)
         covers = set(lattice.covers)
         assert covers <= order
@@ -274,6 +288,26 @@ class TestExport:
         }
         assert all(len(pair) == 2 for pair in doc["covers"])
         assert json.dumps(doc, indent=2) + "\n" == text
+
+    def test_dot_escapes_quotes_and_backslashes(self, tmp_path):
+        # a Boolean table whose top is spelled "I\ : the DOT label escapes
+        # both characters, the plain label keeps the spelling as it is
+        odd = '"I\\'
+        (tmp_path / "odd.lia").write_text(
+            f"elements O {odd}\nimp O {odd} {odd}\nimp {odd} O {odd}\n"
+            f"neg O {odd}\nneg {odd} O\n",
+            encoding="utf-8",
+        )
+        ctx = parse_context(f"algebra table odd.lia\nattributes m1\ng1 {odd}\n",
+                            base_dir=str(tmp_path))
+        lattice = enumerate_concepts(ctx)
+        assert concept_label(lattice, 0) == f"0# ({odd} | {odd})"
+        dot = export_dot(lattice)
+        assert r'c0 [label="0# (\"I\\ | \"I\\)"];' in dot
+        labels = [line for line in dot.splitlines() if "[label=" in line]
+        assert len(labels) == len(lattice)
+        quoted = re.compile(r'  c\d+ \[label="(?:[^"\\]|\\.)*"\];')
+        assert all(quoted.fullmatch(line) for line in labels)
 
     def test_concept_label_format(self, demo):
         lattice = enumerate_concepts(demo)

@@ -365,6 +365,22 @@ class TestTableBackedOps:
 
     @pytest.mark.parametrize("build", [
         lambda: ProductAlgebra([3, 2]),
+        lambda: ProductAlgebra([2, 3, 2]),
+        lambda: load_table_algebra(BOOL2),
+        lambda: load_table_algebra(CHAIN5),
+    ], ids=["product-3-2", "product-2-3-2", "bool2", "chain5"])
+    def test_hasse_covers_are_the_transitive_reduction(self, build):
+        alg = build()
+        els = alg.elements
+        order = {(x, y) for x in els for y in els if x != y and alg.leq(x, y)}
+        expected = [
+            (x, y) for x in els for y in els
+            if (x, y) in order and not any((x, z) in order and (z, y) in order for z in els)
+        ]
+        assert list(alg.hasse_covers()) == expected
+
+    @pytest.mark.parametrize("build", [
+        lambda: ProductAlgebra([3, 2]),
         lambda: load_table_algebra(BOOL2),
     ], ids=["product", "table"])
     @pytest.mark.parametrize("stranger", [v(9, 1), v(1, 1, 1), v(7), "AbT", [1, 1]],

@@ -45,7 +45,9 @@ class TestIsCongener:
                                         demo.algebra.parse_value("SlF")))
         checks = classify_columns(demo, adv)
         assert len(checks) == 1 and not checks[0].satisfied
-        for domain in (GENERATED_DOMAIN, FULL_DOMAIN):
+        # an explicit domain may be a one-shot iterator: it is resolved once
+        # and both lattices are scanned over the same values
+        for domain in (GENERATED_DOMAIN, FULL_DOMAIN, iter(demo.algebra.elements)):
             assert is_congener(demo, adv, domain=domain).is_congener
 
     def test_non_congener_column_has_witnesses(self, demo):
