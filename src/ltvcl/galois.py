@@ -3,23 +3,31 @@
 The derivation pair maps an object-side fuzzy set A to the intent
 ``m -> meet_g imp(A(g), I(g, m))`` and dually for attribute-side sets; its
 composites are closure operators and the fixpoint pairs form a complete
-lattice. Both derivations run one kernel, over the context's columns for an
-intent and over its rows for an extent. Enumeration is an exhaustive
-scan-plus-closure over one chosen side; the intent engine is the extent
-engine on the transposed grid, run by the same scan loop, which keeps a
-dual-side oracle available: scanning extents and scanning intents must
-produce the same concept set.
+lattice. A derivation is one kernel, a left fold over the positions of its
+argument: start from the all-top vector and, per object g (per attribute m
+for an extent), meet each component with imp(A(g), I(g, m)).
 
-A scan needs a value domain. ``"generated"`` (the default) scans the
+Enumeration runs that fold over every candidate of one chosen side at
+once, on the set of distinct partial vectors (see ``enumerate_concepts``).
+It admits exactly the concepts of closing every candidate one by one (the
+exhaustive scan the test suite keeps as its oracle) and raises
+StructureError exactly when that does, while its work follows the number
+of concepts. The
+intent engine is the extent engine on the transposed grid, which keeps a
+dual-side check available: folding extents and folding intents must
+produce the same concept set. The concept order comes from per-object
+bitmasks of the concepts at or above each extent value.
+
+A scan needs a value domain. ``"generated"`` (the default) ranges over the
 subalgebra generated by the values actually present in the context, which
-is where a context's arithmetic lives and keeps candidate counts minimal;
-``"full"`` scans every element of the ambient algebra and can surface
-additional fixpoints valued outside the data.
+is where a context's arithmetic lives; ``"full"`` ranges over every element
+of the ambient algebra and can surface additional fixpoints valued outside
+the data. Either way the budget counts the |domain|^|side| candidates the
+fold stands for.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,7 +35,7 @@ from typing import Iterable, Iterator
 
 from .context import FuzzyContext
 from .errors import BudgetError, DimensionError, MembershipError, StructureError
-from .lia import TruthValue, _cover_pairs
+from .lia import TruthValue, _bits, _cover_pairs
 
 OBJECTS = "objects"
 ATTRIBUTES = "attributes"
@@ -107,11 +115,22 @@ def pointwise_join(context: FuzzyContext, left: FuzzySet, right: FuzzySet) -> Fu
     return FuzzySet(left.side, tuple(join(a, b) for a, b in zip(left.values, right.values)))
 
 
-def _derive(algebra, lines, values) -> tuple[TruthValue, ...]:
-    """The derivation kernel: per line, the meet over k of
-    imp(values[k], line[k]). An empty line gives the empty meet, top."""
-    meet_all, imp = algebra.meet_all, algebra.imp
-    return tuple(meet_all(imp(a, v) for a, v in zip(values, line)) for line in lines)
+def _step(algebra, partial, a, line) -> tuple[TruthValue, ...]:
+    """One position of the derivation fold: meet each component m of the
+    partial vector with imp(a, line[m])."""
+    meet, imp = algebra.meet, algebra.imp
+    return tuple([meet(p, imp(a, v)) for p, v in zip(partial, line)])
+
+
+def _derive(algebra, lines, width: int, values) -> tuple[TruthValue, ...]:
+    """The derivation kernel, a left fold over positions: start from the
+    all-top vector of ``width`` components and take one step per position k
+    with values[k] and lines[k]. Per component that is the meet over k of
+    imp(values[k], lines[k][m]); with no positions it is top."""
+    out = (algebra.top,) * width
+    for a, line in zip(values, lines):
+        out = _step(algebra, out, a, line)
+    return out
 
 
 def derive_intent(context: FuzzyContext, extent: FuzzySet) -> FuzzySet:
@@ -121,14 +140,16 @@ def derive_intent(context: FuzzyContext, extent: FuzzySet) -> FuzzySet:
     objects the meet is empty and every intent component is top.
     """
     _check_sized(extent, OBJECTS, len(context.objects))
-    return FuzzySet(ATTRIBUTES, _derive(context.algebra, context.columns, extent.values))
+    values = _derive(context.algebra, context.rows, len(context.attributes), extent.values)
+    return FuzzySet(ATTRIBUTES, values)
 
 
 def derive_extent(context: FuzzyContext, intent: FuzzySet) -> FuzzySet:
     """Dual of derive_intent: per object, meet over attributes of
     imp(B(m), I(g, m)); the empty attribute set yields an all-top extent."""
     _check_sized(intent, ATTRIBUTES, len(context.attributes))
-    return FuzzySet(OBJECTS, _derive(context.algebra, context.rows, intent.values))
+    values = _derive(context.algebra, context.columns, len(context.objects), intent.values)
+    return FuzzySet(OBJECTS, values)
 
 
 def closure_extent(context: FuzzyContext, extent: FuzzySet) -> FuzzySet:
@@ -229,24 +250,41 @@ class ConceptLattice:
         return frozenset((c.extent, c.intent) for c in self.concepts)
 
     @cached_property
+    def _order_masks(self) -> tuple[list[int], list[int]]:
+        """Bitmasks of the pointwise extent order: ``up[i]`` holds the
+        concepts j with extent i <= extent j, ``down[j]`` the concepts i
+        with it, each including the concept itself.
+
+        Per object g, one mask collects the concepts whose extent takes
+        value v at g; the concepts above a value a at g are the union of
+        the masks of the values v with a <= v. ``up[i]`` is the AND over g
+        of the masks above i's values, and ``down`` dually. That is the
+        pointwise order exactly, with no transitivity assumed, in
+        |G| * (distinct values)^2 comparisons instead of c^2 * |G|.
+        """
+        leq = self.context.algebra.leq
+        every = (1 << len(self.concepts)) - 1
+        up, down = [every] * len(self.concepts), [every] * len(self.concepts)
+        for column in zip(*(c.extent.values for c in self.concepts)):
+            at: dict[TruthValue, int] = {}
+            for j, v in enumerate(column):
+                at[v] = at.get(v, 0) | 1 << j
+            above = {a: sum(m for v, m in at.items() if leq(a, v)) for a in at}
+            below = {a: sum(m for v, m in at.items() if leq(v, a)) for a in at}
+            up = [mask & above[v] for mask, v in zip(up, column)]
+            down = [mask & below[v] for mask, v in zip(down, column)]
+        return up, down
+
+    @cached_property
     def order_pairs(self) -> tuple[tuple[int, int], ...]:
         """All strict order pairs (i, j) with concept i below concept j."""
-        out = []
-        for i, lower in enumerate(self.concepts):
-            for j, upper in enumerate(self.concepts):
-                if i != j and pointwise_leq(self.context, lower.extent, upper.extent):
-                    out.append((i, j))
-        return tuple(out)
+        up, _ = self._order_masks
+        return tuple((i, j) for i, above in enumerate(up) for j in _bits(above & ~(1 << i)))
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Transitive reduction of the order: the Hasse edges, sorted."""
-        up = [0] * len(self.concepts)
-        down = [0] * len(self.concepts)
-        for i, j in self.order_pairs:
-            up[i] |= 1 << j
-            down[j] |= 1 << i
-        return tuple(_cover_pairs(up, down))
+        return tuple(_cover_pairs(*self._order_masks))
 
 
 def enumerate_concepts(
@@ -256,35 +294,53 @@ def enumerate_concepts(
     domain=GENERATED_DOMAIN,
     budget: int = DEFAULT_CANDIDATE_BUDGET,
 ) -> ConceptLattice:
-    """Collect every concept by exhaustive scan plus closure.
+    """Collect every concept by a deduplicated derivation fold plus closure.
 
-    The extent engine closes all |domain|^|objects| object-side candidates;
-    the intent engine dually scans the attribute side. Each collected pair
-    is verified as a mutual fixpoint before it is admitted: over a valid
-    implication algebra the check never rejects anything, but it keeps the
-    two engines in agreement even on table algebras that fail the axioms,
-    where scan closures need not be fixpoints at all. A scan whose
-    candidate count exceeds the budget raises BudgetError naming the count.
+    The extent engine derives the intents of all |domain|^|objects|
+    object-side candidates; the intent engine dually derives the extents of
+    the attribute-side candidates. A derivation is a left fold over the
+    candidate's positions, so the fold runs once, one position at a time, on
+    the set of distinct partial vectors: S_0 holds the all-top vector and
+    S_k every step of an S_(k-1) vector with a domain value at position k.
+    The last set is exactly the set of the candidates' derivations, each
+    computed by the same meets in the same order as a derivation on its
+    own, and each is derived back once.
+
+    When the domain holds bottom (``"generated"`` and ``"full"`` always do),
+    imp(bottom, x) is top, so over a valid implication algebra each S_k
+    contains S_(k-1) and none is larger than the number of concepts. On any
+    algebra the fold makes no more meets than deriving every candidate on
+    its own, and it raises StructureError exactly when that would: every
+    partial vector is the prefix of some candidate, and a candidate's first
+    missing meet is met by the fold at the same position.
+
+    Each collected pair is verified as a mutual fixpoint before it is
+    admitted: over a valid implication algebra the check never rejects
+    anything, but it keeps the two engines in agreement even on table
+    algebras that fail the axioms, where closures need not be fixpoints at
+    all. A domain whose candidate count exceeds the budget raises
+    BudgetError naming the count.
     """
     values = scan_domain(context, domain)
     if engine == EXTENT_SCAN:
-        side, forward, back = OBJECTS, derive_intent, derive_extent
-        width = len(context.objects)
+        side, image_side, forward, back = OBJECTS, ATTRIBUTES, derive_intent, derive_extent
+        lines, width = context.rows, len(context.attributes)
     elif engine == INTENT_SCAN:
-        side, forward, back = ATTRIBUTES, derive_extent, derive_intent
-        width = len(context.attributes)
+        side, image_side, forward, back = ATTRIBUTES, OBJECTS, derive_extent, derive_intent
+        lines, width = context.columns, len(context.objects)
     else:
         raise ValueError(f"unknown engine {engine!r}; use 'extent' or 'intent'")
-    count = len(values) ** width
+    count = len(values) ** len(lines)
     if count > budget:
         raise BudgetError(
             f"{engine} scan needs {count} candidates, over the budget of {budget}"
         )
 
-    closed = {
-        back(context, forward(context, FuzzySet(side, combo)))
-        for combo in itertools.product(values, repeat=width)
-    }
+    algebra = context.algebra
+    images = {(algebra.top,) * width}  # S_0; after the loop, S_|lines|
+    for line in lines:
+        images = {_step(algebra, partial, a, line) for partial in images for a in values}
+    closed = {back(context, FuzzySet(image_side, image)) for image in images}
     concepts = []
     for fset in closed:
         other = forward(context, fset)

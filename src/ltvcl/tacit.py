@@ -119,7 +119,7 @@ def _require_restriction(base: FuzzyContext, extended: FuzzyContext) -> None:
 
 
 def _congener_report(
-    base: FuzzyContext, base_lattice: ConceptLattice, extended_lattice: ConceptLattice
+    base_lattice: ConceptLattice, extended_lattice: ConceptLattice
 ) -> CongenerReport:
     base_extents = base_lattice.extent_set()
     ext_extents = extended_lattice.extent_set()
@@ -151,7 +151,7 @@ def is_congener(
     values = scan_domain(extended, domain)
     base_lattice = enumerate_concepts(base, engine, domain=values, budget=budget)
     ext_lattice = enumerate_concepts(extended, engine, domain=values, budget=budget)
-    return _congener_report(base, base_lattice, ext_lattice)
+    return _congener_report(base_lattice, ext_lattice)
 
 
 def check_pointwise_condition(base: FuzzyContext, extended: FuzzyContext, extent: FuzzySet) -> bool:
@@ -283,7 +283,7 @@ def mine(
     values = scan_domain(extended, domain)
     base_lattice = enumerate_concepts(context, engine, domain=values, budget=budget)
     full_lattice = enumerate_concepts(extended, engine, domain=values, budget=budget)
-    congener = _congener_report(context, base_lattice, full_lattice)
+    congener = _congener_report(base_lattice, full_lattice)
 
     fast_verified = False
     if all(c.satisfied for c in checks):
