@@ -19,7 +19,9 @@ the tables:
 
 From the implication the algebra derives the rest once, at construction:
 top is the common value of the diagonal, x <= y iff imp(x, y) = top, and
-meets and joins come from that order.
+meets and joins come from that order. Every table is indexed by element
+position (display order) and holds positions; a :class:`TruthValue` is
+only ever an argument or result of the public operations.
 
 The default product of a 3-chain and a 2-chain carries the six linguistic
 labels AbT, VeT, SlT, SlF, VeF, AbF (modifier + polarity); every other
@@ -84,14 +86,17 @@ class LinguisticLabel:
 
 
 class Algebra:
-    """A finite algebra whose operations are precomputed tables.
+    """A finite algebra whose operations are precomputed position tables.
 
     Builders pass the elements in display order, their spellings, and the
-    implication and negation as index tables (``imp[i][j]`` and ``neg[i]``
-    are positions in ``values``). The constructor derives top, the order,
-    bottom, meet and join. It rejects a non-constant diagonal or a
-    non-antisymmetric order with LoadError; every other law is left to
-    :func:`check_axioms`.
+    implication and negation as position tables (``imp[i][j]`` and
+    ``neg[i]`` are positions in ``values``). The constructor derives top,
+    the order (``_up[i]`` / ``_down[i]``: bitmasks of the positions above /
+    below i), bottom, and meet and join tables with None where no unique
+    bound exists. Each operation is stored once, as such a table; the ops
+    map their TruthValue arguments to positions through ``_rank``. It
+    rejects a non-constant diagonal or a non-antisymmetric order with
+    LoadError; every other law is left to :func:`check_axioms`.
 
     Algebras are immutable after construction and every operation is a pure
     function, so instances may be shared freely between threads.
@@ -109,18 +114,19 @@ class Algebra:
         n = len(els)
         self.elements = els
         self._rank = {v: i for i, v in enumerate(els)}
-        self._spelling = dict(zip(els, spellings))
+        self._spellings = spellings
         self._by_spelling = dict(zip(spellings, els))
+        self._imp = tuple(map(tuple, imp))
+        self._neg = tuple(neg)
 
-        diagonal = {imp[i][i] for i in range(n)}
+        diagonal = {self._imp[i][i] for i in range(n)}
         if len(diagonal) != 1:
             raise LoadError(
                 "derived order is not reflexive: the diagonal takes values "
                 f"{sorted(spellings[k] for k in diagonal)} instead of a single top element"
             )
         t = diagonal.pop()
-        # up[i] / down[i]: bitmasks of the elements above / below element i
-        up = [sum(1 << j for j, k in enumerate(row) if k == t) for row in imp]
+        up = [sum(1 << j for j, k in enumerate(row) if k == t) for row in self._imp]
         down = [sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)]
         for i in range(n):
             both = up[i] & down[i] & ~((2 << i) - 1)
@@ -134,17 +140,8 @@ class Algebra:
         self.top = els[t]
         bottoms = [i for i in range(n) if up[i] == (1 << n) - 1]
         self._bottom = els[bottoms[0]] if bottoms else None
-
-        def by_value(table):
-            return {
-                x: {y: None if k is None else els[k] for y, k in zip(els, row)}
-                for x, row in zip(els, table)
-            }
-
-        self._meet = by_value(_meet_table(down))
-        self._join = by_value(_meet_table(up))
-        self._imp = by_value(imp)
-        self._neg = {x: els[k] for x, k in zip(els, neg)}
+        self._meet = _meet_table(down)
+        self._join = _meet_table(up)
 
     @property
     def bottom(self) -> TruthValue:
@@ -156,13 +153,13 @@ class Algebra:
         return self is other or (
             isinstance(other, Algebra)
             and self.elements == other.elements
-            and self._spelling == other._spelling
+            and self._spellings == other._spellings
             and self._imp == other._imp
             and self._neg == other._neg
         )
 
     def __hash__(self) -> int:
-        return hash(tuple(self._spelling.values()))
+        return hash(self._spellings)
 
     def _has(self, v) -> bool:
         try:
@@ -176,7 +173,7 @@ class Algebra:
 
     def _unbounded(self, what: str, x: TruthValue, y: TruthValue) -> StructureError:
         return StructureError(
-            f"no unique {what} for ({self._spelling[x]}, {self._spelling[y]}): "
+            f"no unique {what} for ({self.format_value(x)}, {self.format_value(y)}): "
             "the derived order is not a lattice"
         )
 
@@ -192,31 +189,31 @@ class Algebra:
 
     def meet(self, x: TruthValue, y: TruthValue) -> TruthValue:
         try:
-            z = self._meet[x][y]
+            k = self._meet[self._rank[x]][self._rank[y]]
         except (KeyError, TypeError):
             raise self._foreign(x, y) from None
-        if z is None:
+        if k is None:
             raise self._unbounded("greatest lower bound", x, y)
-        return z
+        return self.elements[k]
 
     def join(self, x: TruthValue, y: TruthValue) -> TruthValue:
         try:
-            z = self._join[x][y]
+            k = self._join[self._rank[x]][self._rank[y]]
         except (KeyError, TypeError):
             raise self._foreign(x, y) from None
-        if z is None:
+        if k is None:
             raise self._unbounded("least upper bound", x, y)
-        return z
+        return self.elements[k]
 
     def imp(self, x: TruthValue, y: TruthValue) -> TruthValue:
         try:
-            return self._imp[x][y]
+            return self.elements[self._imp[self._rank[x]][self._rank[y]]]
         except (KeyError, TypeError):
             raise self._foreign(x, y) from None
 
     def neg(self, x: TruthValue) -> TruthValue:
         try:
-            return self._neg[x]
+            return self.elements[self._neg[self._rank[x]]]
         except (KeyError, TypeError):
             raise self._foreign(x) from None
 
@@ -229,7 +226,7 @@ class Algebra:
 
     def format_value(self, v: TruthValue) -> str:
         try:
-            return self._spelling[v]
+            return self._spellings[self._rank[v]]
         except (KeyError, TypeError):
             raise self._foreign(v) from None
 
@@ -527,6 +524,8 @@ def load_table_algebra(text: str, source: str | None = None) -> TableAlgebra:
             imp_table[(row_name, col_name)] = v
     neg_table: dict[str, str] = {}
     for lineno, name, v in neg_lines:
+        if name not in names:
+            raise LoadError(f"'neg' line names undeclared element {name!r}", lineno)
         if name in neg_table:
             raise LoadError(f"duplicate 'neg' line for {name!r}", lineno)
         neg_table[name] = v
@@ -553,103 +552,98 @@ def check_axioms(algebra: Algebra, element_budget: int = DEFAULT_AXIOM_BUDGET) -
     """Exhaustively test the bounded-lattice laws, the order-reversing
     involution, and the seven implication axioms over every element tuple.
 
+    The laws are read straight from the algebra's position tables, over
+    positions in display order, so witnesses come in that order. A pair
+    missing either bound is reported as ``meet-defined`` and/or
+    ``join-defined`` and is skipped for both operations by every later law.
     The check is cubic in the element count and meant for desk-scale
     validation; algebras larger than ``element_budget`` raise BudgetError.
-    Every violating instance is reported with a witness tuple.
+    Every violating instance is reported with a witness tuple of spellings.
     """
-    els = algebra.elements
-    n = len(els)
+    n = len(algebra.elements)
     if n > element_budget:
         raise BudgetError(f"{n} elements exceed the axiom-check budget of {element_budget}")
-    name = algebra.format_value
+    name = algebra._spellings
+    imp, neg, up, down = algebra._imp, algebra._neg, algebra._up, algebra._down
+    top = algebra._rank[algebra.top]
+    els = range(n)
     report = AxiomReport()
     bad = report.violations
 
-    def safe(op, *args):
-        try:
-            return op(*args)
-        except StructureError:
-            return None
-
     # bounded: a greatest and a least element must exist
-    if not any(all(algebra.leq(x, t) for x in els) for t in els):
+    every = (1 << n) - 1
+    if every not in down:
         bad.append(("bounded-top", ()))
-    if not any(all(algebra.leq(b, x) for x in els) for b in els):
+    if every not in up:
         bad.append(("bounded-bottom", ()))
 
-    # totality of meet/join under the derived order
-    undefined_pairs = set()
+    # totality of meet/join; a pair missing either bound counts as
+    # undefined for both operations
+    meet = [[None] * n for _ in els]
+    join = [[None] * n for _ in els]
     for x, y in itertools.product(els, repeat=2):
-        if safe(algebra.meet, x, y) is None:
-            bad.append(("meet-defined", (name(x), name(y))))
-            undefined_pairs.add((x, y))
-        if safe(algebra.join, x, y) is None:
-            bad.append(("join-defined", (name(x), name(y))))
-            undefined_pairs.add((x, y))
-
-    # a pair missing either bound counts as undefined for both operations
-    def meet(x, y):
-        return None if (x, y) in undefined_pairs else safe(algebra.meet, x, y)
-
-    def join(x, y):
-        return None if (x, y) in undefined_pairs else safe(algebra.join, x, y)
+        m, j = algebra._meet[x][y], algebra._join[x][y]
+        if m is None:
+            bad.append(("meet-defined", (name[x], name[y])))
+        if j is None:
+            bad.append(("join-defined", (name[x], name[y])))
+        if m is not None and j is not None:
+            meet[x][y], join[x][y] = m, j
 
     for x in els:
-        if meet(x, x) is not None and meet(x, x) != x:
-            bad.append(("meet-idem", (name(x),)))
-        if join(x, x) is not None and join(x, x) != x:
-            bad.append(("join-idem", (name(x),)))
-        if algebra.neg(algebra.neg(x)) != x:
-            bad.append(("neg-involutive", (name(x),)))
+        if meet[x][x] is not None and meet[x][x] != x:
+            bad.append(("meet-idem", (name[x],)))
+        if join[x][x] is not None and join[x][x] != x:
+            bad.append(("join-idem", (name[x],)))
+        if neg[neg[x]] != x:
+            bad.append(("neg-involutive", (name[x],)))
 
     for x, y in itertools.product(els, repeat=2):
-        mxy, myx = meet(x, y), meet(y, x)
-        jxy, jyx = join(x, y), join(y, x)
+        mxy, myx = meet[x][y], meet[y][x]
+        jxy, jyx = join[x][y], join[y][x]
         if mxy is not None and myx is not None and mxy != myx:
-            bad.append(("meet-comm", (name(x), name(y))))
+            bad.append(("meet-comm", (name[x], name[y])))
         if jxy is not None and jyx is not None and jxy != jyx:
-            bad.append(("join-comm", (name(x), name(y))))
-        if jxy is not None and meet(x, jxy) is not None and meet(x, jxy) != x:
-            bad.append(("absorb-meet-join", (name(x), name(y))))
-        if mxy is not None and join(x, mxy) is not None and join(x, mxy) != x:
-            bad.append(("absorb-join-meet", (name(x), name(y))))
-        if algebra.leq(x, y) and not algebra.leq(algebra.neg(y), algebra.neg(x)):
-            bad.append(("neg-antitone", (name(x), name(y))))
+            bad.append(("join-comm", (name[x], name[y])))
+        if jxy is not None and meet[x][jxy] is not None and meet[x][jxy] != x:
+            bad.append(("absorb-meet-join", (name[x], name[y])))
+        if mxy is not None and join[x][mxy] is not None and join[x][mxy] != x:
+            bad.append(("absorb-join-meet", (name[x], name[y])))
+        if up[x] >> y & 1 and not up[neg[y]] >> neg[x] & 1:
+            bad.append(("neg-antitone", (name[x], name[y])))
 
-    imp = algebra.imp
-    top = algebra.top
     for x in els:
-        if imp(x, x) != top:
-            bad.append(("lia-2", (name(x),)))
+        if imp[x][x] != top:
+            bad.append(("lia-2", (name[x],)))
     for x, y in itertools.product(els, repeat=2):
-        if imp(x, y) != imp(algebra.neg(y), algebra.neg(x)):
-            bad.append(("lia-3", (name(x), name(y))))
-        if imp(x, y) == top and imp(y, x) == top and x != y:
-            bad.append(("lia-4", (name(x), name(y))))
-        if imp(imp(x, y), y) != imp(imp(y, x), x):
-            bad.append(("lia-5", (name(x), name(y))))
+        if imp[x][y] != imp[neg[y]][neg[x]]:
+            bad.append(("lia-3", (name[x], name[y])))
+        if imp[x][y] == top and imp[y][x] == top and x != y:
+            bad.append(("lia-4", (name[x], name[y])))
+        if imp[imp[x][y]][y] != imp[imp[y][x]][x]:
+            bad.append(("lia-5", (name[x], name[y])))
 
-    for x, y, z in itertools.product(els, repeat=3):
-        if imp(x, imp(y, z)) != imp(y, imp(x, z)):
-            bad.append(("lia-1", (name(x), name(y), name(z))))
-        witness = (name(x), name(y), name(z))
-        mxy, jxy = meet(x, y), join(x, y)
-        myz, jyz = meet(y, z), join(y, z)
-        if jxy is not None:
-            rhs = meet(imp(x, z), imp(y, z))
-            if rhs is not None and imp(jxy, z) != rhs:
-                bad.append(("lia-6", witness))
-        if mxy is not None:
-            rhs = join(imp(x, z), imp(y, z))
-            if rhs is not None and imp(mxy, z) != rhs:
-                bad.append(("lia-7", witness))
-        if mxy is not None and myz is not None:
-            left, right = meet(x, myz), meet(mxy, z)
-            if left is not None and right is not None and left != right:
-                bad.append(("meet-assoc", witness))
-        if jxy is not None and jyz is not None:
-            left, right = join(x, jyz), join(jxy, z)
-            if left is not None and right is not None and left != right:
-                bad.append(("join-assoc", witness))
+    for x in els:
+        imp_x, meet_x, join_x = imp[x], meet[x], join[x]
+        for y in els:
+            imp_y, meet_y, join_y = imp[y], meet[y], join[y]
+            mxy, jxy = meet_x[y], join_x[y]
+            for z in els:
+                xz, yz = imp_x[z], imp_y[z]
+                if imp_x[yz] != imp_y[xz]:
+                    bad.append(("lia-1", (name[x], name[y], name[z])))
+                if jxy is not None and meet[xz][yz] is not None and imp[jxy][z] != meet[xz][yz]:
+                    bad.append(("lia-6", (name[x], name[y], name[z])))
+                if mxy is not None and join[xz][yz] is not None and imp[mxy][z] != join[xz][yz]:
+                    bad.append(("lia-7", (name[x], name[y], name[z])))
+                myz, jyz = meet_y[z], join_y[z]
+                if mxy is not None and myz is not None:
+                    left, right = meet_x[myz], meet[mxy][z]
+                    if left is not None and right is not None and left != right:
+                        bad.append(("meet-assoc", (name[x], name[y], name[z])))
+                if jxy is not None and jyz is not None:
+                    left, right = join_x[jyz], join[jxy][z]
+                    if left is not None and right is not None and left != right:
+                        bad.append(("join-assoc", (name[x], name[y], name[z])))
 
     return report

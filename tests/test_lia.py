@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -20,6 +21,7 @@ from ltvcl import (
     load_table_algebra,
 )
 from conftest import DATA_DIR
+from oracle import reference_check_axioms
 
 L6 = default_algebra()
 
@@ -279,6 +281,12 @@ class TestTableAlgebra:
             ("lia-1", ("e21", "e11", "e12")),
         ]
 
+    def test_neg_line_naming_undeclared_element_rejected(self):
+        text = "elements O I\nimp O I I\nimp I O I\nneg O I\nneg I O\nneg Z O\n"
+        with pytest.raises(LoadError, match=r"line 6: .*'Z'") as err:
+            load_table_algebra(text)
+        assert err.value.line == 6
+
 
 class TestAxiomChecker:
     @pytest.mark.parametrize("sizes", [[2, 2], [3, 2], [4, 2], [5, 2]])
@@ -290,6 +298,33 @@ class TestAxiomChecker:
         with pytest.raises(BudgetError):
             check_axioms(ProductAlgebra([5, 13]))
         assert check_axioms(ProductAlgebra([3, 3]), element_budget=9).passed
+        assert check_axioms(ProductAlgebra([4, 4, 4])).passed
+
+    def test_matches_the_reference_check(self):
+        # shuffled table copies of products with a few corrupted entries:
+        # the violation lists, witnesses and their order included, must be
+        # those of the check that ran through the public operations
+        rng = random.Random(2012)
+        outcomes = Counter()
+        for case in range(200):
+            alg = ProductAlgebra(rng.choice([[2, 2], [3, 2], [2, 2, 2], [3, 3], [4, 2]]))
+            names, imp, neg, _ = shuffled_tables(alg, rng)
+            for _ in range(rng.randint(0, 6)):
+                imp[rng.choice(names), rng.choice(names)] = rng.choice(names)
+            if rng.random() < 0.3:
+                neg[rng.choice(names)] = rng.choice(names)
+            try:
+                table = TableAlgebra(names, imp, neg)
+            except LoadError:
+                outcomes["load-error"] += 1
+                continue
+            violations = check_axioms(table).violations
+            assert violations == reference_check_axioms(table).violations, case
+            laws = {law for law, _ in violations}
+            outcomes["fail" if violations else "pass"] += 1
+            outcomes["undefined-bound"] += bool(laws & {"meet-defined", "join-defined"})
+            outcomes["unbounded"] += bool(laws & {"bounded-top", "bounded-bottom"})
+        assert all(outcomes[k] for k in ("pass", "fail", "undefined-bound", "unbounded")), outcomes
 
 
 # Reference Lukasiewicz operations on coordinate tuples, written out here so
@@ -317,17 +352,23 @@ def ref_neg(sizes, x):
 OP_SIZES = [[3, 2], [2, 2], [4, 2], [2, 3, 2], [3, 3, 3]]
 
 
-def shuffled_table(alg, seed):
-    """A table-algebra copy of ``alg`` under fresh names in a shuffled
-    declaration order, with the renaming from ``alg``'s values."""
+def shuffled_tables(alg, rng):
+    """Fresh names for ``alg``'s elements in a shuffled declaration order,
+    its implication and negation tables under them, and the renaming."""
     els = list(alg.elements)
-    rng = random.Random(seed)
     rng.shuffle(els)
     name = {x: f"e{i}" for i, x in enumerate(els)}
     imp = {(name[x], name[y]): name[alg.imp(x, y)] for x in els for y in els}
     neg = {name[x]: name[alg.neg(x)] for x in els}
-    table = TableAlgebra([name[x] for x in els], imp, neg)
-    return table, {x: table.value_of(name[x]) for x in els}
+    return [name[x] for x in els], imp, neg, name
+
+
+def shuffled_table(alg, seed):
+    """A table-algebra copy of ``alg`` under shuffled names, with the
+    renaming from ``alg``'s values."""
+    names, imp, neg, name = shuffled_tables(alg, random.Random(seed))
+    table = TableAlgebra(names, imp, neg)
+    return table, {x: table.value_of(n) for x, n in name.items()}
 
 
 class TestTableBackedOps:
