@@ -122,20 +122,22 @@ class FuzzyContext:
         (built per attribute, so a context without objects keeps them)."""
         return tuple(tuple(row[m] for row in self.rows) for m in range(len(self.attributes)))
 
-    def column(self, m: int) -> tuple[TruthValue, ...]:
-        return self.columns[m]
+    @cached_property
+    def row_positions(self) -> tuple[tuple[int, ...], ...]:
+        """``rows`` as the algebra's element positions, the indexes of its
+        operation tables."""
+        return tuple(map(self.algebra._positions, self.rows))
+
+    @cached_property
+    def column_positions(self) -> tuple[tuple[int, ...], ...]:
+        """``columns`` as the algebra's element positions."""
+        return tuple(map(self.algebra._positions, self.columns))
 
     def attribute_index(self, name: str) -> int:
         try:
             return self.attributes.index(name)
         except ValueError:
             raise StructureError(f"no attribute named {name!r}") from None
-
-    def object_index(self, name: str) -> int:
-        try:
-            return self.objects.index(name)
-        except ValueError:
-            raise StructureError(f"no object named {name!r}") from None
 
     def all_values(self) -> tuple[TruthValue, ...]:
         return tuple(v for row in self.rows for v in row)

@@ -5,7 +5,11 @@ The derivation pair maps an object-side fuzzy set A to the intent
 composites are closure operators and the fixpoint pairs form a complete
 lattice. A derivation is one kernel, a left fold over the positions of its
 argument: start from the all-top vector and, per object g (per attribute m
-for an extent), meet each component with imp(A(g), I(g, m)).
+for an extent), meet each component with imp(A(g), I(g, m)). The kernel
+runs on element positions, the indexes of the algebra's operation tables:
+the context caches its grid as positions, and every cell of the fold is
+two table lookups. ``TruthValue``s appear only at the public boundary (the
+arguments and results of the derivations) and in ``Concept``s.
 
 Enumeration runs that fold over every candidate of one chosen side at
 once, on the set of distinct partial vectors (see ``enumerate_concepts``).
@@ -16,7 +20,8 @@ of concepts. The
 intent engine is the extent engine on the transposed grid, which keeps a
 dual-side check available: folding extents and folding intents must
 produce the same concept set. The concept order comes from per-object
-bitmasks of the concepts at or above each extent value.
+bitmasks of the concepts at or above each extent value, read from the
+algebra's order bitmasks.
 
 A scan needs a value domain. ``"generated"`` (the default) ranges over the
 subalgebra generated by the values actually present in the context, which
@@ -115,22 +120,37 @@ def pointwise_join(context: FuzzyContext, left: FuzzySet, right: FuzzySet) -> Fu
     return FuzzySet(left.side, tuple(join(a, b) for a, b in zip(left.values, right.values)))
 
 
-def _step(algebra, partial, a, line) -> tuple[TruthValue, ...]:
-    """One position of the derivation fold: meet each component m of the
-    partial vector with imp(a, line[m])."""
-    meet, imp = algebra.meet, algebra.imp
-    return tuple([meet(p, imp(a, v)) for p, v in zip(partial, line)])
+def _step(algebra, partial, a: int, line) -> tuple[int, ...]:
+    """One position of the derivation fold, on element positions: meet
+    each component m of the partial vector with imp(a, line[m]). On an
+    algebra whose meet is partial, a pair with no meet raises
+    StructureError naming it, the first such component first."""
+    meet, imp_a = algebra._meet, algebra._imp[a]
+    out = tuple([meet[p][imp_a[v]] for p, v in zip(partial, line)])
+    if algebra._meet_partial and None in out:
+        m = out.index(None)
+        els = algebra.elements
+        raise algebra._unbounded("greatest lower bound", els[partial[m]], els[imp_a[line[m]]])
+    return out
 
 
-def _derive(algebra, lines, width: int, values) -> tuple[TruthValue, ...]:
-    """The derivation kernel, a left fold over positions: start from the
-    all-top vector of ``width`` components and take one step per position k
-    with values[k] and lines[k]. Per component that is the meet over k of
-    imp(values[k], lines[k][m]); with no positions it is top."""
-    out = (algebra.top,) * width
+def _derive(algebra, lines, width: int, values) -> tuple[int, ...]:
+    """The derivation kernel, a left fold over positions k: start from the
+    all-top vector of ``width`` components and take one step per k with
+    values[k] and lines[k], all of them element positions. Per component
+    that is the meet over k of imp(values[k], lines[k][m]); with no
+    positions it is top."""
+    out = (algebra._top,) * width
     for a, line in zip(values, lines):
         out = _step(algebra, out, a, line)
     return out
+
+
+def _derive_values(algebra, lines, width: int, values) -> tuple[TruthValue, ...]:
+    """``_derive`` on truth values: map them to positions once (a
+    non-element raises DimensionError) and the result back once."""
+    els = algebra.elements
+    return tuple([els[k] for k in _derive(algebra, lines, width, algebra._positions(values))])
 
 
 def derive_intent(context: FuzzyContext, extent: FuzzySet) -> FuzzySet:
@@ -140,7 +160,9 @@ def derive_intent(context: FuzzyContext, extent: FuzzySet) -> FuzzySet:
     objects the meet is empty and every intent component is top.
     """
     _check_sized(extent, OBJECTS, len(context.objects))
-    values = _derive(context.algebra, context.rows, len(context.attributes), extent.values)
+    values = _derive_values(
+        context.algebra, context.row_positions, len(context.attributes), extent.values
+    )
     return FuzzySet(ATTRIBUTES, values)
 
 
@@ -148,7 +170,9 @@ def derive_extent(context: FuzzyContext, intent: FuzzySet) -> FuzzySet:
     """Dual of derive_intent: per object, meet over attributes of
     imp(B(m), I(g, m)); the empty attribute set yields an all-top extent."""
     _check_sized(intent, ATTRIBUTES, len(context.attributes))
-    values = _derive(context.algebra, context.columns, len(context.objects), intent.values)
+    values = _derive_values(
+        context.algebra, context.column_positions, len(context.objects), intent.values
+    )
     return FuzzySet(OBJECTS, values)
 
 
@@ -262,15 +286,17 @@ class ConceptLattice:
         pointwise order exactly, with no transitivity assumed, in
         |G| * (distinct values)^2 comparisons instead of c^2 * |G|.
         """
-        leq = self.context.algebra.leq
+        algebra = self.context.algebra
+        above_of = algebra._up
         every = (1 << len(self.concepts)) - 1
         up, down = [every] * len(self.concepts), [every] * len(self.concepts)
-        for column in zip(*(c.extent.values for c in self.concepts)):
-            at: dict[TruthValue, int] = {}
+        extents = [algebra._positions(c.extent.values) for c in self.concepts]
+        for column in zip(*extents):
+            at: dict[int, int] = {}
             for j, v in enumerate(column):
                 at[v] = at.get(v, 0) | 1 << j
-            above = {a: sum(m for v, m in at.items() if leq(a, v)) for a in at}
-            below = {a: sum(m for v, m in at.items() if leq(v, a)) for a in at}
+            above = {a: sum(m for v, m in at.items() if above_of[a] >> v & 1) for a in at}
+            below = {a: sum(m for v, m in at.items() if above_of[v] >> a & 1) for a in at}
             up = [mask & above[v] for mask, v in zip(up, column)]
             down = [mask & below[v] for mask, v in zip(down, column)]
         return up, down
@@ -304,7 +330,10 @@ def enumerate_concepts(
     S_k every step of an S_(k-1) vector with a domain value at position k.
     The last set is exactly the set of the candidates' derivations, each
     computed by the same meets in the same order as a derivation on its
-    own, and each is derived back once.
+    own, and each is derived back once. The whole fold runs on element
+    positions; a vector becomes ``TruthValue``s only to be handed to the
+    public ``derive_intent``/``derive_extent`` for the closures, three per
+    concept.
 
     When the domain holds bottom (``"generated"`` and ``"full"`` always do),
     imp(bottom, x) is top, so over a valid implication algebra each S_k
@@ -324,10 +353,10 @@ def enumerate_concepts(
     values = scan_domain(context, domain)
     if engine == EXTENT_SCAN:
         side, image_side, forward, back = OBJECTS, ATTRIBUTES, derive_intent, derive_extent
-        lines, width = context.rows, len(context.attributes)
+        lines, width = context.row_positions, len(context.attributes)
     elif engine == INTENT_SCAN:
         side, image_side, forward, back = ATTRIBUTES, OBJECTS, derive_extent, derive_intent
-        lines, width = context.columns, len(context.objects)
+        lines, width = context.column_positions, len(context.objects)
     else:
         raise ValueError(f"unknown engine {engine!r}; use 'extent' or 'intent'")
     count = len(values) ** len(lines)
@@ -337,10 +366,14 @@ def enumerate_concepts(
         )
 
     algebra = context.algebra
-    images = {(algebra.top,) * width}  # S_0; after the loop, S_|lines|
+    positions = set(algebra._positions(values))
+    images = {(algebra._top,) * width}  # S_0; after the loop, S_|lines|
     for line in lines:
-        images = {_step(algebra, partial, a, line) for partial in images for a in values}
-    closed = {back(context, FuzzySet(image_side, image)) for image in images}
+        images = {_step(algebra, partial, a, line) for partial in images for a in positions}
+    els = algebra.elements
+    closed = {
+        back(context, FuzzySet(image_side, tuple([els[k] for k in image]))) for image in images
+    }
     concepts = []
     for fset in closed:
         other = forward(context, fset)

@@ -90,13 +90,14 @@ class Algebra:
 
     Builders pass the elements in display order, their spellings, and the
     implication and negation as position tables (``imp[i][j]`` and
-    ``neg[i]`` are positions in ``values``). The constructor derives top,
-    the order (``_up[i]`` / ``_down[i]``: bitmasks of the positions above /
-    below i), bottom, and meet and join tables with None where no unique
-    bound exists. Each operation is stored once, as such a table; the ops
-    map their TruthValue arguments to positions through ``_rank``. It
-    rejects a non-constant diagonal or a non-antisymmetric order with
-    LoadError; every other law is left to :func:`check_axioms`.
+    ``neg[i]`` are positions in ``values``). The constructor derives top
+    (at position ``_top``), the order (``_up[i]`` / ``_down[i]``: bitmasks
+    of the positions above / below i), bottom, and meet and join tables
+    with None where no unique bound exists (``_meet_partial`` says whether
+    the meet table holds a None). Each operation is stored once, as such a
+    table; the ops map their TruthValue arguments to positions through
+    ``_rank``. It rejects a non-constant diagonal or a non-antisymmetric
+    order with LoadError; every other law is left to :func:`check_axioms`.
 
     Algebras are immutable after construction and every operation is a pure
     function, so instances may be shared freely between threads.
@@ -137,11 +138,13 @@ class Algebra:
                     "lie below each other"
                 )
         self._up, self._down = up, down
+        self._top = t
         self.top = els[t]
         bottoms = [i for i in range(n) if up[i] == (1 << n) - 1]
         self._bottom = els[bottoms[0]] if bottoms else None
         self._meet = _meet_table(down)
         self._join = _meet_table(up)
+        self._meet_partial = any(None in row for row in self._meet)
 
     @property
     def bottom(self) -> TruthValue:
@@ -180,6 +183,14 @@ class Algebra:
     def check_member(self, v: TruthValue) -> None:
         if not self._has(v):
             raise self._foreign(v)
+
+    def _positions(self, values: Sequence[TruthValue]) -> tuple[int, ...]:
+        """The display positions of ``values``; the first non-element
+        raises DimensionError."""
+        try:
+            return tuple([self._rank[v] for v in values])
+        except (KeyError, TypeError):
+            raise self._foreign(*values) from None
 
     def leq(self, x: TruthValue, y: TruthValue) -> bool:
         try:
@@ -430,6 +441,12 @@ class TableAlgebra(Algebra):
         if len(set(names)) != len(names):
             raise LoadError(f"duplicate element name in {list(names)}")
         index = {name: i for i, name in enumerate(names)}
+        for x, y in imp_table:
+            if x not in index or y not in index:
+                raise LoadError(f"implication entry ({x}, {y}) names an undeclared element")
+        for x in neg_table:
+            if x not in index:
+                raise LoadError(f"negation entry for {x!r} names an undeclared element")
         for x in names:
             for y in names:
                 v = imp_table.get((x, y))
@@ -459,8 +476,6 @@ class TableAlgebra(Algebra):
         if self.source is None:
             raise ValueError("table algebra was built in memory and has no source path")
         return f"table {self.source}"
-
-    value_of = Algebra.parse_value
 
 
 def load_table_algebra(text: str, source: str | None = None) -> TableAlgebra:
@@ -565,7 +580,7 @@ def check_axioms(algebra: Algebra, element_budget: int = DEFAULT_AXIOM_BUDGET) -
         raise BudgetError(f"{n} elements exceed the axiom-check budget of {element_budget}")
     name = algebra._spellings
     imp, neg, up, down = algebra._imp, algebra._neg, algebra._up, algebra._down
-    top = algebra._rank[algebra.top]
+    top = algebra._top
     els = range(n)
     report = AxiomReport()
     bad = report.violations

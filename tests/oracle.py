@@ -1,11 +1,15 @@
 """Reference implementations, kept as test oracles.
 
+``reference_step`` and ``reference_derive`` are the derivation kernel
+``galois`` ran on truth values through the public algebra operations,
+before it folded on element positions; ``reference_derive_intent`` and
+``reference_derive_extent`` apply it the way the public derivations do.
 ``scan_concepts`` derives and closes every candidate of |domain|^|side|
 one by one, with the body ``galois.enumerate_concepts`` had before it
 became a deduplicated fold. ``reference_check_axioms`` is the law check
 ``lia.check_axioms`` ran through the public operations before it read the
-position tables directly. Nothing under ``src/`` calls either; the suite
-checks the library against them.
+position tables directly. Nothing under ``src/`` calls any of them; the
+suite checks the library against them.
 """
 
 import itertools
@@ -27,7 +31,35 @@ from ltvcl.galois import (
     pointwise_leq,
     scan_domain,
 )
-from ltvcl.lia import DEFAULT_AXIOM_BUDGET, Algebra, AxiomReport
+from ltvcl.lia import DEFAULT_AXIOM_BUDGET, Algebra, AxiomReport, TruthValue
+
+
+def reference_step(algebra, partial, a, line) -> tuple[TruthValue, ...]:
+    """One position of the derivation fold: meet each component m of the
+    partial vector with imp(a, line[m])."""
+    meet, imp = algebra.meet, algebra.imp
+    return tuple([meet(p, imp(a, v)) for p, v in zip(partial, line)])
+
+
+def reference_derive(algebra, lines, width: int, values) -> tuple[TruthValue, ...]:
+    """The derivation kernel, a left fold over positions: start from the
+    all-top vector of ``width`` components and take one step per position k
+    with values[k] and lines[k]. Per component that is the meet over k of
+    imp(values[k], lines[k][m]); with no positions it is top."""
+    out = (algebra.top,) * width
+    for a, line in zip(values, lines):
+        out = reference_step(algebra, out, a, line)
+    return out
+
+
+def reference_derive_intent(context: FuzzyContext, values) -> tuple[TruthValue, ...]:
+    """The intent of an object-side vector of values."""
+    return reference_derive(context.algebra, context.rows, len(context.attributes), values)
+
+
+def reference_derive_extent(context: FuzzyContext, values) -> tuple[TruthValue, ...]:
+    """The extent of an attribute-side vector of values."""
+    return reference_derive(context.algebra, context.columns, len(context.objects), values)
 
 
 def scan_concepts(

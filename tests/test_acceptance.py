@@ -113,8 +113,8 @@ def test_c3_mining_pipeline_reproduces_the_extended_concepts(demo, tmp_path):
     preset = ExtensionConfig(meet_subsets=((0, 1),))
     extended = extend_context(demo, preset)
     fmt = demo.algebra.format_value
-    assert [fmt(v) for v in extended.column(3)] == ["AbF", "AbF"]
-    assert [fmt(v) for v in extended.column(4)] == ["AbT", "AbT"]
+    assert [fmt(v) for v in extended.columns[3]] == ["AbF", "AbF"]
+    assert [fmt(v) for v in extended.columns[4]] == ["AbT", "AbT"]
     lattice = enumerate_concepts(extended)
     assert len(lattice) == 12
     assert set(lattice.concepts) == concept_set(extended, EXTENDED_CONCEPTS)

@@ -18,7 +18,7 @@ from conftest import DATA_DIR
 
 
 def labels(context, column_name):
-    col = context.column(context.attribute_index(column_name))
+    col = context.columns[context.attribute_index(column_name)]
     return tuple(context.algebra.format_value(v) for v in col)
 
 
@@ -139,7 +139,7 @@ class TestExtend:
 
     def test_columns_pairwise_distinct_with_filter_on(self, demo):
         ext = extend_context(demo, ExtensionConfig(max_meet_arity=3))
-        columns = [ext.column(m) for m in range(len(ext.attributes))]
+        columns = [ext.columns[m] for m in range(len(ext.attributes))]
         assert len(set(columns)) == len(columns)
 
     def test_identical_columns_collapse(self):

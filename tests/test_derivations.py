@@ -1,0 +1,107 @@
+"""The public derivations against the value-level oracle.
+
+``galois`` folds derivations on element positions; ``tests/oracle.py``
+keeps the fold it ran on truth values through the public algebra
+operations. Both must give the same values, raise StructureError with the
+same message, and name the same non-element in a DimensionError.
+"""
+
+import random
+
+import pytest
+
+from ltvcl import (
+    DimensionError,
+    FuzzyContext,
+    StructureError,
+    TruthValue,
+    attribute_set,
+    closure_extent,
+    closure_intent,
+    derive_extent,
+    derive_intent,
+    load_table_algebra,
+    object_set,
+)
+from conftest import DATA_DIR, random_context
+from oracle import reference_derive_extent, reference_derive_intent
+from test_enumeration import ALGEBRAS as ENUMERATION_ALGEBRAS, NON_LATTICE
+
+ALGEBRAS = {
+    **ENUMERATION_ALGEBRAS,
+    "bool2": lambda: load_table_algebra((DATA_DIR / "bool2.lia").read_text(encoding="utf-8")),
+    "non-lattice": lambda: load_table_algebra(NON_LATTICE),
+}
+
+# Values that belong to none of the algebras above; the list is unhashable.
+STRANGERS = [TruthValue((99,)), TruthValue((9, 9)), "AbT", [1]]
+
+
+def reference_closure_extent(context, values):
+    return reference_derive_extent(context, reference_derive_intent(context, values))
+
+
+def reference_closure_intent(context, values):
+    return reference_derive_intent(context, reference_derive_extent(context, values))
+
+
+# (library function, reference, set builder, side length of the argument)
+DERIVATIONS = [
+    (derive_intent, reference_derive_intent, object_set, lambda c: len(c.objects)),
+    (derive_extent, reference_derive_extent, attribute_set, lambda c: len(c.attributes)),
+    (closure_extent, reference_closure_extent, object_set, lambda c: len(c.objects)),
+    (closure_intent, reference_closure_intent, attribute_set, lambda c: len(c.attributes)),
+]
+
+
+def outcome(call):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return "value", call()
+    except (StructureError, DimensionError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_derivations_match_the_value_level_oracle(name):
+    algebra = ALGEBRAS[name]()
+    rng = random.Random(f"derivations/{name}")
+    shapes = [(0, 2), (2, 0), (0, 0)] + [(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(40)]
+    seen = set()
+    for n_objects, n_attributes in shapes:
+        context = random_context(rng, algebra, n_objects, n_attributes)
+        for derive, reference, build, size in DERIVATIONS:
+            for _ in range(3):
+                values = tuple(rng.choice(algebra.elements) for _ in range(size(context)))
+                expected = outcome(lambda: reference(context, values))
+                assert outcome(lambda: derive(context, build(values)).values) == expected
+                seen.add(expected[0])
+    assert seen == ({"value", StructureError} if name == "non-lattice" else {"value"})
+
+
+def test_first_missing_meet_is_named():
+    # c and d have no meet; the second step misses it at both components,
+    # as (c, d) first and as (d, c) second.
+    algebra = ALGEBRAS["non-lattice"]()
+    c, d, top = (algebra.parse_value(x) for x in "cd1")
+    context = FuzzyContext(algebra, ("g1", "g2"), ("m1", "m2"), ((c, d), (d, c)))
+    expected = outcome(lambda: reference_derive_intent(context, (top, top)))
+    assert expected[0] is StructureError and "(c, d)" in expected[1]
+    assert outcome(lambda: derive_intent(context, object_set((top, top))).values) == expected
+
+
+@pytest.mark.parametrize("name", sorted(set(ALGEBRAS) - {"non-lattice"}))
+def test_non_element_names_the_same_value(name):
+    # On a lattice no meet fails, so the oracle reaches the non-element and
+    # names it; the library checks the whole argument before folding.
+    algebra = ALGEBRAS[name]()
+    rng = random.Random(f"strangers/{name}")
+    for _ in range(30):
+        context = random_context(rng, algebra, rng.randint(1, 4), rng.randint(1, 4))
+        for derive, reference, build, size in DERIVATIONS:
+            values = [rng.choice(algebra.elements) for _ in range(size(context))]
+            for k in rng.sample(range(len(values)), min(2, len(values))):
+                values[k] = rng.choice(STRANGERS)
+            expected = outcome(lambda: reference(context, tuple(values)))
+            assert expected[0] is DimensionError
+            assert outcome(lambda: derive(context, build(values)).values) == expected

@@ -199,7 +199,7 @@ class TestLatticeStructure:
         # a valid Boolean table that declares its top first, so the display
         # order of extents is not a linear extension of the concept order
         alg = load_table_algebra("elements I O\nimp I I O\nimp O I I\nneg I O\nneg O I\n")
-        I, O = alg.value_of("I"), alg.value_of("O")
+        I, O = alg.parse_value("I"), alg.parse_value("O")
         ctx = FuzzyContext(alg, ("g1", "g2"), ("m1", "m2"), ((I, O), (O, I)))
         lattice = enumerate_concepts(ctx, domain=FULL_DOMAIN)
         assert lattice.top.extent == object_set((I, I))

@@ -199,7 +199,7 @@ class TestTableAlgebra:
         names = list(alg.element_names)
         for i, x in enumerate(names):
             for j, y in enumerate(names):
-                assert alg.leq(alg.value_of(x), alg.value_of(y)) == (i <= j)
+                assert alg.leq(alg.parse_value(x), alg.parse_value(y)) == (i <= j)
 
     def test_chain5_fails_axioms(self):
         report = check_axioms(load_table_algebra(CHAIN5))
@@ -248,7 +248,7 @@ class TestTableAlgebra:
         )
         alg = load_table_algebra(text)
         with pytest.raises(StructureError, match=r"\(a, b\)"):
-            alg.meet(alg.value_of("a"), alg.value_of("b"))
+            alg.meet(alg.parse_value("a"), alg.parse_value("b"))
 
     def test_pair_missing_one_bound_is_skipped_for_both(self):
         # the product 2 2 with imp(e11, e12) changed from top to e11: the pair
@@ -286,6 +286,17 @@ class TestTableAlgebra:
         with pytest.raises(LoadError, match=r"line 6: .*'Z'") as err:
             load_table_algebra(text)
         assert err.value.line == 6
+
+    @pytest.mark.parametrize(
+        "imp_extra, neg_extra, key",
+        [({("Z", "O"): "I"}, {}, r"\(Z, O\)"), ({}, {"Z": "O"}, "'Z'")],
+        ids=["imp", "neg"],
+    )
+    def test_in_memory_entry_naming_undeclared_element_rejected(self, imp_extra, neg_extra, key):
+        imp = {("O", "O"): "I", ("O", "I"): "I", ("I", "O"): "O", ("I", "I"): "I", **imp_extra}
+        neg = {"O": "I", "I": "O", **neg_extra}
+        with pytest.raises(LoadError, match=f"entry .*{key}.* undeclared"):
+            TableAlgebra(["O", "I"], imp, neg)
 
 
 class TestAxiomChecker:
@@ -368,7 +379,7 @@ def shuffled_table(alg, seed):
     renaming from ``alg``'s values."""
     names, imp, neg, name = shuffled_tables(alg, random.Random(seed))
     table = TableAlgebra(names, imp, neg)
-    return table, {x: table.value_of(n) for x, n in name.items()}
+    return table, {x: table.parse_value(n) for x, n in name.items()}
 
 
 class TestTableBackedOps:

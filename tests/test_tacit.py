@@ -130,7 +130,7 @@ class TestClassifyColumns:
         assert checks["m5"].satisfied
 
     def test_copy_of_a_column_needs_arity_one(self, demo):
-        copy = append_column(demo, "x", demo.column(0))
+        copy = append_column(demo, "x", demo.columns[0])
         default = classify_columns(demo, copy)
         assert not default[0].satisfied and default[0].rule is None
         relaxed = classify_columns(demo, copy, min_arity=1)
@@ -142,7 +142,7 @@ class TestClassifyColumns:
         alg = demo.algebra
         adv = append_column(demo, "x", (alg.parse_value("AbT"), alg.parse_value("SlF")))
         # exhaustive oracle: no subset of original columns meets to this column
-        target = adv.column(3)
+        target = adv.columns[3]
         for arity in range(1, len(demo.attributes) + 1):
             for subset in itertools.combinations(range(len(demo.attributes)), arity):
                 column = tuple(
