@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .errors import ParseError, StructureError
 from .lia import Algebra, ProductAlgebra, TruthValue, load_table_algebra
@@ -168,6 +168,11 @@ def extend_context(context: FuzzyContext, config: ExtensionConfig | None = None)
     candidate equal to an existing or already-added column is dropped.
     Original columns are never touched; new columns carry meet/top
     provenance and fresh names continuing the ``m<k>`` numbering.
+
+    Columns are built and compared on element positions: a k-subset's
+    column is its memoised (k-1)-prefix's column met with one more source
+    column, the novelty filter compares position tuples, and the new
+    columns become truth values once, when the context is built.
     """
     cfg = config or ExtensionConfig()
     if cfg.max_meet_arity < 2:
@@ -193,25 +198,21 @@ def extend_context(context: FuzzyContext, config: ExtensionConfig | None = None)
             for combo in itertools.combinations(range(n_attrs), arity)
         ]
 
-    seen = set(context.columns)
-    new_columns: list[tuple[AttributeProvenance, tuple[TruthValue, ...]]] = []
+    columns = context.column_positions
+    memo = {(): (algebra._top,) * len(context.objects)}
+    seen = set(columns)
+    new_columns: list[tuple[AttributeProvenance, tuple[int, ...]]] = []
 
-    def admit(provenance: AttributeProvenance, column: tuple[TruthValue, ...]) -> None:
+    def admit(provenance: AttributeProvenance, column: tuple[int, ...]) -> None:
         if cfg.novelty_filter and column in seen:
             return
         new_columns.append((provenance, column))
         seen.add(column)
 
     for subset in subsets:
-        column = tuple(
-            algebra.meet_all(row[s] for s in subset) for row in context.rows
-        )
-        admit(AttributeProvenance.meet_of(subset), column)
+        admit(AttributeProvenance.meet_of(subset), _meet_of(algebra, columns, subset, memo))
     if cfg.include_top_column:
-        admit(
-            AttributeProvenance.constant_top(),
-            tuple(algebra.top for _ in context.objects),
-        )
+        admit(AttributeProvenance.constant_top(), memo[()])
 
     names = list(context.attributes)
     used = set(names)
@@ -223,12 +224,35 @@ def extend_context(context: FuzzyContext, config: ExtensionConfig | None = None)
         used.add(f"m{counter}")
         counter += 1
 
+    els = algebra.elements
     rows = tuple(
-        tuple(row) + tuple(col[g] for _, col in new_columns)
-        for g, row in enumerate(context.rows)
+        row + tuple([els[col[g]] for _, col in new_columns]) for g, row in enumerate(context.rows)
     )
     provenance = context.provenance + tuple(p for p, _ in new_columns)
     return FuzzyContext(algebra, context.objects, tuple(names), rows, provenance)
+
+
+def _meet_of(algebra: Algebra, columns, subset: tuple[int, ...], memo: dict) -> tuple[int, ...]:
+    """The pointwise meet of ``columns[s]`` for s in ``subset``, on element
+    positions, folded from the all-top column in subset order: the meet of
+    the (k-1)-prefix's column, memoised in ``memo`` (which holds the empty
+    subset's all-top column), with the last source's column.
+
+    On an algebra whose meet is partial, a pair with no meet raises the
+    StructureError that folding each row on its own raises: the first row
+    that has such a pair, at the first such step of that row.
+    """
+    column = memo.get(subset)
+    if column is None:
+        try:
+            prefix = _meet_of(algebra, columns, subset[:-1], memo)
+            column = memo[subset] = algebra._meet_columns(prefix, columns[subset[-1]])
+        except StructureError:
+            els = algebra.elements
+            for row in zip(*(columns[s] for s in subset)):
+                reduce(algebra.meet, [els[p] for p in row], algebra.top)
+            raise
+    return column
 
 
 def restrict_agrees(base: FuzzyContext, extended: FuzzyContext) -> bool:
@@ -370,9 +394,17 @@ def serialize_context(context: FuzzyContext) -> str:
 
     The algebra line names a product's chain sizes or a table's source path,
     so a table algebra built in memory (one with no ``source``) cannot be
-    serialized: this raises ValueError.
+    serialized: this raises ValueError. So does a name the format cannot
+    carry: an empty one, one with whitespace or ``#`` (which starts a
+    comment), or an object named like a directive (``algebra``, ``alias``,
+    ``attributes``).
     """
     lines = [f"algebra {context.algebra.describe()}"]
+    for kind, names in (("attribute", context.attributes), ("object", context.objects)):
+        for name in names:
+            directive = kind == "object" and name in ("algebra", "alias", "attributes")
+            if name.split() != [name] or "#" in name or directive:
+                raise ValueError(f"{kind} name {name!r} cannot be written in the context format")
     lines.append(("attributes " + " ".join(context.attributes)).rstrip())
     for name, prov in zip(context.attributes, context.provenance):
         if prov.kind != ORIGINAL:

@@ -124,13 +124,12 @@ def _step(algebra, partial, a: int, line) -> tuple[int, ...]:
     """One position of the derivation fold, on element positions: meet
     each component m of the partial vector with imp(a, line[m]). On an
     algebra whose meet is partial, a pair with no meet raises
-    StructureError naming it, the first such component first."""
+    StructureError naming it, the first such component first: the step is
+    ``Algebra._meet_columns`` inlined, and that raises the error."""
     meet, imp_a = algebra._meet, algebra._imp[a]
     out = tuple([meet[p][imp_a[v]] for p, v in zip(partial, line)])
     if algebra._meet_partial and None in out:
-        m = out.index(None)
-        els = algebra.elements
-        raise algebra._unbounded("greatest lower bound", els[partial[m]], els[imp_a[line[m]]])
+        algebra._meet_columns(partial, [imp_a[v] for v in line])
     return out
 
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import BudgetError, DimensionError, LoadError, StructureError
@@ -97,10 +98,12 @@ class Algebra:
     the meet table holds a None). Each operation is stored once, as such a
     table; the ops map their TruthValue arguments to positions through
     ``_rank``. It rejects a non-constant diagonal or a non-antisymmetric
-    order with LoadError; every other law is left to :func:`check_axioms`.
+    order with LoadError; every other law is left to :func:`check_axioms`,
+    whose verdict ``_is_lia`` caches on first use.
 
     Algebras are immutable after construction and every operation is a pure
-    function, so instances may be shared freely between threads.
+    function (the cached verdict is too), so instances may be shared freely
+    between threads.
     """
 
     def __init__(
@@ -151,6 +154,17 @@ class Algebra:
         if self._bottom is None:
             raise StructureError("the derived order has no least element")
         return self._bottom
+
+    @cached_property
+    def _is_lia(self) -> bool:
+        """Whether the algebra is shown to be a lattice implication algebra:
+        :func:`check_axioms` passes within its default element budget. An
+        algebra over the budget counts as not shown. Computed once, on first
+        use; products are LIAs by construction and skip the check."""
+        try:
+            return check_axioms(self).passed
+        except BudgetError:
+            return False
 
     def __eq__(self, other) -> bool:
         return self is other or (
@@ -207,6 +221,19 @@ class Algebra:
             raise self._unbounded("greatest lower bound", x, y)
         return self.elements[k]
 
+    def _meet_columns(self, left: Sequence[int], right: Sequence[int]) -> tuple[int, ...]:
+        """The pointwise meet of two vectors of element positions. On an
+        algebra whose meet is partial, a pair with no meet raises the
+        StructureError ``meet`` raises, naming it, the first such component
+        first."""
+        meet = self._meet
+        out = tuple([meet[p][q] for p, q in zip(left, right)])
+        if self._meet_partial and None in out:
+            m = out.index(None)
+            els = self.elements
+            raise self._unbounded("greatest lower bound", els[left[m]], els[right[m]])
+        return out
+
     def join(self, x: TruthValue, y: TruthValue) -> TruthValue:
         try:
             k = self._join[self._rank[x]][self._rank[y]]
@@ -227,13 +254,6 @@ class Algebra:
             return self.elements[self._neg[self._rank[x]]]
         except (KeyError, TypeError):
             raise self._foreign(x) from None
-
-    def meet_all(self, values: Iterable[TruthValue]) -> TruthValue:
-        """Fold meet over the values; the empty meet is the top element."""
-        out = self.top
-        for v in values:
-            out = self.meet(out, v)
-        return out
 
     def format_value(self, v: TruthValue) -> str:
         try:
@@ -330,6 +350,8 @@ class ProductAlgebra(Algebra):
     Products of more than ``PRODUCT_ELEMENT_LIMIT`` elements raise
     BudgetError.
     """
+
+    _is_lia = True  # every product of Lukasiewicz chains is one
 
     def __init__(self, chain_sizes: Sequence[int]):
         sizes = tuple(int(n) for n in chain_sizes)

@@ -1,30 +1,48 @@
 """Tacit-attribute mining via congener contexts.
 
 An attribute extension is congener when it leaves the family of concept
-extents unchanged; columns that are meets of existing columns, or constant
-top, are sufficient for that and are exactly the tacit attributes this
-module hunts for. The constant-top column is the meet of no columns. The
-fast extension path rewrites each base concept's intent directly (appending
-the meet of the source intent components, top when there are none) instead
-of re-enumerating, and the mining pipeline cross-checks it against a full
-recomputation.
+extents unchanged. Over a lattice implication algebra, scanned over the
+"generated" or "full" domain, that holds exactly when every new column,
+read as an object-side set, is an extent of the base context: base extents
+are closed under meets and under shifts a -> A, and the extents of an
+extension by a column c are the sets E meet (b -> c) for a base extent E
+and a value b. So one closure per new column decides the question. Columns
+that are meets of existing columns, or constant top (the meet of no
+columns), are always extents; they are the tacit attributes this module
+hunts for. The fast extension path rewrites each base concept's intent
+directly (appending the meet of the source intent components, top when
+there are none) instead of re-enumerating, and the mining pipeline
+cross-checks it against an independent computation of the extended
+lattice. On an algebra not shown to be a lattice implication algebra (see
+``Algebra._is_lia``), or over an explicit domain, the extended lattice is
+enumerated in full instead.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
-from .context import ORIGINAL, ExtensionConfig, FuzzyContext, extend_context, restrict_agrees
-from .errors import PreconditionError, UnclassifiedColumnError
+from .context import (
+    ORIGINAL,
+    ExtensionConfig,
+    FuzzyContext,
+    _meet_of,
+    extend_context,
+    restrict_agrees,
+)
+from .errors import PreconditionError, StructureError, UnclassifiedColumnError
 from .galois import (
     ATTRIBUTES,
     DEFAULT_CANDIDATE_BUDGET,
     EXTENT_SCAN,
+    FULL_DOMAIN,
     GENERATED_DOMAIN,
     Concept,
     ConceptLattice,
     FuzzySet,
+    _derive,
     closure_extent,
     derive_intent,
     enumerate_concepts,
@@ -135,6 +153,27 @@ def _congener_report(
     )
 
 
+def _closure_says_congener(base: FuzzyContext, extended: FuzzyContext, domain) -> bool:
+    """Whether the closure test shows the extension congener. It applies
+    over a lattice implication algebra and the "generated" or "full" domain
+    (both subalgebras holding every value of the extension), and asks
+    whether every new column, read as an object-side set, is an extent of
+    the base: closure_extent(base, c) == c, on element positions, once per
+    distinct new column. False means the extension is not congener or the
+    test does not apply."""
+    algebra = base.algebra
+    if domain not in (GENERATED_DOMAIN, FULL_DOMAIN) or not algebra._is_lia:
+        return False
+    rows, columns = base.row_positions, base.column_positions
+    width, height = len(base.attributes), len(base.objects)
+    base_names = set(base.attributes)
+    new = {c for name, c in zip(extended.attributes, extended.column_positions)
+           if name not in base_names}
+    return all(
+        _derive(algebra, columns, height, _derive(algebra, rows, width, c)) == c for c in new
+    )
+
+
 def is_congener(
     base: FuzzyContext,
     extended: FuzzyContext,
@@ -143,13 +182,24 @@ def is_congener(
     domain=GENERATED_DOMAIN,
     budget: int = DEFAULT_CANDIDATE_BUDGET,
 ) -> CongenerReport:
-    """Enumerate both concept lattices and compare their extent families."""
+    """Compare the extent families of a context and its extension.
+
+    The base lattice is always enumerated. Over a lattice implication
+    algebra and the "generated" or "full" domain, an extension whose new
+    columns are all base extents is congener (see the module docstring),
+    and the report follows from the base alone: equal counts, no
+    witnesses. Otherwise the extension is enumerated too and the two extent
+    families are compared, which yields the witnesses.
+    """
     _require_restriction(base, extended)
     # Both lattices are scanned over one domain. "generated" resolves on the
     # extension, a superset of the base's; the contexts share one algebra
     # (checked above), so "full" and explicit values resolve the same.
     values = scan_domain(extended, domain)
     base_lattice = enumerate_concepts(base, engine, domain=values, budget=budget)
+    if _closure_says_congener(base, extended, domain):
+        count = len(base_lattice.extent_set())
+        return CongenerReport(base_extent_count=count, extended_extent_count=count, witnesses=())
     ext_lattice = enumerate_concepts(extended, engine, domain=values, budget=budget)
     return _congener_report(base_lattice, ext_lattice)
 
@@ -194,25 +244,45 @@ def classify_columns(
     order, arity ascending. An empty match is all-top, two sources are
     pair-meet, any other count is k-meet. Columns matching nothing come
     back unsatisfied with rule None.
+
+    Over a lattice implication algebra a matching subset lies inside the
+    column's upper set, the originals pointwise at or above it, and then
+    the whole upper set meets to the column too. So a column whose upper
+    set meets to anything else is unclassified without a search, and any
+    other column searches only the subsets of its upper set, in the same
+    order, which finds the same first match. On any other algebra every
+    subset of the originals is searched, so that a pair with no meet raises
+    the StructureError the plain search raises. Subset meets are memoised
+    position columns (see ``context._meet_of``).
     """
     _require_restriction(base, extended)
-    alg = base.algebra
+    algebra = base.algebra
     n_orig = len(base.attributes)
     arities = (0, *range(max(min_arity, 1), n_orig + 1))
     base_names = set(base.attributes)
-
-    def meet_of(subset):
-        return tuple(alg.meet_all(row[s] for s in subset) for row in base.rows)
+    originals = base.column_positions
+    memo = {(): (algebra._top,) * len(base.objects)}
+    up = algebra._up
 
     checks: list[TheoremCheck] = []
-    for m, name in enumerate(extended.attributes):
+    for name, column in zip(extended.attributes, extended.column_positions):
         if name in base_names:
             continue
-        column = extended.columns[m]
+        pool = range(n_orig)
+        if algebra._is_lia:
+            pool = tuple(
+                s for s in pool if all(up[c] >> v & 1 for c, v in zip(column, originals[s]))
+            )
+            if _meet_of(algebra, originals, pool, memo) != column:
+                checks.append(TheoremCheck(name, None, False))
+                continue
         subsets = itertools.chain.from_iterable(
-            itertools.combinations(range(n_orig), arity) for arity in arities
+            itertools.combinations(pool, arity) for arity in arities
         )
-        match = next((subset for subset in subsets if meet_of(subset) == column), None)
+        match = next(
+            (subset for subset in subsets if _meet_of(algebra, originals, subset, memo) == column),
+            None,
+        )
         if match is None:
             checks.append(TheoremCheck(name, None, False))
             continue
@@ -233,9 +303,11 @@ def extend_concepts_fast(
 
     Every concept keeps its extent; its intent gains, per new column, the
     meet of the intent components at the column's sources (the empty meet,
-    top, for the constant-top column). Sound only when every new column is
-    classified; an unclassified column raises and the caller must fall back
-    to enumerate_concepts on the extension.
+    top, for the constant-top column). Those meets run on element
+    positions, one column over all concepts at a time, memoised by source
+    prefix. Sound only when every new column is classified; an
+    unclassified column raises and the caller must fall back to
+    enumerate_concepts on the extension.
     """
     if checks is None:
         checks = classify_columns(base, extended)
@@ -247,20 +319,36 @@ def extend_concepts_fast(
             "fast extension is unsound for unclassified columns "
             f"{unexplained}; enumerate the extended context instead"
         )
-    by_attr = {c.attribute: c for c in checks}
-    meet_all = base.algebra.meet_all
+    algebra = base.algebra
     base_index = {name: i for i, name in enumerate(base.attributes)}
+    by_attr = {c.attribute: c for c in checks}
+    sources = {
+        name: tuple(base_index[s] for s in by_attr[name].sources)
+        for name in extended.attributes
+        if name not in base_index
+    }
+    # per base attribute, the intent components of the concepts in lattice
+    # order, as a position column
+    components = tuple(zip(*(algebra._positions(c.intent.values) for c in base_lattice)))
+    memo = {(): (algebra._top,) * len(base_lattice)}
+    try:
+        new = {name: _meet_of(algebra, components, s, memo) for name, s in sources.items()}
+    except StructureError:
+        # raise what meeting concept by concept raises first
+        for concept in base_lattice:
+            intent = concept.intent.values
+            for s in sources.values():
+                functools.reduce(algebra.meet, [intent[i] for i in s], algebra.top)
+        raise
 
-    concepts = []
-    for concept in base_lattice:
-        intent = concept.intent.values
-        extended_values = tuple(
-            intent[base_index[name]]
-            if name in base_index
-            else meet_all(intent[base_index[s]] for s in by_attr[name].sources)
-            for name in extended.attributes
-        )
-        concepts.append(Concept(concept.extent, FuzzySet(ATTRIBUTES, extended_values)))
+    els = algebra.elements
+    columns = [
+        new[name] if name in new else components[base_index[name]] for name in extended.attributes
+    ]
+    concepts = [
+        Concept(concept.extent, FuzzySet(ATTRIBUTES, tuple([els[column[k]] for column in columns])))
+        for k, concept in enumerate(base_lattice)
+    ]
     return ConceptLattice(extended, concepts)
 
 
@@ -274,15 +362,23 @@ def mine(
 ) -> MiningReport:
     """Full pipeline: extend, classify, fast-extend, verify, report.
 
-    The congener verdict always comes from full re-enumeration of the
-    extended context; the fast path is verified against it concept for
+    The extended lattice is computed independently of the fast path. When
+    the closure test of is_congener applies and says yes, it is every base
+    extent paired with its intent derived in the extension; otherwise the
+    extension is enumerated in full. The congener verdict compares it with
+    the base lattice, and the fast path is verified against it concept for
     concept rather than trusted.
     """
     extended = extend_context(context, config)
     checks = classify_columns(context, extended)
     values = scan_domain(extended, domain)
     base_lattice = enumerate_concepts(context, engine, domain=values, budget=budget)
-    full_lattice = enumerate_concepts(extended, engine, domain=values, budget=budget)
+    if _closure_says_congener(context, extended, domain):
+        full_lattice = ConceptLattice(
+            extended, [Concept(c.extent, derive_intent(extended, c.extent)) for c in base_lattice]
+        )
+    else:
+        full_lattice = enumerate_concepts(extended, engine, domain=values, budget=budget)
     congener = _congener_report(base_lattice, full_lattice)
 
     fast_verified = False

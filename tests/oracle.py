@@ -8,14 +8,27 @@ before it folded on element positions; ``reference_derive_intent`` and
 one by one, with the body ``galois.enumerate_concepts`` had before it
 became a deduplicated fold. ``reference_check_axioms`` is the law check
 ``lia.check_axioms`` ran through the public operations before it read the
-position tables directly. Nothing under ``src/`` calls any of them; the
-suite checks the library against them.
+position tables directly. ``reference_extend_context``,
+``reference_classify_columns``, ``reference_is_congener`` and
+``reference_mine`` are the tacit layer as it ran on truth values, before it
+built columns on element positions, searched a column's upper set and
+decided congener by one closure per new column: extension and
+classification fold ``Algebra.meet`` row by row from top, and congener
+verdicts always come from enumerating the extension. Nothing under
+``src/`` calls any of them; the suite checks the library against them.
 """
 
+import functools
 import itertools
 
-from ltvcl.context import FuzzyContext
-from ltvcl.errors import BudgetError, StructureError
+from ltvcl.context import (
+    ORIGINAL,
+    AttributeProvenance,
+    ExtensionConfig,
+    FuzzyContext,
+    restrict_agrees,
+)
+from ltvcl.errors import BudgetError, PreconditionError, StructureError
 from ltvcl.galois import (
     ATTRIBUTES,
     DEFAULT_CANDIDATE_BUDGET,
@@ -28,10 +41,21 @@ from ltvcl.galois import (
     FuzzySet,
     derive_extent,
     derive_intent,
+    enumerate_concepts,
     pointwise_leq,
     scan_domain,
 )
 from ltvcl.lia import DEFAULT_AXIOM_BUDGET, Algebra, AxiomReport, TruthValue
+from ltvcl.tacit import (
+    RULE_ALL_TOP,
+    RULE_K_MEET,
+    RULE_PAIR_MEET,
+    CongenerReport,
+    MiningReport,
+    TheoremCheck,
+    _congener_report,
+    extend_concepts_fast,
+)
 
 
 def reference_step(algebra, partial, a, line) -> tuple[TruthValue, ...]:
@@ -222,3 +246,189 @@ def reference_check_axioms(algebra: Algebra, element_budget: int = DEFAULT_AXIOM
                 bad.append(("join-assoc", witness))
 
     return report
+
+
+def meet_all(algebra: Algebra, values) -> TruthValue:
+    """Fold meet over the values from top; the empty meet is top."""
+    return functools.reduce(algebra.meet, values, algebra.top)
+
+
+def reference_extend_context(
+    context: FuzzyContext, config: ExtensionConfig | None = None
+) -> FuzzyContext:
+    """Append candidate tacit columns to an unextended context.
+
+    Candidates are the column meets of every subset of original attributes
+    with arity 2..max_meet_arity (subsets in lexicographic index order, arity
+    ascending), then one all-top column. With the novelty filter on, a
+    candidate equal to an existing or already-added column is dropped.
+    Original columns are never touched; new columns carry meet/top
+    provenance and fresh names continuing the ``m<k>`` numbering.
+    """
+    cfg = config or ExtensionConfig()
+    if cfg.max_meet_arity < 2:
+        raise ValueError(f"max_meet_arity must be >= 2, got {cfg.max_meet_arity}")
+    if any(p.kind != ORIGINAL for p in context.provenance):
+        raise ValueError("context has derived columns already; extend the original")
+
+    algebra = context.algebra
+    n_attrs = len(context.attributes)
+    if cfg.meet_subsets is not None:
+        subsets = []
+        for subset in cfg.meet_subsets:
+            idx = tuple(int(s) for s in subset)
+            if len(idx) < 2 or list(idx) != sorted(set(idx)):
+                raise ValueError(f"meet subset {subset!r} must be >= 2 strictly increasing indices")
+            if idx[0] < 0 or idx[-1] >= n_attrs:
+                raise ValueError(f"meet subset {subset!r} out of range")
+            subsets.append(idx)
+    else:
+        subsets = [
+            combo
+            for arity in range(2, min(cfg.max_meet_arity, n_attrs) + 1)
+            for combo in itertools.combinations(range(n_attrs), arity)
+        ]
+
+    seen = set(context.columns)
+    new_columns: list[tuple[AttributeProvenance, tuple[TruthValue, ...]]] = []
+
+    def admit(provenance: AttributeProvenance, column: tuple[TruthValue, ...]) -> None:
+        if cfg.novelty_filter and column in seen:
+            return
+        new_columns.append((provenance, column))
+        seen.add(column)
+
+    for subset in subsets:
+        column = tuple(
+            meet_all(algebra, (row[s] for s in subset)) for row in context.rows
+        )
+        admit(AttributeProvenance.meet_of(subset), column)
+    if cfg.include_top_column:
+        admit(
+            AttributeProvenance.constant_top(),
+            tuple(algebra.top for _ in context.objects),
+        )
+
+    names = list(context.attributes)
+    used = set(names)
+    counter = n_attrs + 1
+    for _ in new_columns:
+        while f"m{counter}" in used:
+            counter += 1
+        names.append(f"m{counter}")
+        used.add(f"m{counter}")
+        counter += 1
+
+    rows = tuple(
+        tuple(row) + tuple(col[g] for _, col in new_columns)
+        for g, row in enumerate(context.rows)
+    )
+    provenance = context.provenance + tuple(p for p, _ in new_columns)
+    return FuzzyContext(algebra, context.objects, tuple(names), rows, provenance)
+
+
+def _require_restriction(base: FuzzyContext, extended: FuzzyContext) -> None:
+    if not restrict_agrees(base, extended):
+        raise PreconditionError(
+            "the extension disagrees with the base context on an original cell"
+        )
+
+
+def reference_classify_columns(
+    base: FuzzyContext,
+    extended: FuzzyContext,
+    *,
+    min_arity: int = 2,
+) -> list[TheoremCheck]:
+    """Match every new column against the sufficient conditions.
+
+    The original-attribute subsets are searched for an exact column match
+    (the algebra is finite and discrete, so equality is exact by
+    construction): the empty subset first, whose meet is the all-top
+    column, then every subset of arity min_arity and up, in lexicographic
+    order, arity ascending. An empty match is all-top, two sources are
+    pair-meet, any other count is k-meet. Columns matching nothing come
+    back unsatisfied with rule None.
+    """
+    _require_restriction(base, extended)
+    alg = base.algebra
+    n_orig = len(base.attributes)
+    arities = (0, *range(max(min_arity, 1), n_orig + 1))
+    base_names = set(base.attributes)
+
+    def meet_of(subset):
+        return tuple(meet_all(alg, (row[s] for s in subset)) for row in base.rows)
+
+    checks: list[TheoremCheck] = []
+    for m, name in enumerate(extended.attributes):
+        if name in base_names:
+            continue
+        column = extended.columns[m]
+        subsets = itertools.chain.from_iterable(
+            itertools.combinations(range(n_orig), arity) for arity in arities
+        )
+        match = next((subset for subset in subsets if meet_of(subset) == column), None)
+        if match is None:
+            checks.append(TheoremCheck(name, None, False))
+            continue
+        rule = {0: RULE_ALL_TOP, 2: RULE_PAIR_MEET}.get(len(match), RULE_K_MEET)
+        checks.append(TheoremCheck(name, rule, True, tuple(base.attributes[s] for s in match)))
+    return checks
+
+
+def reference_is_congener(
+    base: FuzzyContext,
+    extended: FuzzyContext,
+    *,
+    engine: str = EXTENT_SCAN,
+    domain=GENERATED_DOMAIN,
+    budget: int = DEFAULT_CANDIDATE_BUDGET,
+) -> CongenerReport:
+    """Enumerate both concept lattices and compare their extent families."""
+    _require_restriction(base, extended)
+    # Both lattices are scanned over one domain. "generated" resolves on the
+    # extension, a superset of the base's; the contexts share one algebra
+    # (checked above), so "full" and explicit values resolve the same.
+    values = scan_domain(extended, domain)
+    base_lattice = enumerate_concepts(base, engine, domain=values, budget=budget)
+    ext_lattice = enumerate_concepts(extended, engine, domain=values, budget=budget)
+    return _congener_report(base_lattice, ext_lattice)
+
+
+def reference_mine(
+    context: FuzzyContext,
+    config: ExtensionConfig | None = None,
+    *,
+    engine: str = EXTENT_SCAN,
+    domain=GENERATED_DOMAIN,
+    budget: int = DEFAULT_CANDIDATE_BUDGET,
+) -> MiningReport:
+    """Full pipeline: extend, classify, fast-extend, verify, report.
+
+    The congener verdict always comes from full re-enumeration of the
+    extended context; the fast path is verified against it concept for
+    concept rather than trusted.
+    """
+    extended = reference_extend_context(context, config)
+    checks = reference_classify_columns(context, extended)
+    values = scan_domain(extended, domain)
+    base_lattice = enumerate_concepts(context, engine, domain=values, budget=budget)
+    full_lattice = enumerate_concepts(extended, engine, domain=values, budget=budget)
+    congener = _congener_report(base_lattice, full_lattice)
+
+    fast_verified = False
+    if all(c.satisfied for c in checks):
+        fast_lattice = extend_concepts_fast(base_lattice, context, extended, checks=checks)
+        fast_verified = fast_lattice.pairs() == full_lattice.pairs()
+
+    tacit = tuple(
+        (name, prov.formula(extended.attributes))
+        for name, prov in zip(extended.attributes, extended.provenance)
+        if prov.kind != ORIGINAL
+    )
+    return MiningReport(
+        tacit_attributes=tacit,
+        theorem_checks=tuple(checks),
+        congener=congener,
+        fast_extension_verified=fast_verified,
+    )

@@ -1,3 +1,6 @@
+import functools
+import re
+
 import pytest
 
 from ltvcl import (
@@ -104,6 +107,32 @@ class TestSerialize:
         with pytest.raises(ValueError, match="in memory"):
             serialize_context(ctx)
 
+    @pytest.mark.parametrize(
+        "objects, attributes, bad",
+        [
+            (("g1",), ("m#1",), "attribute name 'm#1'"),
+            (("g1",), ("m 1",), "attribute name 'm 1'"),
+            (("g1",), ("",), "attribute name ''"),
+            (("alias",), ("m1",), "object name 'alias'"),
+            (("attributes",), ("m1",), "object name 'attributes'"),
+            (("algebra",), ("m1",), "object name 'algebra'"),
+            (("g\t1",), ("m1",), "object name 'g\\t1'"),
+            (("g#",), ("m1",), "object name 'g#'"),
+        ],
+    )
+    def test_names_the_format_cannot_carry_are_refused(self, objects, attributes, bad):
+        # each of these used to serialize, then parse back as another
+        # context (m#1 as m) or not at all
+        alg = default_algebra()
+        ctx = FuzzyContext(alg, objects, attributes, ((alg.top,),))
+        with pytest.raises(ValueError, match=re.escape(bad)):
+            serialize_context(ctx)
+
+    def test_directive_words_are_fine_as_attribute_names(self):
+        alg = default_algebra()
+        ctx = FuzzyContext(alg, ("g1",), ("algebra", "alias"), ((alg.top, alg.bottom),))
+        assert parse_context(serialize_context(ctx)) == ctx
+
     def test_zero_attribute_context(self):
         ctx = parse_context("algebra product 3 2\nattributes\ng1\ng2\n")
         assert serialize_context(ctx) == "algebra product 3 2\nattributes\ng1\ng2\n"
@@ -129,7 +158,9 @@ class TestExtend:
             if prov.kind != "meet":
                 continue
             for g in range(len(ext.objects)):
-                expected = alg.meet_all(ext.rows[g][s] for s in prov.sources)
+                expected = functools.reduce(
+                    alg.meet, (ext.rows[g][s] for s in prov.sources), alg.top
+                )
                 assert ext.rows[g][m] == expected
 
     def test_novelty_filter_off_keeps_duplicates(self, demo):

@@ -1,27 +1,40 @@
+import functools
 import itertools
 import random
+import re
 
 import pytest
 
 from ltvcl import (
+    BudgetError,
+    Concept,
+    ConceptLattice,
     ExtensionConfig,
     FuzzyContext,
     PreconditionError,
+    StructureError,
+    TheoremCheck,
     UnclassifiedColumnError,
     check_pointwise_condition,
     classify_columns,
+    closure_extent,
     default_algebra,
     enumerate_concepts,
     extend_concepts_fast,
     extend_context,
     is_congener,
+    load_table_algebra,
     mine,
     object_set,
     parse_context,
+    tacit,
 )
+from ltvcl.cli import main
 from ltvcl.galois import FULL_DOMAIN, GENERATED_DOMAIN, scan_domain
-from conftest import append_column, concept_set, oset, random_context
+from conftest import append_column, aset, concept_set, oset, random_context
 from golden import EXTENDED_CONCEPTS
+from oracle import reference_is_congener
+from test_enumeration import NON_LATTICE
 
 PAPER_PRESET = ExtensionConfig(meet_subsets=((0, 1),))
 
@@ -146,7 +159,8 @@ class TestClassifyColumns:
         for arity in range(1, len(demo.attributes) + 1):
             for subset in itertools.combinations(range(len(demo.attributes)), arity):
                 column = tuple(
-                    alg.meet_all(row[s] for s in subset) for row in demo.rows
+                    functools.reduce(alg.meet, (row[s] for s in subset), alg.top)
+                    for row in demo.rows
                 )
                 assert column != target
         checks = classify_columns(demo, adv, min_arity=1)
@@ -154,7 +168,7 @@ class TestClassifyColumns:
 
     def test_triple_meet_classified_as_k_meet(self, demo):
         alg = demo.algebra
-        column = tuple(alg.meet_all(row) for row in demo.rows)
+        column = tuple(functools.reduce(alg.meet, row, alg.top) for row in demo.rows)
         adv = append_column(demo, "x", column)
         checks = classify_columns(demo, adv)
         assert checks[0].satisfied
@@ -260,3 +274,152 @@ class TestMine:
             report = mine(ctx, ExtensionConfig(max_meet_arity=3))
             assert report.congener.is_congener
             assert report.fast_extension_verified
+
+
+def _crisp_context(seed: int, n_objects: int, n_attrs: int) -> FuzzyContext:
+    """A context of AbT (probability 0.7) and AbF cells, drawn from ``seed``."""
+    alg = default_algebra()
+    rng = random.Random(seed)
+    rows = tuple(
+        tuple(alg.top if rng.random() < 0.7 else alg.bottom for _ in range(n_attrs))
+        for _ in range(n_objects)
+    )
+    return FuzzyContext(
+        alg,
+        tuple(f"g{i + 1}" for i in range(n_objects)),
+        tuple(f"m{j + 1}" for j in range(n_attrs)),
+        rows,
+    )
+
+
+class TestClosureTest:
+    """Over a lattice implication algebra, is_congener and mine decide the
+    congener question by one closure per new column and enumerate only the
+    base."""
+
+    @pytest.fixture
+    def enumerations(self, monkeypatch):
+        calls = []
+
+        def counting(context, *args, **kwargs):
+            calls.append(context)
+            return enumerate_concepts(context, *args, **kwargs)
+
+        monkeypatch.setattr(tacit, "enumerate_concepts", counting)
+        return calls
+
+    def test_congener_extension_enumerates_the_base_only(self, demo, demo_extended, enumerations):
+        assert is_congener(demo, demo_extended).is_congener
+        assert enumerations == [demo]
+        enumerations.clear()
+        report = mine(demo, PAPER_PRESET)
+        assert report.congener.is_congener and report.fast_extension_verified
+        assert enumerations == [demo]
+
+    def test_non_congener_extension_enumerates_both(self, demo, enumerations):
+        alg = demo.algebra
+        adv = append_column(demo, "x", (alg.parse_value("AbF"), alg.parse_value("AbT")))
+        assert not is_congener(demo, adv).is_congener
+        assert enumerations == [demo, adv]
+
+    def test_explicit_domain_enumerates_both(self, demo, demo_extended, enumerations):
+        assert is_congener(demo, demo_extended, domain=demo.algebra.elements).is_congener
+        assert len(enumerations) == 2
+
+    # a crisp 7x10 context whose --max-k 4 extension has 27 columns, so an
+    # intent scan of the extension needs 2^27 candidates, over the default
+    # budget
+    BUDGET_SEED = 5
+
+    def test_congener_answer_needs_no_extension_budget(self):
+        # deliberate change: enumerating the extension raised BudgetError
+        # ("intent scan needs 134217728 candidates"); the closure test
+        # answers from the 2^10-candidate base scan
+        base = _crisp_context(self.BUDGET_SEED, 7, 10)
+        ext = extend_context(base, ExtensionConfig(max_meet_arity=4))
+        assert len(ext.attributes) == 27
+        with pytest.raises(BudgetError, match="intent scan needs 134217728 candidates"):
+            reference_is_congener(base, ext, engine="intent")
+        report = is_congener(base, ext, engine="intent")
+        assert report.is_congener
+        assert report.base_extent_count == report.extended_extent_count == 25
+        # mine builds the same extension and no longer enumerates it either
+        mined = mine(base, ExtensionConfig(max_meet_arity=4), engine="intent")
+        assert mined.congener == report and mined.fast_extension_verified
+
+    def test_non_congener_copy_still_needs_the_budget(self):
+        base = _crisp_context(self.BUDGET_SEED, 7, 10)
+        ext = extend_context(base, ExtensionConfig(max_meet_arity=4))
+        alg = base.algebra
+        rows = [list(row) for row in ext.rows]
+        rows[1][10] = alg.bottom if rows[1][10] == alg.top else alg.top
+        flipped = FuzzyContext(alg, ext.objects, ext.attributes, tuple(map(tuple, rows)))
+        column = object_set(flipped.columns[10])
+        assert closure_extent(base, column) != column
+        with pytest.raises(BudgetError, match="intent scan needs 134217728 candidates"):
+            is_congener(base, flipped, engine="intent")
+
+
+class TestNonLatticeAlgebra:
+    """On an algebra whose meet is partial the tacit layer raises the
+    StructureError that names the pair with no meet, never a TypeError."""
+
+    MESSAGE = "no unique greatest lower bound for (c, d)"
+
+    @pytest.fixture
+    def context(self):
+        alg = load_table_algebra(NON_LATTICE)
+        v = alg.parse_value
+        return FuzzyContext(alg, ("g1", "g2"), ("m1", "m2"), ((v("1"), v("a")), (v("c"), v("d"))))
+
+    def test_extend_context(self, context):
+        with pytest.raises(StructureError, match=re.escape(self.MESSAGE)):
+            extend_context(context)
+
+    def test_extend_context_names_the_first_row_without_a_meet(self, context):
+        # the prefix meet(m2, m1) first fails on g2, at (d, c), but the row
+        # fold of g1 fails earlier, at its last step (c, d)
+        alg = context.algebra
+        v = alg.parse_value
+        ctx = FuzzyContext(
+            alg, ("g1", "g2"), ("m1", "m2", "m3"),
+            ((v("1"), v("c"), v("d")), (v("d"), v("c"), v("1"))),
+        )
+        with pytest.raises(StructureError, match=re.escape(self.MESSAGE)):
+            extend_context(ctx, ExtensionConfig(meet_subsets=((0, 1, 2),)))
+
+    def test_fast_extension_names_the_first_concept_without_a_meet(self):
+        # the first concept fails on y, at (c, d); the second one fails
+        # earlier in column order, on x, at (d, c)
+        alg = load_table_algebra(NON_LATTICE)
+        v = alg.parse_value
+        base = FuzzyContext(alg, ("g1",), ("m1", "m2", "m3", "m4"), ((v("1"),) * 4,))
+        ext = append_column(append_column(base, "x", (v("1"),)), "y", (v("1"),))
+        lattice = ConceptLattice(base, [
+            Concept(oset(base, "1"), aset(base, "1 1 c d")),
+            Concept(oset(base, "0"), aset(base, "d c 1 1")),
+        ])
+        checks = [TheoremCheck("x", "pair-meet", True, ("m1", "m2")),
+                  TheoremCheck("y", "pair-meet", True, ("m3", "m4"))]
+        with pytest.raises(StructureError, match=re.escape(self.MESSAGE)):
+            extend_concepts_fast(lattice, base, ext, checks=checks)
+
+    def test_classify_columns(self, context):
+        bottom = context.algebra.parse_value("0")
+        with pytest.raises(StructureError, match=re.escape(self.MESSAGE)):
+            classify_columns(context, append_column(context, "x", (bottom, bottom)))
+
+    def test_mine(self, context):
+        with pytest.raises(StructureError, match=re.escape(self.MESSAGE)):
+            mine(context)
+
+    def test_cli_mine_exits_2(self, tmp_path, capsys):
+        (tmp_path / "nonlattice.lia").write_text(NON_LATTICE, encoding="utf-8")
+        path = tmp_path / "ctx.ctx"
+        path.write_text(
+            "algebra table nonlattice.lia\nattributes m1 m2\ng1 1 a\ng2 c d\n", encoding="utf-8"
+        )
+        assert main(["mine", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert self.MESSAGE in captured.err

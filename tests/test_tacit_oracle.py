@@ -1,0 +1,201 @@
+"""The tacit layer against its value-level oracle.
+
+``tests/oracle.py`` keeps the tacit layer as it ran on truth values: subset
+meets folded row by row, every subset of the originals searched, and every
+congener verdict taken from enumerating the extension. The library builds
+columns on element positions, searches a column's upper set, and decides
+congener by one closure per new column where that is exact. Both must give
+the same extensions, classifications, congener reports and mining reports,
+and raise the same errors, on algebras where the closure test applies and
+on algebras where it is gated off.
+"""
+
+import functools
+import random
+
+import pytest
+
+from ltvcl import (
+    ExtensionConfig,
+    ProductAlgebra,
+    classify_columns,
+    closure_extent,
+    enumerate_concepts,
+    extend_concepts_fast,
+    extend_context,
+    is_congener,
+    load_table_algebra,
+    mine,
+    object_set,
+    tacit,
+)
+from ltvcl.errors import BudgetError, StructureError
+from ltvcl.galois import EXTENT_SCAN, FULL_DOMAIN, GENERATED_DOMAIN, INTENT_SCAN
+from conftest import DATA_DIR, append_column, random_context
+from oracle import (
+    reference_classify_columns,
+    reference_extend_context,
+    reference_is_congener,
+    reference_mine,
+)
+from test_enumeration import NON_LATTICE
+
+# the parity runs compare verdicts, so no budget gets in their way; the
+# budget change itself is pinned in test_tacit.py
+BUDGET = 10**100
+DOMAINS = (GENERATED_DOMAIN, FULL_DOMAIN)
+ENGINES = (EXTENT_SCAN, INTENT_SCAN)
+KINDS = ("random", "meet", "extent", "flipped")
+
+
+def _table(name: str):
+    return lambda: load_table_algebra((DATA_DIR / name).read_text(encoding="utf-8"))
+
+
+# the closure test applies to these ...
+LIAS = {
+    "product 3 2": lambda: ProductAlgebra([3, 2]),
+    "product 2 2": lambda: ProductAlgebra([2, 2]),
+    "product 4": lambda: ProductAlgebra([4]),
+    "product 2 3 2": lambda: ProductAlgebra([2, 3, 2]),
+    "bool2": _table("bool2.lia"),
+}
+# ... and is gated off on these, which fail the axioms
+NON_LIAS = {
+    "chain5": _table("chain5.lia"),
+    "non-lattice": lambda: load_table_algebra(NON_LATTICE),
+}
+
+
+def outcome(fn, *args, **kwargs):
+    """The result of a call, or the type and message of what it raised."""
+    try:
+        return "ok", fn(*args, **kwargs)
+    except (StructureError, BudgetError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def new_column(rng: random.Random, context, kind: str):
+    """A column to append: random values, a meet of originals, a base
+    extent, or a meet of originals with one cell changed. Where a meet or a
+    closure has no value (the algebra is not a lattice) it is random."""
+    alg = context.algebra
+    random_column = tuple(rng.choice(alg.elements) for _ in context.objects)
+    try:
+        if kind == "meet" or kind == "flipped":
+            n = len(context.attributes)
+            sources = rng.sample(range(n), rng.randint(1, n))
+            column = tuple(
+                functools.reduce(alg.meet, (row[s] for s in sources), alg.top)
+                for row in context.rows
+            )
+            if kind == "flipped":
+                g = rng.randrange(len(column))
+                others = [v for v in alg.elements if v != column[g]]
+                column = column[:g] + (rng.choice(others),) + column[g + 1:]
+            return column
+        if kind == "extent":
+            return closure_extent(context, object_set(random_column)).values
+    except StructureError:
+        pass
+    return random_column
+
+
+def cases(name: str, factory, count: int):
+    """Seeded (base, extension) pairs: one or two new columns of one kind,
+    the second appended after the first."""
+    algebra = factory()
+    rng = random.Random(name)
+    for i in range(count):
+        base = random_context(rng, algebra, rng.randint(1, 3), rng.randint(1, 3))
+        kind = KINDS[i % len(KINDS)]
+        ext = base
+        for label in ("x", "y")[: rng.randint(1, 2)]:
+            ext = append_column(ext, label, new_column(rng, base, kind))
+        yield base, ext
+
+
+@pytest.mark.parametrize("name", sorted(LIAS))
+def test_congener_and_classification_match_the_oracle(name):
+    verdicts = set()
+    for base, ext in cases(name, LIAS[name], 16):
+        assert base.algebra._is_lia
+        for min_arity in (1, 2):
+            assert outcome(classify_columns, base, ext, min_arity=min_arity) == outcome(
+                reference_classify_columns, base, ext, min_arity=min_arity
+            )
+        for domain in DOMAINS:
+            for engine in ENGINES:
+                got = outcome(is_congener, base, ext, engine=engine, domain=domain, budget=BUDGET)
+                assert got == outcome(
+                    reference_is_congener, base, ext, engine=engine, domain=domain, budget=BUDGET
+                )
+                verdicts.add(got[1].is_congener)
+        checks = classify_columns(base, ext)
+        if all(c.satisfied for c in checks):
+            base_lattice = enumerate_concepts(base)
+            fast = extend_concepts_fast(base_lattice, base, ext, checks=checks)
+            assert fast.pairs() == enumerate_concepts(ext).pairs()
+    assert verdicts == {True, False}
+
+
+def configs(rng: random.Random):
+    for max_k in (2, 3):
+        yield ExtensionConfig(
+            max_meet_arity=max_k,
+            include_top_column=rng.random() < 0.7,
+            novelty_filter=rng.random() < 0.7,
+        )
+
+
+@pytest.mark.parametrize("name", sorted(LIAS))
+def test_mining_matches_the_oracle(name):
+    algebra = LIAS[name]()
+    rng = random.Random(name)
+    for _ in range(3):
+        context = random_context(rng, algebra, rng.randint(1, 3), rng.randint(1, 4))
+        for config in configs(rng):
+            extended = extend_context(context, config)
+            assert extended == reference_extend_context(context, config)
+            for domain in DOMAINS:
+                for engine in ENGINES:
+                    report = mine(context, config, engine=engine, domain=domain, budget=BUDGET)
+                    assert report == reference_mine(
+                        context, config, engine=engine, domain=domain, budget=BUDGET
+                    )
+                    assert report.congener.is_congener and report.fast_extension_verified
+
+
+@pytest.mark.parametrize("name", sorted(NON_LIAS))
+def test_gated_off_on_algebras_that_fail_the_axioms(name, monkeypatch):
+    enumerated = []
+
+    def counting(context, *args, **kwargs):
+        enumerated.append(context)
+        return enumerate_concepts(context, *args, **kwargs)
+
+    monkeypatch.setattr(tacit, "enumerate_concepts", counting)
+    rng = random.Random(name)
+    for base, ext in cases(name, NON_LIAS[name], 16):
+        assert not base.algebra._is_lia
+        assert outcome(classify_columns, base, ext) == outcome(
+            reference_classify_columns, base, ext
+        )
+        for domain in DOMAINS:
+            for engine in ENGINES:
+                enumerated.clear()
+                got = outcome(is_congener, base, ext, engine=engine, domain=domain, budget=BUDGET)
+                assert got == outcome(
+                    reference_is_congener, base, ext, engine=engine, domain=domain, budget=BUDGET
+                )
+                if got[0] == "ok":
+                    # the extension was enumerated: the closure test is off
+                    assert enumerated[:2] == [base, ext]
+        for config in configs(rng):
+            assert outcome(extend_context, base, config) == outcome(
+                reference_extend_context, base, config
+            )
+            for domain in DOMAINS:
+                assert outcome(mine, base, config, domain=domain, budget=BUDGET) == outcome(
+                    reference_mine, base, config, domain=domain, budget=BUDGET
+                )
