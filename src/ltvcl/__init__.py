@@ -58,7 +58,6 @@ from .tacit import (
     CongenerReport,
     MiningReport,
     TheoremCheck,
-    check_pointwise_condition,
     classify_columns,
     extend_concepts_fast,
     is_congener,

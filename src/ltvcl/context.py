@@ -113,9 +113,6 @@ class FuzzyContext:
                     if self.provenance[s].kind != ORIGINAL:
                         raise ValueError("meet sources must be original attributes")
 
-    def value(self, g: int, m: int) -> TruthValue:
-        return self.rows[g][m]
-
     @cached_property
     def columns(self) -> tuple[tuple[TruthValue, ...], ...]:
         """The transposed grid: one tuple per attribute, in object order
@@ -394,16 +391,23 @@ def serialize_context(context: FuzzyContext) -> str:
 
     The algebra line names a product's chain sizes or a table's source path,
     so a table algebra built in memory (one with no ``source``) cannot be
-    serialized: this raises ValueError. So does a name the format cannot
-    carry: an empty one, one with whitespace or ``#`` (which starts a
-    comment), or an object named like a directive (``algebra``, ``alias``,
-    ``attributes``).
+    serialized: this raises ValueError. So does a table path or a name the
+    format cannot carry: an empty one, one with whitespace or ``#`` (which
+    starts a comment), or an object named like a directive (``algebra``,
+    ``alias``, ``attributes``).
     """
-    lines = [f"algebra {context.algebra.describe()}"]
+    def writable(token: str) -> bool:
+        return token.split() == [token] and "#" not in token
+
+    description = context.algebra.describe()
+    head, _, path = description.partition(" ")
+    if head == "table" and not writable(path):
+        raise ValueError(f"table path {path!r} cannot be written in the context format")
+    lines = [f"algebra {description}"]
     for kind, names in (("attribute", context.attributes), ("object", context.objects)):
         for name in names:
             directive = kind == "object" and name in ("algebra", "alias", "attributes")
-            if name.split() != [name] or "#" in name or directive:
+            if not writable(name) or directive:
                 raise ValueError(f"{kind} name {name!r} cannot be written in the context format")
     lines.append(("attributes " + " ".join(context.attributes)).rstrip())
     for name, prov in zip(context.attributes, context.provenance):

@@ -9,13 +9,15 @@ extension by a column c are the sets E meet (b -> c) for a base extent E
 and a value b. So one closure per new column decides the question. Columns
 that are meets of existing columns, or constant top (the meet of no
 columns), are always extents; they are the tacit attributes this module
-hunts for. The fast extension path rewrites each base concept's intent
-directly (appending the meet of the source intent components, top when
-there are none) instead of re-enumerating, and the mining pipeline
-cross-checks it against an independent computation of the extended
-lattice. On an algebra not shown to be a lattice implication algebra (see
-``Algebra._is_lia``), or over an explicit domain, the extended lattice is
-enumerated in full instead.
+hunts for. ``is_congener`` and ``mine`` take that decision in one place,
+and enumerate the extension only where the closure test does not settle it:
+on an algebra not shown to be a lattice implication algebra (see
+``Algebra._is_lia``), over an explicit domain, or for a non-congener
+extension, whose witnesses need both lattices. The fast extension path
+rewrites each base concept's intent directly (appending the meet of the
+source intent components, top when there are none) instead of
+re-enumerating, and the mining pipeline checks it concept by concept
+against intents computed independently of it.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .galois import (
     ConceptLattice,
     FuzzySet,
     _derive,
-    closure_extent,
     derive_intent,
     enumerate_concepts,
     scan_domain,
@@ -137,8 +138,14 @@ def _require_restriction(base: FuzzyContext, extended: FuzzyContext) -> None:
 
 
 def _congener_report(
-    base_lattice: ConceptLattice, extended_lattice: ConceptLattice
+    base_lattice: ConceptLattice, extended_lattice: ConceptLattice | None
 ) -> CongenerReport:
+    """Compare the extent families of the two lattices. No extended lattice
+    means the closure test showed the extension congener: equal counts, no
+    witnesses."""
+    if extended_lattice is None:
+        count = len(base_lattice)
+        return CongenerReport(base_extent_count=count, extended_extent_count=count, witnesses=())
     base_extents = base_lattice.extent_set()
     ext_extents = extended_lattice.extent_set()
     witnesses = [("base", e) for e in base_extents - ext_extents]
@@ -153,25 +160,37 @@ def _congener_report(
     )
 
 
-def _closure_says_congener(base: FuzzyContext, extended: FuzzyContext, domain) -> bool:
-    """Whether the closure test shows the extension congener. It applies
-    over a lattice implication algebra and the "generated" or "full" domain
-    (both subalgebras holding every value of the extension), and asks
-    whether every new column, read as an object-side set, is an extent of
-    the base: closure_extent(base, c) == c, on element positions, once per
-    distinct new column. False means the extension is not congener or the
-    test does not apply."""
+def _decide_congener(
+    base: FuzzyContext, extended: FuzzyContext, engine: str, domain, budget: int
+) -> tuple[ConceptLattice, ConceptLattice | None]:
+    """The base lattice, and the extension's lattice or None when the
+    closure test shows the extension congener.
+
+    The test applies over a lattice implication algebra and the "generated"
+    or "full" domain (both subalgebras holding every value of the
+    extension), and asks whether every new column, read as an object-side
+    set, is an extent of the base: closure_extent(base, c) == c, on element
+    positions, once per distinct new column. When it does not apply, or
+    says no, the extension is enumerated.
+    """
+    # Both lattices are scanned over one domain. "generated" resolves on the
+    # extension, a superset of the base's; the contexts share one algebra
+    # (the callers check restriction), so "full" and explicit values resolve
+    # the same.
+    values = scan_domain(extended, domain)
+    base_lattice = enumerate_concepts(base, engine, domain=values, budget=budget)
     algebra = base.algebra
-    if domain not in (GENERATED_DOMAIN, FULL_DOMAIN) or not algebra._is_lia:
-        return False
-    rows, columns = base.row_positions, base.column_positions
-    width, height = len(base.attributes), len(base.objects)
-    base_names = set(base.attributes)
-    new = {c for name, c in zip(extended.attributes, extended.column_positions)
-           if name not in base_names}
-    return all(
-        _derive(algebra, columns, height, _derive(algebra, rows, width, c)) == c for c in new
-    )
+    if domain in (GENERATED_DOMAIN, FULL_DOMAIN) and algebra._is_lia:
+        rows, columns = base.row_positions, base.column_positions
+        width, height = len(base.attributes), len(base.objects)
+        base_names = set(base.attributes)
+        new = {c for name, c in zip(extended.attributes, extended.column_positions)
+               if name not in base_names}
+        if all(
+            _derive(algebra, columns, height, _derive(algebra, rows, width, c)) == c for c in new
+        ):
+            return base_lattice, None
+    return base_lattice, enumerate_concepts(extended, engine, domain=values, budget=budget)
 
 
 def is_congener(
@@ -184,49 +203,16 @@ def is_congener(
 ) -> CongenerReport:
     """Compare the extent families of a context and its extension.
 
-    The base lattice is always enumerated. Over a lattice implication
-    algebra and the "generated" or "full" domain, an extension whose new
-    columns are all base extents is congener (see the module docstring),
-    and the report follows from the base alone: equal counts, no
-    witnesses. Otherwise the extension is enumerated too and the two extent
-    families are compared, which yields the witnesses.
+    The decision is the one ``mine`` takes. The base lattice is always
+    enumerated. Over a lattice implication algebra and the "generated" or
+    "full" domain, an extension whose new columns are all base extents is
+    congener (see the module docstring), and the report follows from the
+    base alone: equal counts, no witnesses. Otherwise the extension is
+    enumerated too and the two extent families are compared, which yields
+    the witnesses.
     """
     _require_restriction(base, extended)
-    # Both lattices are scanned over one domain. "generated" resolves on the
-    # extension, a superset of the base's; the contexts share one algebra
-    # (checked above), so "full" and explicit values resolve the same.
-    values = scan_domain(extended, domain)
-    base_lattice = enumerate_concepts(base, engine, domain=values, budget=budget)
-    if _closure_says_congener(base, extended, domain):
-        count = len(base_lattice.extent_set())
-        return CongenerReport(base_extent_count=count, extended_extent_count=count, witnesses=())
-    ext_lattice = enumerate_concepts(extended, engine, domain=values, budget=budget)
-    return _congener_report(base_lattice, ext_lattice)
-
-
-def check_pointwise_condition(base: FuzzyContext, extended: FuzzyContext, extent: FuzzySet) -> bool:
-    """For one object-side set A, test whether the base closure stays below
-    the closure taken through each new column alone.
-
-    Per new attribute n with column values c and v = meet_g imp(A(g), c(g))
-    (the extension's intent of A at n), the test is
-    closure(A)(g) <= imp(v, c(g)) for every g. Quantified over
-    every A in the scan domain this agrees with the congener verdict, which
-    the test suite checks exhaustively at desk scale.
-    """
-    _require_restriction(base, extended)
-    alg = base.algebra
-    closed = closure_extent(base, extent)
-    intent = derive_intent(extended, extent).values
-    base_names = set(base.attributes)
-    for m, name in enumerate(extended.attributes):
-        if name in base_names:
-            continue
-        column, v = extended.columns[m], intent[m]
-        for g in range(len(base.objects)):
-            if not alg.leq(closed.values[g], alg.imp(v, column[g])):
-                return False
-    return True
+    return _congener_report(*_decide_congener(base, extended, engine, domain, budget))
 
 
 def classify_columns(
@@ -362,29 +348,29 @@ def mine(
 ) -> MiningReport:
     """Full pipeline: extend, classify, fast-extend, verify, report.
 
-    The extended lattice is computed independently of the fast path. When
-    the closure test of is_congener applies and says yes, it is every base
-    extent paired with its intent derived in the extension; otherwise the
-    extension is enumerated in full. The congener verdict compares it with
-    the base lattice, and the fast path is verified against it concept for
-    concept rather than trusted.
+    The congener verdict is the one is_congener takes, from the same
+    decision. A congener extension's concepts are the base extents, in the
+    base lattice's order (the order reads extents only), so the fast
+    extension is verified concept by concept against intents computed
+    independently of it, rather than trusted: each base extent's intent
+    derived in the extension when the closure test settled the verdict, the
+    enumerated extension's intents when it did not. A non-congener
+    extension leaves the fast path unverified.
     """
     extended = extend_context(context, config)
     checks = classify_columns(context, extended)
-    values = scan_domain(extended, domain)
-    base_lattice = enumerate_concepts(context, engine, domain=values, budget=budget)
-    if _closure_says_congener(context, extended, domain):
-        full_lattice = ConceptLattice(
-            extended, [Concept(c.extent, derive_intent(extended, c.extent)) for c in base_lattice]
-        )
-    else:
-        full_lattice = enumerate_concepts(extended, engine, domain=values, budget=budget)
+    base_lattice, full_lattice = _decide_congener(context, extended, engine, domain, budget)
     congener = _congener_report(base_lattice, full_lattice)
 
     fast_verified = False
     if all(c.satisfied for c in checks):
         fast_lattice = extend_concepts_fast(base_lattice, context, extended, checks=checks)
-        fast_verified = fast_lattice.pairs() == full_lattice.pairs()
+        if congener.is_congener:
+            if full_lattice is None:
+                intents = [derive_intent(extended, c.extent) for c in base_lattice]
+            else:
+                intents = [c.intent for c in full_lattice]
+            fast_verified = [c.intent for c in fast_lattice] == intents
 
     tacit = tuple(
         (name, prov.formula(extended.attributes))

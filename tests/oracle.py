@@ -14,8 +14,12 @@ position tables directly. ``reference_extend_context``,
 built columns on element positions, searched a column's upper set and
 decided congener by one closure per new column: extension and
 classification fold ``Algebra.meet`` row by row from top, and congener
-verdicts always come from enumerating the extension. Nothing under
-``src/`` calls any of them; the suite checks the library against them.
+verdicts always come from enumerating the extension.
+``check_pointwise_condition`` is the per-extent congener criterion the
+tacit layer exported before the closure test subsumed it; quantified over
+the scan domain it is an independent check of the closure test's verdict.
+Nothing under ``src/`` calls any of them; the suite checks the library
+against them.
 """
 
 import functools
@@ -39,6 +43,7 @@ from ltvcl.galois import (
     Concept,
     ConceptLattice,
     FuzzySet,
+    closure_extent,
     derive_extent,
     derive_intent,
     enumerate_concepts,
@@ -393,6 +398,31 @@ def reference_is_congener(
     base_lattice = enumerate_concepts(base, engine, domain=values, budget=budget)
     ext_lattice = enumerate_concepts(extended, engine, domain=values, budget=budget)
     return _congener_report(base_lattice, ext_lattice)
+
+
+def check_pointwise_condition(base: FuzzyContext, extended: FuzzyContext, extent: FuzzySet) -> bool:
+    """For one object-side set A, test whether the base closure stays below
+    the closure taken through each new column alone.
+
+    Per new attribute n with column values c and v = meet_g imp(A(g), c(g))
+    (the extension's intent of A at n), the test is
+    closure(A)(g) <= imp(v, c(g)) for every g. Quantified over
+    every A in the scan domain this agrees with the congener verdict, which
+    the test suite checks exhaustively at desk scale.
+    """
+    _require_restriction(base, extended)
+    alg = base.algebra
+    closed = closure_extent(base, extent)
+    intent = derive_intent(extended, extent).values
+    base_names = set(base.attributes)
+    for m, name in enumerate(extended.attributes):
+        if name in base_names:
+            continue
+        column, v = extended.columns[m], intent[m]
+        for g in range(len(base.objects)):
+            if not alg.leq(closed.values[g], alg.imp(v, column[g])):
+                return False
+    return True
 
 
 def reference_mine(

@@ -107,6 +107,21 @@ class TestSerialize:
         with pytest.raises(ValueError, match="in memory"):
             serialize_context(ctx)
 
+    @pytest.mark.parametrize("source", ["my tables/bool2.lia", "x#y.lia", "tab\tle.lia", ""])
+    def test_table_paths_the_format_cannot_carry_are_refused(self, source):
+        # 'my tables/bool2.lia' used to serialize to a line the parser
+        # refuses, and 'x#y.lia' to one it reads back as the path 'x'
+        alg = load_table_algebra((DATA_DIR / "bool2.lia").read_text(), source=source)
+        ctx = FuzzyContext(alg, ("g1",), ("m1",), ((alg.top,),))
+        with pytest.raises(ValueError, match=re.escape(f"table path {source!r}")):
+            serialize_context(ctx)
+
+    def test_table_path_round_trips(self):
+        text = "algebra table bool2.lia\nattributes m1\ng1 I\n"
+        ctx = parse_context(text, base_dir=DATA_DIR)
+        assert serialize_context(ctx) == text
+        assert parse_context(serialize_context(ctx), base_dir=DATA_DIR) == ctx
+
     @pytest.mark.parametrize(
         "objects, attributes, bad",
         [

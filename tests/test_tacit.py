@@ -6,16 +6,17 @@ import re
 import pytest
 
 from ltvcl import (
+    ATTRIBUTES,
     BudgetError,
     Concept,
     ConceptLattice,
     ExtensionConfig,
     FuzzyContext,
+    FuzzySet,
     PreconditionError,
     StructureError,
     TheoremCheck,
     UnclassifiedColumnError,
-    check_pointwise_condition,
     classify_columns,
     closure_extent,
     default_algebra,
@@ -33,7 +34,7 @@ from ltvcl.cli import main
 from ltvcl.galois import FULL_DOMAIN, GENERATED_DOMAIN, scan_domain
 from conftest import append_column, aset, concept_set, oset, random_context
 from golden import EXTENDED_CONCEPTS
-from oracle import reference_is_congener
+from oracle import check_pointwise_condition, reference_is_congener
 from test_enumeration import NON_LATTICE
 
 PAPER_PRESET = ExtensionConfig(meet_subsets=((0, 1),))
@@ -325,6 +326,30 @@ class TestClosureTest:
     def test_explicit_domain_enumerates_both(self, demo, demo_extended, enumerations):
         assert is_congener(demo, demo_extended, domain=demo.algebra.elements).is_congener
         assert len(enumerations) == 2
+
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_a_wrong_fast_extension_is_caught(self, demo, enumerations, monkeypatch, explicit):
+        # one flipped intent component in one concept of the fast extension
+        # fails the concept-by-concept check, on the closure path and on the
+        # enumeration path (an explicit domain gates the closure test off)
+        real = tacit.extend_concepts_fast
+
+        def flipped(base_lattice, base, extended, **kwargs):
+            concepts = list(real(base_lattice, base, extended, **kwargs))
+            k = len(concepts) // 2
+            values = list(concepts[k].intent.values)
+            values[-1] = next(v for v in extended.algebra.elements if v != values[-1])
+            concepts[k] = Concept(concepts[k].extent, FuzzySet(ATTRIBUTES, tuple(values)))
+            return ConceptLattice(extended, concepts)
+
+        domain = demo.algebra.elements if explicit else GENERATED_DOMAIN
+        assert mine(demo, PAPER_PRESET, domain=domain).fast_extension_verified
+        enumerations.clear()
+        monkeypatch.setattr(tacit, "extend_concepts_fast", flipped)
+        report = mine(demo, PAPER_PRESET, domain=domain)
+        assert report.congener.is_congener
+        assert not report.fast_extension_verified
+        assert len(enumerations) == (2 if explicit else 1)
 
     # a crisp 7x10 context whose --max-k 4 extension has 27 columns, so an
     # intent scan of the extension needs 2^27 candidates, over the default
