@@ -16,12 +16,16 @@ once, on the set of distinct partial vectors (see ``enumerate_concepts``).
 It admits exactly the concepts of closing every candidate one by one (the
 exhaustive scan the test suite keeps as its oracle) and raises
 StructureError exactly when that does, while its work follows the number
-of concepts. The
-intent engine is the extent engine on the transposed grid, which keeps a
-dual-side check available: folding extents and folding intents must
-produce the same concept set. The concept order comes from per-object
-bitmasks of the concepts at or above each extent value, read from the
-algebra's order bitmasks.
+of concepts. Its closures run on the same kernel, and a
+``ConceptLattice`` keeps every extent and intent as a tuple of positions:
+the order, the covers, the labels and the exports read those, and
+``Concept``s are built only when a caller asks for them. The intent engine
+is the extent engine on the transposed grid, which keeps a dual-side check
+available: folding extents and folding intents must produce the same
+concept set. The concept order comes from per-object bitmasks of the
+concepts at or above each extent value, read from the algebra's order
+bitmasks, and its covers are walked one edge at a time where the order
+allows it (see ``lia._cover_pairs``).
 
 A scan needs a value domain. ``"generated"`` (the default) ranges over the
 subalgebra generated by the values actually present in the context, which
@@ -220,17 +224,63 @@ class ConceptLattice:
     ``bottom`` are located by their all-top extent and all-top intent rather
     than by position. Cover pairs (i, j) mean concept i is covered by
     concept j.
+
+    A lattice also holds every extent and intent as a tuple of element
+    positions (``_extents`` and ``_intents``), which the order, the covers
+    and the exports read. Enumeration builds a lattice from those tuples
+    (``_from_positions``), and its ``Concept``s are built on first use; a
+    lattice built from ``Concept``s derives the tuples from them on first
+    use.
     """
 
     def __init__(self, context: FuzzyContext, concepts: Iterable[Concept]):
         self.context = context
-        self.concepts: tuple[Concept, ...] = tuple(
-            sorted(set(concepts), key=_extent_sort_key, reverse=True)
+        self.concepts = tuple(sorted(set(concepts), key=_extent_sort_key, reverse=True))
+
+    @classmethod
+    def _from_positions(
+        cls, context: FuzzyContext, pairs: Iterable[tuple[tuple[int, ...], tuple[int, ...]]]
+    ) -> "ConceptLattice":
+        """The lattice of distinct (extent, intent) position pairs, in the
+        canonical order: the coordinate ranks of ``Algebra._coord_rank``
+        sort as the coordinate vectors do."""
+        rank = context.algebra._coord_rank
+        ordered = sorted(pairs, key=lambda pair: [rank[p] for p in pair[0]], reverse=True)
+        lattice = cls.__new__(cls)
+        lattice.context = context
+        lattice._extents = tuple([extent for extent, _ in ordered])
+        lattice._intents = tuple([intent for _, intent in ordered])
+        return lattice
+
+    @cached_property
+    def concepts(self) -> tuple[Concept, ...]:
+        """The concepts in canonical order, built from the position tuples
+        on first use."""
+        els = self.context.algebra.elements
+        return tuple(
+            Concept(
+                FuzzySet(OBJECTS, tuple([els[p] for p in extent])),
+                FuzzySet(ATTRIBUTES, tuple([els[p] for p in intent])),
+            )
+            for extent, intent in zip(self._extents, self._intents)
         )
-        self._position = {c: i for i, c in enumerate(self.concepts)}
+
+    @cached_property
+    def _extents(self) -> tuple[tuple[int, ...], ...]:
+        positions = self.context.algebra._positions
+        return tuple([positions(c.extent.values) for c in self.concepts])
+
+    @cached_property
+    def _intents(self) -> tuple[tuple[int, ...], ...]:
+        positions = self.context.algebra._positions
+        return tuple([positions(c.intent.values) for c in self.concepts])
+
+    @cached_property
+    def _position(self) -> dict[Concept, int]:
+        return {c: i for i, c in enumerate(self.concepts)}
 
     def __len__(self) -> int:
-        return len(self.concepts)
+        return len(self._extents)
 
     def __iter__(self) -> Iterator[Concept]:
         return iter(self.concepts)
@@ -285,12 +335,10 @@ class ConceptLattice:
         pointwise order exactly, with no transitivity assumed, in
         |G| * (distinct values)^2 comparisons instead of c^2 * |G|.
         """
-        algebra = self.context.algebra
-        above_of = algebra._up
-        every = (1 << len(self.concepts)) - 1
-        up, down = [every] * len(self.concepts), [every] * len(self.concepts)
-        extents = [algebra._positions(c.extent.values) for c in self.concepts]
-        for column in zip(*extents):
+        above_of = self.context.algebra._up
+        every = (1 << len(self)) - 1
+        up, down = [every] * len(self), [every] * len(self)
+        for column in zip(*self._extents):
             at: dict[int, int] = {}
             for j, v in enumerate(column):
                 at[v] = at.get(v, 0) | 1 << j
@@ -308,8 +356,13 @@ class ConceptLattice:
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """Transitive reduction of the order: the Hasse edges, sorted."""
-        return tuple(_cover_pairs(*self._order_masks))
+        """Transitive reduction of the order: the Hasse edges, sorted. The
+        pointwise order is transitive when the element order is, and the
+        canonical order lists upper concepts first on products and on
+        tables declared bottom first; then the covers are walked in
+        O(covers) mask operations, otherwise tested pair by pair."""
+        up, down = self._order_masks
+        return tuple(_cover_pairs(up, down, self.context.algebra._is_transitive))
 
 
 def enumerate_concepts(
@@ -329,10 +382,12 @@ def enumerate_concepts(
     S_k every step of an S_(k-1) vector with a domain value at position k.
     The last set is exactly the set of the candidates' derivations, each
     computed by the same meets in the same order as a derivation on its
-    own, and each is derived back once. The whole fold runs on element
-    positions; a vector becomes ``TruthValue``s only to be handed to the
-    public ``derive_intent``/``derive_extent`` for the closures, three per
-    concept.
+    own, and each is derived back once. Everything runs on element
+    positions, the closures too: they call the kernel ``_derive`` on the
+    context's position lines, not the public derivations, and fixpoints are
+    checked on position tuples. The lattice is built from the admitted
+    position pairs; ``TruthValue``s, ``FuzzySet``s and ``Concept``s are
+    made only when a caller asks for the concepts.
 
     When the domain holds bottom (``"generated"`` and ``"full"`` always do),
     imp(bottom, x) is top, so over a valid implication algebra each S_k
@@ -346,16 +401,20 @@ def enumerate_concepts(
     admitted: over a valid implication algebra the check never rejects
     anything, but it keeps the two engines in agreement even on table
     algebras that fail the axioms, where closures need not be fixpoints at
-    all. A domain whose candidate count exceeds the budget raises
-    BudgetError naming the count.
+    all. When a closed vector derives forward to the image it was closed
+    from, it is a fixpoint with no third derivation, since that image's
+    closure is the vector itself. Over a valid implication algebra that
+    holds for every concept, which then costs two derivations; on any
+    algebra it costs at most three. A domain whose candidate count exceeds
+    the budget raises BudgetError naming the count.
     """
     values = scan_domain(context, domain)
+    rows, columns = context.row_positions, context.column_positions
+    n_objects, n_attributes = len(context.objects), len(context.attributes)
     if engine == EXTENT_SCAN:
-        side, image_side, forward, back = OBJECTS, ATTRIBUTES, derive_intent, derive_extent
-        lines, width = context.row_positions, len(context.attributes)
+        lines, width, back_lines, back_width = rows, n_attributes, columns, n_objects
     elif engine == INTENT_SCAN:
-        side, image_side, forward, back = ATTRIBUTES, OBJECTS, derive_extent, derive_intent
-        lines, width = context.column_positions, len(context.objects)
+        lines, width, back_lines, back_width = columns, n_objects, rows, n_attributes
     else:
         raise ValueError(f"unknown engine {engine!r}; use 'extent' or 'intent'")
     count = len(values) ** len(lines)
@@ -369,16 +428,17 @@ def enumerate_concepts(
     images = {(algebra._top,) * width}  # S_0; after the loop, S_|lines|
     for line in lines:
         images = {_step(algebra, partial, a, line) for partial in images for a in positions}
-    els = algebra.elements
-    closed = {
-        back(context, FuzzySet(image_side, tuple([els[k] for k in image]))) for image in images
-    }
-    concepts = []
-    for fset in closed:
-        other = forward(context, fset)
-        if back(context, other) == fset:
-            concepts.append(Concept(fset, other) if side == OBJECTS else Concept(other, fset))
-    return ConceptLattice(context, concepts)
+    # each closed vector, with the first image that closes to it
+    closed: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for image in images:
+        closed.setdefault(_derive(algebra, back_lines, back_width, image), image)
+    pairs = []
+    for fset, image in closed.items():
+        other = _derive(algebra, lines, width, fset)
+        # other == image means back(other) is fset, derived above
+        if other == image or _derive(algebra, back_lines, back_width, other) == fset:
+            pairs.append((fset, other) if engine == EXTENT_SCAN else (other, fset))
+    return ConceptLattice._from_positions(context, pairs)
 
 
 def _locate(lattice: ConceptLattice, extent: FuzzySet, intent: FuzzySet) -> Concept:
@@ -413,10 +473,9 @@ def concept_join(lattice: ConceptLattice, left: Concept, right: Concept) -> Conc
 
 def concept_label(lattice: ConceptLattice, index: int) -> str:
     """Display form ``k# (extent | intent)`` in canonical value spelling."""
-    fmt = lattice.context.algebra.format_value
-    concept = lattice.concepts[index]
-    extent = " ".join(fmt(v) for v in concept.extent.values)
-    intent = " ".join(fmt(v) for v in concept.intent.values)
+    spell = lattice.context.algebra._spellings
+    extent = " ".join([spell[p] for p in lattice._extents[index]])
+    intent = " ".join([spell[p] for p in lattice._intents[index]])
     return f"{index}# ({extent} | {intent})"
 
 
@@ -441,17 +500,14 @@ def export_json(lattice: ConceptLattice) -> str:
     covers: [[i, j], ...]}`` where covers pair lower with upper indexes.
     """
     context = lattice.context
-    fmt = context.algebra.format_value
+    spell = context.algebra._spellings
     doc = {
         "algebra": context.algebra.describe(),
         "objects": list(context.objects),
         "attributes": list(context.attributes),
         "concepts": [
-            {
-                "extent": [fmt(v) for v in c.extent.values],
-                "intent": [fmt(v) for v in c.intent.values],
-            }
-            for c in lattice.concepts
+            {"extent": [spell[p] for p in extent], "intent": [spell[p] for p in intent]}
+            for extent, intent in zip(lattice._extents, lattice._intents)
         ],
         "covers": [list(pair) for pair in lattice.covers],
     }

@@ -36,16 +36,13 @@ from .context import (
 )
 from .errors import PreconditionError, StructureError, UnclassifiedColumnError
 from .galois import (
-    ATTRIBUTES,
     DEFAULT_CANDIDATE_BUDGET,
     EXTENT_SCAN,
     FULL_DOMAIN,
     GENERATED_DOMAIN,
-    Concept,
     ConceptLattice,
     FuzzySet,
     _derive,
-    derive_intent,
     enumerate_concepts,
     scan_domain,
 )
@@ -291,7 +288,8 @@ def extend_concepts_fast(
     meet of the intent components at the column's sources (the empty meet,
     top, for the constant-top column). Those meets run on element
     positions, one column over all concepts at a time, memoised by source
-    prefix. Sound only when every new column is classified; an
+    prefix: the base intents are read as position tuples and the lattice is
+    built from them. Sound only when every new column is classified; an
     unclassified column raises and the caller must fall back to
     enumerate_concepts on the extension.
     """
@@ -315,27 +313,27 @@ def extend_concepts_fast(
     }
     # per base attribute, the intent components of the concepts in lattice
     # order, as a position column
-    components = tuple(zip(*(algebra._positions(c.intent.values) for c in base_lattice)))
+    intents = base_lattice._intents
+    components = tuple(zip(*intents))
     memo = {(): (algebra._top,) * len(base_lattice)}
     try:
         new = {name: _meet_of(algebra, components, s, memo) for name, s in sources.items()}
     except StructureError:
         # raise what meeting concept by concept raises first
-        for concept in base_lattice:
-            intent = concept.intent.values
+        els = algebra.elements
+        for intent in intents:
             for s in sources.values():
-                functools.reduce(algebra.meet, [intent[i] for i in s], algebra.top)
+                functools.reduce(algebra.meet, [els[intent[i]] for i in s], algebra.top)
         raise
 
-    els = algebra.elements
     columns = [
         new[name] if name in new else components[base_index[name]] for name in extended.attributes
     ]
-    concepts = [
-        Concept(concept.extent, FuzzySet(ATTRIBUTES, tuple([els[column[k]] for column in columns])))
-        for k, concept in enumerate(base_lattice)
+    pairs = [
+        (extent, tuple([column[k] for column in columns]))
+        for k, extent in enumerate(base_lattice._extents)
     ]
-    return ConceptLattice(extended, concepts)
+    return ConceptLattice._from_positions(extended, pairs)
 
 
 def mine(
@@ -354,8 +352,9 @@ def mine(
     extension is verified concept by concept against intents computed
     independently of it, rather than trusted: each base extent's intent
     derived in the extension when the closure test settled the verdict, the
-    enumerated extension's intents when it did not. A non-congener
-    extension leaves the fast path unverified.
+    enumerated extension's intents when it did not. Both sides are compared
+    as tuples of element positions. A non-congener extension leaves the
+    fast path unverified.
     """
     extended = extend_context(context, config)
     checks = classify_columns(context, extended)
@@ -367,10 +366,14 @@ def mine(
         fast_lattice = extend_concepts_fast(base_lattice, context, extended, checks=checks)
         if congener.is_congener:
             if full_lattice is None:
-                intents = [derive_intent(extended, c.extent) for c in base_lattice]
+                rows, width = extended.row_positions, len(extended.attributes)
+                intents = tuple(
+                    _derive(context.algebra, rows, width, extent)
+                    for extent in base_lattice._extents
+                )
             else:
-                intents = [c.intent for c in full_lattice]
-            fast_verified = [c.intent for c in fast_lattice] == intents
+                intents = full_lattice._intents
+            fast_verified = fast_lattice._intents == intents
 
     tacit = tuple(
         (name, prov.formula(extended.attributes))

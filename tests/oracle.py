@@ -9,12 +9,13 @@ one by one, with the body ``galois.enumerate_concepts`` had before it
 became a deduplicated fold. ``reference_check_axioms`` is the law check
 ``lia.check_axioms`` ran through the public operations before it read the
 position tables directly. ``reference_extend_context``,
-``reference_classify_columns``, ``reference_is_congener`` and
-``reference_mine`` are the tacit layer as it ran on truth values, before it
-built columns on element positions, searched a column's upper set and
-decided congener by one closure per new column: extension and
-classification fold ``Algebra.meet`` row by row from top, and congener
-verdicts always come from enumerating the extension.
+``reference_classify_columns``, ``reference_extend_concepts_fast``,
+``reference_is_congener`` and ``reference_mine`` are the tacit layer as
+it ran on truth values, before it built columns and intents on element
+positions, searched a column's upper set and decided congener by one
+closure per new column: extension, classification and the fast extension
+fold ``Algebra.meet`` row by row from top, and congener verdicts always
+come from enumerating the extension.
 ``check_pointwise_condition`` is the per-extent congener criterion the
 tacit layer exported before the closure test subsumed it; quantified over
 the scan domain it is an independent check of the closure test's verdict.
@@ -32,7 +33,12 @@ from ltvcl.context import (
     FuzzyContext,
     restrict_agrees,
 )
-from ltvcl.errors import BudgetError, PreconditionError, StructureError
+from ltvcl.errors import (
+    BudgetError,
+    PreconditionError,
+    StructureError,
+    UnclassifiedColumnError,
+)
 from ltvcl.galois import (
     ATTRIBUTES,
     DEFAULT_CANDIDATE_BUDGET,
@@ -379,6 +385,48 @@ def reference_classify_columns(
         rule = {0: RULE_ALL_TOP, 2: RULE_PAIR_MEET}.get(len(match), RULE_K_MEET)
         checks.append(TheoremCheck(name, rule, True, tuple(base.attributes[s] for s in match)))
     return checks
+
+
+def reference_extend_concepts_fast(
+    base_lattice: ConceptLattice,
+    base: FuzzyContext,
+    extended: FuzzyContext,
+    *,
+    checks: list[TheoremCheck] | None = None,
+) -> ConceptLattice:
+    """Rewrite the base concepts into the extension's lattice without
+    re-enumerating.
+
+    Every concept keeps its extent; its intent gains, per new column, the
+    meet of the intent components at the column's sources (the empty meet,
+    top, for the constant-top column). Sound only when every new column is
+    classified; an unclassified column raises and the caller must fall back
+    to enumerate_concepts on the extension.
+    """
+    if checks is None:
+        checks = reference_classify_columns(base, extended)
+    else:
+        _require_restriction(base, extended)
+    unexplained = [c.attribute for c in checks if not c.satisfied]
+    if unexplained:
+        raise UnclassifiedColumnError(
+            "fast extension is unsound for unclassified columns "
+            f"{unexplained}; enumerate the extended context instead"
+        )
+    by_attr = {c.attribute: c for c in checks}
+    base_index = {name: i for i, name in enumerate(base.attributes)}
+
+    concepts = []
+    for concept in base_lattice:
+        intent = concept.intent.values
+        extended_values = tuple(
+            intent[base_index[name]]
+            if name in base_index
+            else meet_all(base.algebra, (intent[base_index[s]] for s in by_attr[name].sources))
+            for name in extended.attributes
+        )
+        concepts.append(Concept(concept.extent, FuzzySet(ATTRIBUTES, extended_values)))
+    return ConceptLattice(extended, concepts)
 
 
 def reference_is_congener(

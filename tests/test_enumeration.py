@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from ltvcl import ProductAlgebra, enumerate_concepts, load_table_algebra
+from ltvcl import ConceptLattice, ProductAlgebra, enumerate_concepts, load_table_algebra
 from ltvcl import galois
 from ltvcl.errors import StructureError
 from ltvcl.galois import EXTENT_SCAN, FULL_DOMAIN, GENERATED_DOMAIN, INTENT_SCAN
@@ -83,6 +83,26 @@ def test_fold_admits_the_scans_concepts(name, engine):
             assert lattice.order_pairs == brute_order_pairs(lattice)
 
 
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+@pytest.mark.parametrize("engine", ENGINES)
+def test_stored_positions_match_the_concepts(name, engine):
+    # an enumerated lattice is built from position tuples, a caller's from
+    # Concepts: both must read the same
+    algebra = ALGEBRAS[name]()
+    rng = random.Random(f"positions/{name}/{engine}")
+    for n_objects, n_attributes in shapes(rng):
+        context = random_context(rng, algebra, n_objects, n_attributes)
+        for domain in (GENERATED_DOMAIN, FULL_DOMAIN):
+            lattice = enumerate_concepts(context, engine, domain=domain)
+            assert lattice._extents == tuple(algebra._positions(c.extent.values) for c in lattice)
+            assert lattice._intents == tuple(algebra._positions(c.intent.values) for c in lattice)
+            rebuilt = ConceptLattice(context, list(lattice))
+            assert rebuilt.concepts == lattice.concepts
+            assert (rebuilt._extents, rebuilt._intents) == (lattice._extents, lattice._intents)
+            assert rebuilt.covers == lattice.covers
+            assert rebuilt.order_pairs == lattice.order_pairs
+
+
 @pytest.mark.parametrize("engine", ENGINES)
 def test_fold_raises_exactly_when_the_scan_does(engine):
     algebra = load_table_algebra(NON_LATTICE)
@@ -105,16 +125,14 @@ def test_fold_raises_exactly_when_the_scan_does(engine):
 
 def test_fold_makes_at_most_three_derivations_per_concept(monkeypatch):
     calls = 0
+    derive = galois._derive
 
-    def counted(derive):
-        def wrapper(context, fset):
-            nonlocal calls
-            calls += 1
-            return derive(context, fset)
-        return wrapper
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return derive(*args)
 
-    monkeypatch.setattr(galois, "derive_intent", counted(galois.derive_intent))
-    monkeypatch.setattr(galois, "derive_extent", counted(galois.derive_extent))
+    monkeypatch.setattr(galois, "_derive", counted)
     context = random_context(random.Random(GUARD_SEED), ProductAlgebra([3, 2]), 7, 7)
     lattice = enumerate_concepts(context, domain=FULL_DOMAIN)
     assert len(lattice) == GUARD_CONCEPTS

@@ -34,6 +34,7 @@ from ltvcl.galois import EXTENT_SCAN, FULL_DOMAIN, GENERATED_DOMAIN, INTENT_SCAN
 from conftest import DATA_DIR, append_column, random_context
 from oracle import (
     reference_classify_columns,
+    reference_extend_concepts_fast,
     reference_extend_context,
     reference_is_congener,
     reference_mine,
@@ -137,6 +138,27 @@ def test_congener_and_classification_match_the_oracle(name):
             fast = extend_concepts_fast(base_lattice, base, ext, checks=checks)
             assert fast.pairs() == enumerate_concepts(ext).pairs()
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("name", sorted({**LIAS, **NON_LIAS}))
+def test_fast_extension_matches_the_oracle(name):
+    # the same concepts, in the same order, with the same covers, or the
+    # same error; the fast extension reads and builds position tuples
+    factory = {**LIAS, **NON_LIAS}[name]
+    built = set()
+    for base, ext in cases(name, factory, 16):
+        kind, base_lattice = outcome(enumerate_concepts, base)
+        if kind != "ok":
+            continue
+        got = outcome(extend_concepts_fast, base_lattice, base, ext)
+        want = outcome(reference_extend_concepts_fast, base_lattice, base, ext)
+        built.add(got[0])
+        if got[0] == want[0] == "ok":
+            assert got[1].concepts == want[1].concepts
+            assert got[1].covers == want[1].covers
+        else:
+            assert got == want
+    assert "ok" in built
 
 
 def configs(rng: random.Random):
