@@ -16,7 +16,7 @@ once, on the set of distinct partial vectors (see ``enumerate_concepts``).
 It admits exactly the concepts of closing every candidate one by one (the
 exhaustive scan the test suite keeps as its oracle) and raises
 StructureError exactly when that does, while its work follows the number
-of concepts. Its closures run on the same kernel, and a
+of concepts. Its closures call the public derivations, and a
 ``ConceptLattice`` keeps every extent and intent as a tuple of positions:
 the order, the covers, the labels and the exports read those, and
 ``Concept``s are built only when a caller asks for them. The intent engine
@@ -210,8 +210,9 @@ def scan_domain(context: FuzzyContext, domain) -> tuple[TruthValue, ...]:
     return values
 
 
-def _extent_sort_key(concept: Concept):
-    return tuple(v.coords for v in concept.extent.values)
+def _coords_key(values: Iterable[TruthValue]):
+    """The sort key of the canonical concept order, on an extent's values."""
+    return tuple([v.coords for v in values])
 
 
 class ConceptLattice:
@@ -235,17 +236,20 @@ class ConceptLattice:
 
     def __init__(self, context: FuzzyContext, concepts: Iterable[Concept]):
         self.context = context
-        self.concepts = tuple(sorted(set(concepts), key=_extent_sort_key, reverse=True))
+        self.concepts = tuple(
+            sorted(set(concepts), key=lambda c: _coords_key(c.extent.values), reverse=True)
+        )
 
     @classmethod
     def _from_positions(
         cls, context: FuzzyContext, pairs: Iterable[tuple[tuple[int, ...], tuple[int, ...]]]
     ) -> "ConceptLattice":
         """The lattice of distinct (extent, intent) position pairs, in the
-        canonical order: the coordinate ranks of ``Algebra._coord_rank``
-        sort as the coordinate vectors do."""
-        rank = context.algebra._coord_rank
-        ordered = sorted(pairs, key=lambda pair: [rank[p] for p in pair[0]], reverse=True)
+        canonical order of the public constructor."""
+        els = context.algebra.elements
+        ordered = sorted(
+            pairs, key=lambda pair: _coords_key([els[p] for p in pair[0]]), reverse=True
+        )
         lattice = cls.__new__(cls)
         lattice.context = context
         lattice._extents = tuple([extent for extent, _ in ordered])
@@ -323,36 +327,33 @@ class ConceptLattice:
         return frozenset((c.extent, c.intent) for c in self.concepts)
 
     @cached_property
-    def _order_masks(self) -> tuple[list[int], list[int]]:
-        """Bitmasks of the pointwise extent order: ``up[i]`` holds the
-        concepts j with extent i <= extent j, ``down[j]`` the concepts i
-        with it, each including the concept itself.
+    def _order_masks(self) -> list[int]:
+        """Bitmasks of the pointwise extent order: mask i holds the concepts
+        j with extent i <= extent j, concept i included.
 
         Per object g, one mask collects the concepts whose extent takes
         value v at g; the concepts above a value a at g are the union of
-        the masks of the values v with a <= v. ``up[i]`` is the AND over g
-        of the masks above i's values, and ``down`` dually. That is the
-        pointwise order exactly, with no transitivity assumed, in
-        |G| * (distinct values)^2 comparisons instead of c^2 * |G|.
+        the masks of the values v with a <= v. Mask i is the AND over g of
+        the masks above i's values. That is the pointwise order exactly,
+        with no transitivity assumed, in |G| * (distinct values)^2
+        comparisons instead of c^2 * |G|.
         """
         above_of = self.context.algebra._up
-        every = (1 << len(self)) - 1
-        up, down = [every] * len(self), [every] * len(self)
+        up = [(1 << len(self)) - 1] * len(self)
         for column in zip(*self._extents):
             at: dict[int, int] = {}
             for j, v in enumerate(column):
                 at[v] = at.get(v, 0) | 1 << j
             above = {a: sum(m for v, m in at.items() if above_of[a] >> v & 1) for a in at}
-            below = {a: sum(m for v, m in at.items() if above_of[v] >> a & 1) for a in at}
             up = [mask & above[v] for mask, v in zip(up, column)]
-            down = [mask & below[v] for mask, v in zip(down, column)]
-        return up, down
+        return up
 
     @cached_property
     def order_pairs(self) -> tuple[tuple[int, int], ...]:
         """All strict order pairs (i, j) with concept i below concept j."""
-        up, _ = self._order_masks
-        return tuple((i, j) for i, above in enumerate(up) for j in _bits(above & ~(1 << i)))
+        return tuple(
+            (i, j) for i, above in enumerate(self._order_masks) for j in _bits(above & ~(1 << i))
+        )
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
@@ -361,8 +362,7 @@ class ConceptLattice:
         canonical order lists upper concepts first on products and on
         tables declared bottom first; then the covers are walked in
         O(covers) mask operations, otherwise tested pair by pair."""
-        up, down = self._order_masks
-        return tuple(_cover_pairs(up, down, self.context.algebra._is_transitive))
+        return tuple(_cover_pairs(self._order_masks, self.context.algebra._is_transitive))
 
 
 def enumerate_concepts(
@@ -382,12 +382,11 @@ def enumerate_concepts(
     S_k every step of an S_(k-1) vector with a domain value at position k.
     The last set is exactly the set of the candidates' derivations, each
     computed by the same meets in the same order as a derivation on its
-    own, and each is derived back once. Everything runs on element
-    positions, the closures too: they call the kernel ``_derive`` on the
-    context's position lines, not the public derivations, and fixpoints are
-    checked on position tuples. The lattice is built from the admitted
-    position pairs; ``TruthValue``s, ``FuzzySet``s and ``Concept``s are
-    made only when a caller asks for the concepts.
+    own, and each is derived back once. The fold runs on element positions;
+    the closures call the public derivations, whose calls the benchmark's
+    tracer counts as the closure rate. The lattice is built from the
+    admitted position pairs, and its ``Concept``s are made only when a
+    caller asks for them.
 
     When the domain holds bottom (``"generated"`` and ``"full"`` always do),
     imp(bottom, x) is top, so over a valid implication algebra each S_k
@@ -401,20 +400,20 @@ def enumerate_concepts(
     admitted: over a valid implication algebra the check never rejects
     anything, but it keeps the two engines in agreement even on table
     algebras that fail the axioms, where closures need not be fixpoints at
-    all. When a closed vector derives forward to the image it was closed
+    all. When a closed set derives forward to the image it was closed
     from, it is a fixpoint with no third derivation, since that image's
-    closure is the vector itself. Over a valid implication algebra that
+    closure is the set itself. Over a valid implication algebra that
     holds for every concept, which then costs two derivations; on any
     algebra it costs at most three. A domain whose candidate count exceeds
     the budget raises BudgetError naming the count.
     """
     values = scan_domain(context, domain)
-    rows, columns = context.row_positions, context.column_positions
-    n_objects, n_attributes = len(context.objects), len(context.attributes)
     if engine == EXTENT_SCAN:
-        lines, width, back_lines, back_width = rows, n_attributes, columns, n_objects
+        image_side, forward, back = ATTRIBUTES, derive_intent, derive_extent
+        lines, width = context.row_positions, len(context.attributes)
     elif engine == INTENT_SCAN:
-        lines, width, back_lines, back_width = columns, n_objects, rows, n_attributes
+        image_side, forward, back = OBJECTS, derive_extent, derive_intent
+        lines, width = context.column_positions, len(context.objects)
     else:
         raise ValueError(f"unknown engine {engine!r}; use 'extent' or 'intent'")
     count = len(values) ** len(lines)
@@ -428,16 +427,20 @@ def enumerate_concepts(
     images = {(algebra._top,) * width}  # S_0; after the loop, S_|lines|
     for line in lines:
         images = {_step(algebra, partial, a, line) for partial in images for a in positions}
-    # each closed vector, with the first image that closes to it
-    closed: dict[tuple[int, ...], tuple[int, ...]] = {}
+    els, positions_of = algebra.elements, algebra._positions
+    # each closed set, with the first image that closes to it
+    closed: dict[FuzzySet, tuple[int, ...]] = {}
     for image in images:
-        closed.setdefault(_derive(algebra, back_lines, back_width, image), image)
+        fset = FuzzySet(image_side, tuple([els[k] for k in image]))
+        closed.setdefault(back(context, fset), image)
     pairs = []
     for fset, image in closed.items():
-        other = _derive(algebra, lines, width, fset)
-        # other == image means back(other) is fset, derived above
-        if other == image or _derive(algebra, back_lines, back_width, other) == fset:
-            pairs.append((fset, other) if engine == EXTENT_SCAN else (other, fset))
+        other = forward(context, fset)
+        derived = positions_of(other.values)
+        # derived == image means back(other) is fset, derived above
+        if derived == image or back(context, other) == fset:
+            pair = (positions_of(fset.values), derived)
+            pairs.append(pair if engine == EXTENT_SCAN else pair[::-1])
     return ConceptLattice._from_positions(context, pairs)
 
 

@@ -99,9 +99,8 @@ class Algebra:
     table; the ops map their TruthValue arguments to positions through
     ``_rank``. It rejects a non-constant diagonal or a non-antisymmetric
     order with LoadError; every other law is left to :func:`check_axioms`,
-    whose verdict ``_is_lia`` caches on first use. ``_is_transitive`` and
-    ``_coord_rank`` are cached the same way, for covers and for the
-    canonical concept order.
+    whose verdict ``_is_lia`` caches on first use. ``_is_transitive`` is
+    cached the same way, for covers.
 
     Algebras are immutable after construction and every operation is a pure
     function (the cached verdicts are too), so instances may be shared freely
@@ -175,17 +174,6 @@ class Algebra:
         on first use."""
         up = self._up
         return all(not up[j] & ~above for above in up for j in _bits(above))
-
-    @cached_property
-    def _coord_rank(self) -> tuple[int, ...]:
-        """Per position, the element's rank in ascending coordinate order,
-        so tuples of ranks sort as the tuples of coordinate vectors do. A
-        product's display order is not its coordinate order."""
-        order = sorted(range(len(self.elements)), key=lambda i: self.elements[i].coords)
-        rank = [0] * len(order)
-        for r, i in enumerate(order):
-            rank[i] = r
-        return tuple(rank)
 
     def __eq__(self, other) -> bool:
         return self is other or (
@@ -319,23 +307,22 @@ class Algebra:
         """Cover pairs (x, y) with x strictly below y and nothing between,
         sorted by the display positions of x, then y."""
         els = self.elements
-        pairs = _cover_pairs(self._up, self._down, self._is_transitive)
+        pairs = _cover_pairs(self._up, self._is_transitive)
         return tuple((els[i], els[j]) for i, j in pairs)
 
 
-def _cover_pairs(
-    up: Sequence[int], down: Sequence[int], transitive: bool
-) -> Iterable[tuple[int, int]]:
+def _cover_pairs(up: Sequence[int], transitive: bool) -> Iterable[tuple[int, int]]:
     """Hasse edges of a relation given as bitmasks: ``up[i]`` holds the
-    elements above i and ``down[j]`` those below j, with or without i and j
-    themselves. (i, j) is a cover when j is above i, j is not i, and no k
-    other than i and j lies above i and below j. Pairs come in (i, j) order.
+    elements above i, with or without i itself. (i, j) is a cover when j is
+    above i, j is not i, and no k other than i and j lies above i and below
+    j. Pairs come in (i, j) order.
 
     When the caller knows the relation is transitive and the index order
     lists upper elements first (checked here: no bit of ``up[i]`` above
     i), the work follows the number of covers: the highest index left
     above i is minimal there, so it is a cover, and removing everything at
-    or above it leaves the remaining covers. Otherwise every strict pair is
+    or above it leaves the remaining covers. Otherwise the masks of the
+    elements below each j are built from ``up`` and every strict pair is
     tested on its own, with no transitivity assumed.
     """
     if transitive and all(not above >> (i + 1) for i, above in enumerate(up)):
@@ -348,6 +335,10 @@ def _cover_pairs(
             for j in reversed(found):
                 yield i, j
         return
+    down = [0] * len(up)
+    for i, above in enumerate(up):
+        for j in _bits(above):
+            down[j] |= 1 << i
     for i, above in enumerate(up):
         for j in _bits(above & ~(1 << i)):
             if not above & down[j] & ~(1 << i | 1 << j):

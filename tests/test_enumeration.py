@@ -125,14 +125,16 @@ def test_fold_raises_exactly_when_the_scan_does(engine):
 
 def test_fold_makes_at_most_three_derivations_per_concept(monkeypatch):
     calls = 0
-    derive = galois._derive
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return derive(*args)
+    def counted(derive):
+        def wrapper(context, fset):
+            nonlocal calls
+            calls += 1
+            return derive(context, fset)
+        return wrapper
 
-    monkeypatch.setattr(galois, "_derive", counted)
+    monkeypatch.setattr(galois, "derive_intent", counted(galois.derive_intent))
+    monkeypatch.setattr(galois, "derive_extent", counted(galois.derive_extent))
     context = random_context(random.Random(GUARD_SEED), ProductAlgebra([3, 2]), 7, 7)
     lattice = enumerate_concepts(context, domain=FULL_DOMAIN)
     assert len(lattice) == GUARD_CONCEPTS
