@@ -383,6 +383,7 @@ class ProductAlgebra(Algebra):
     """
 
     _is_lia = True  # every product of Lukasiewicz chains is one
+    _is_transitive = True  # every coordinatewise order is
 
     def __init__(self, chain_sizes: Sequence[int]):
         sizes = tuple(int(n) for n in chain_sizes)
