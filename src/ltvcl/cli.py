@@ -100,12 +100,12 @@ def cmd_concepts(args) -> int:
         for engine in engines
     ]
     lattice = lattices[0]
-    if len(lattices) == 2 and lattices[0].pairs() != lattices[1].pairs():
+    positions = [(each._extents, each._intents) for each in lattices]
+    if len(lattices) == 2 and positions[0] != positions[1]:
         print("engines disagree: extent and intent scans produced different concepts")
         return 1
-    print(f"{len(lattice)} concepts")
-    for i in range(len(lattice)):
-        print(concept_label(lattice, i))
+    labels = [concept_label(lattice, i) for i in range(len(lattice))]
+    print("\n".join([f"{len(lattice)} concepts", *labels]))
     if len(lattices) == 2:
         print("engines agree")
     if args.dot:

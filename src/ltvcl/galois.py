@@ -37,9 +37,9 @@ fold stands for.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator
 
 from .context import FuzzyContext
@@ -142,10 +142,16 @@ def _derive(algebra, lines, width: int, values) -> tuple[int, ...]:
     all-top vector of ``width`` components and take one step per k with
     values[k] and lines[k], all of them element positions. Per component
     that is the meet over k of imp(values[k], lines[k][m]); with no
-    positions it is top."""
+    positions it is top. Each step is ``_step`` inlined, and raises as it
+    does."""
+    meet, imp, partial = algebra._meet, algebra._imp, algebra._meet_partial
     out = (algebra._top,) * width
     for a, line in zip(values, lines):
-        out = _step(algebra, out, a, line)
+        imp_a = imp[a]
+        step = tuple([meet[p][imp_a[v]] for p, v in zip(out, line)])
+        if partial and None in step:
+            algebra._meet_columns(out, [imp_a[v] for v in line])
+        out = step
     return out
 
 
@@ -210,11 +216,6 @@ def scan_domain(context: FuzzyContext, domain) -> tuple[TruthValue, ...]:
     return values
 
 
-def _coords_key(values: Iterable[TruthValue]):
-    """The sort key of the canonical concept order, on an extent's values."""
-    return tuple([v.coords for v in values])
-
-
 class ConceptLattice:
     """The concepts of one context, ordered by extent inclusion.
 
@@ -230,15 +231,18 @@ class ConceptLattice:
     positions (``_extents`` and ``_intents``), which the order, the covers
     and the exports read. Enumeration builds a lattice from those tuples
     (``_from_positions``), and its ``Concept``s are built on first use; a
-    lattice built from ``Concept``s derives the tuples from them on first
-    use.
+    lattice built from ``Concept``s maps them to position tuples when it is
+    built, so a value outside the algebra raises DimensionError there.
+    Both constructors sort the tuples the same way (``_arrange``).
     """
 
     def __init__(self, context: FuzzyContext, concepts: Iterable[Concept]):
-        self.context = context
-        self.concepts = tuple(
-            sorted(set(concepts), key=lambda c: _coords_key(c.extent.values), reverse=True)
+        unique = list(set(concepts))
+        positions = context.algebra._positions
+        order = self._arrange(
+            context, [(positions(c.extent.values), positions(c.intent.values)) for c in unique]
         )
+        self.concepts = tuple([unique[i] for i in order])
 
     @classmethod
     def _from_positions(
@@ -246,15 +250,30 @@ class ConceptLattice:
     ) -> "ConceptLattice":
         """The lattice of distinct (extent, intent) position pairs, in the
         canonical order of the public constructor."""
-        els = context.algebra.elements
-        ordered = sorted(
-            pairs, key=lambda pair: _coords_key([els[p] for p in pair[0]]), reverse=True
-        )
         lattice = cls.__new__(cls)
-        lattice.context = context
-        lattice._extents = tuple([extent for extent, _ in ordered])
-        lattice._intents = tuple([intent for _, intent in ordered])
+        lattice._arrange(context, list(pairs))
         return lattice
+
+    def _arrange(self, context: FuzzyContext, pairs: list) -> list[int]:
+        """Store the context and the (extent, intent) position pairs in
+        canonical order, and return that order as indexes into ``pairs``.
+
+        The order sorts extents descending lexicographically on their
+        elements' coordinates, read as one integer rank per position:
+        ``rank[p]`` is the place of element p when the elements are sorted
+        by coordinates. Sorting is stable, so equal extents keep their
+        order in ``pairs``."""
+        els = context.algebra.elements
+        rank = [0] * len(els)
+        for r, p in enumerate(sorted(range(len(els)), key=lambda p: els[p].coords)):
+            rank[p] = r
+        at = rank.__getitem__
+        keys = [tuple(map(at, extent)) for extent, _ in pairs]
+        order = sorted(range(len(pairs)), key=keys.__getitem__, reverse=True)
+        self.context = context
+        self._extents = tuple([pairs[i][0] for i in order])
+        self._intents = tuple([pairs[i][1] for i in order])
+        return order
 
     @cached_property
     def concepts(self) -> tuple[Concept, ...]:
@@ -268,16 +287,6 @@ class ConceptLattice:
             )
             for extent, intent in zip(self._extents, self._intents)
         )
-
-    @cached_property
-    def _extents(self) -> tuple[tuple[int, ...], ...]:
-        positions = self.context.algebra._positions
-        return tuple([positions(c.extent.values) for c in self.concepts])
-
-    @cached_property
-    def _intents(self) -> tuple[tuple[int, ...], ...]:
-        positions = self.context.algebra._positions
-        return tuple([positions(c.intent.values) for c in self.concepts])
 
     @cached_property
     def _position(self) -> dict[Concept, int]:
@@ -314,10 +323,10 @@ class ConceptLattice:
         return self._with_top_side("intent")
 
     def _with_top_side(self, side: str) -> Concept:
-        top = self.context.algebra.top
-        for c in self.concepts:
-            if all(v == top for v in getattr(c, side).values):
-                return c
+        top = self.context.algebra._top
+        for i, vector in enumerate(self._extents if side == "extent" else self._intents):
+            if vector.count(top) == len(vector):
+                return self.concepts[i]
         raise StructureError(f"no concept has an all-top {side}")
 
     def extent_set(self) -> frozenset[FuzzySet]:
@@ -428,19 +437,19 @@ def enumerate_concepts(
     for line in lines:
         images = {_step(algebra, partial, a, line) for partial in images for a in positions}
     els, positions_of = algebra.elements, algebra._positions
-    # each closed set, with the first image that closes to it
-    closed: dict[FuzzySet, tuple[int, ...]] = {}
+    # each closed set by its positions, with the set and the first image
+    # that closes to it
+    closed: dict[tuple[int, ...], tuple[FuzzySet, tuple[int, ...]]] = {}
     for image in images:
-        fset = FuzzySet(image_side, tuple([els[k] for k in image]))
-        closed.setdefault(back(context, fset), image)
+        fset = back(context, FuzzySet(image_side, tuple([els[k] for k in image])))
+        closed.setdefault(positions_of(fset.values), (fset, image))
     pairs = []
-    for fset, image in closed.items():
+    for key, (fset, image) in closed.items():
         other = forward(context, fset)
         derived = positions_of(other.values)
         # derived == image means back(other) is fset, derived above
-        if derived == image or back(context, other) == fset:
-            pair = (positions_of(fset.values), derived)
-            pairs.append(pair if engine == EXTENT_SCAN else pair[::-1])
+        if derived == image or positions_of(back(context, other).values) == key:
+            pairs.append((key, derived) if engine == EXTENT_SCAN else (derived, key))
     return ConceptLattice._from_positions(context, pairs)
 
 
@@ -496,22 +505,43 @@ def export_dot(lattice: ConceptLattice) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_array(items: list[str], depth: int) -> str:
+    """A JSON array of already encoded items, laid out as ``json.dumps``
+    lays it out with ``indent=2`` as a member at nesting ``depth`` (the
+    members of the top-level object are at depth 1)."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
+
+
 def export_json(lattice: ConceptLattice) -> str:
     """Deterministic JSON document with labels in canonical spelling.
 
     Schema: ``{algebra, objects, attributes, concepts: [{extent, intent}],
     covers: [[i, j], ...]}`` where covers pair lower with upper indexes.
+    The text is ``json.dumps(doc, indent=2)`` plus a newline, byte for
+    byte, written straight from the position tuples: every spelling and
+    name is encoded once, by the function ``json.dumps`` encodes strings
+    with (``ensure_ascii``), since with an indent ``json.dumps`` would run
+    its pure-Python encoder over every item.
     """
     context = lattice.context
-    spell = context.algebra._spellings
-    doc = {
-        "algebra": context.algebra.describe(),
-        "objects": list(context.objects),
-        "attributes": list(context.attributes),
-        "concepts": [
-            {"extent": [spell[p] for p in extent], "intent": [spell[p] for p in intent]}
-            for extent, intent in zip(lattice._extents, lattice._intents)
-        ],
-        "covers": [list(pair) for pair in lattice.covers],
+    encode = encode_basestring_ascii
+    members = {
+        "algebra": encode(context.algebra.describe()),
+        "objects": _json_array([encode(n) for n in context.objects], 1),
+        "attributes": _json_array([encode(n) for n in context.attributes], 1),
     }
-    return json.dumps(doc, indent=2) + "\n"
+    spell = [encode(s) for s in context.algebra._spellings]
+    concepts = [
+        '{\n      "extent": ' + _json_array([spell[p] for p in extent], 3)
+        + ',\n      "intent": ' + _json_array([spell[p] for p in intent], 3)
+        + "\n    }"
+        for extent, intent in zip(lattice._extents, lattice._intents)
+    ]
+    members["concepts"] = _json_array(concepts, 1)
+    members["covers"] = _json_array(
+        [f"[\n      {i},\n      {j}\n    ]" for i, j in lattice.covers], 1
+    )
+    return "{\n" + ",\n".join([f'  "{key}": {value}' for key, value in members.items()]) + "\n}\n"

@@ -97,8 +97,10 @@ class Algebra:
     with None where no unique bound exists (``_meet_partial`` says whether
     the meet table holds a None). Each operation is stored once, as such a
     table; the ops map their TruthValue arguments to positions through
-    ``_rank``. It rejects a non-constant diagonal or a non-antisymmetric
-    order with LoadError; every other law is left to :func:`check_axioms`,
+    ``_rank``. Vectors of values map through ``_by_coords``, the same
+    positions keyed by coordinate tuples, which hash in C where a
+    ``TruthValue`` hashes through its dataclass ``__hash__``. It rejects a
+    non-constant diagonal or a non-antisymmetric order with LoadError; every other law is left to :func:`check_axioms`,
     whose verdict ``_is_lia`` caches on first use. ``_is_transitive`` is
     cached the same way, for covers.
 
@@ -119,6 +121,7 @@ class Algebra:
         n = len(els)
         self.elements = els
         self._rank = {v: i for i, v in enumerate(els)}
+        self._by_coords = {v.coords: i for i, v in enumerate(els)}
         self._spellings = spellings
         self._by_spelling = dict(zip(spellings, els))
         self._imp = tuple(map(tuple, imp))
@@ -189,7 +192,7 @@ class Algebra:
 
     def _has(self, v) -> bool:
         try:
-            return v in self._rank
+            return (type(v) is TruthValue and v.coords in self._by_coords) or v in self._rank
         except TypeError:  # unhashable, so certainly not an element
             return False
 
@@ -209,7 +212,16 @@ class Algebra:
 
     def _positions(self, values: Sequence[TruthValue]) -> tuple[int, ...]:
         """The display positions of ``values``; the first non-element
-        raises DimensionError."""
+        raises DimensionError. Values of type TruthValue itself are looked
+        up by their coordinates; if any value is of another type (a
+        subclass, or anything else) or misses, every value is looked up in
+        ``_rank``, which raises."""
+        try:
+            out = [self._by_coords[v.coords] for v in values if type(v) is TruthValue]
+        except (KeyError, TypeError):  # a miss, or unhashable coordinates
+            out = []
+        if len(out) == len(values):
+            return tuple(out)
         try:
             return tuple([self._rank[v] for v in values])
         except (KeyError, TypeError):

@@ -16,6 +16,9 @@ positions, searched a column's upper set and decided congener by one
 closure per new column: extension, classification and the fast extension
 fold ``Algebra.meet`` row by row from top, and congener verdicts always
 come from enumerating the extension.
+``reference_export_json`` is ``galois.export_json`` as it built the
+document and handed it to ``json.dumps(doc, indent=2)``, before it wrote
+that layout itself.
 ``check_pointwise_condition`` is the per-extent congener criterion the
 tacit layer exported before the closure test subsumed it; quantified over
 the scan domain it is an independent check of the closure test's verdict.
@@ -25,6 +28,7 @@ against them.
 
 import functools
 import itertools
+import json
 
 from ltvcl.context import (
     ORIGINAL,
@@ -151,6 +155,23 @@ def brute_order_pairs(lattice: ConceptLattice) -> tuple[tuple[int, int], ...]:
         for j, upper in enumerate(concepts)
         if i != j and pointwise_leq(lattice.context, lower.extent, upper.extent)
     )
+
+
+def reference_export_json(lattice: ConceptLattice) -> str:
+    """The lattice's JSON document, encoded by ``json.dumps``."""
+    context = lattice.context
+    fmt = context.algebra.format_value
+    doc = {
+        "algebra": context.algebra.describe(),
+        "objects": list(context.objects),
+        "attributes": list(context.attributes),
+        "concepts": [
+            {"extent": [fmt(v) for v in c.extent.values], "intent": [fmt(v) for v in c.intent.values]}
+            for c in lattice.concepts
+        ],
+        "covers": [list(pair) for pair in lattice.covers],
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def reference_check_axioms(algebra: Algebra, element_budget: int = DEFAULT_AXIOM_BUDGET) -> AxiomReport:

@@ -1,9 +1,14 @@
+import functools
 import json
+from pathlib import Path
 
 import pytest
 
+from ltvcl import ConceptLattice, enumerate_concepts
 from ltvcl.cli import main
 from conftest import DATA_DIR
+
+GOLDENS = Path(__file__).resolve().parent / "goldens"
 
 DEMO = str(DATA_DIR / "demo.ctx")
 DEMO_EXT = str(DATA_DIR / "demo_extended.ctx")
@@ -122,6 +127,41 @@ class TestConceptsCommand:
         assert dot.read_text().count("[label=") == 12
         doc = json.loads(js.read_text())
         assert len(doc["concepts"]) == 12
+
+    @pytest.mark.parametrize("domain", ["generated", "full"])
+    def test_demo_output_bytes_pinned(self, capsys, tmp_path, domain):
+        # goldens recorded from the CLI before export_json wrote its own
+        # layout; the JSON and DOT files are the default engine's lattice
+        dot, js = tmp_path / "lattice.dot", tmp_path / "lattice.json"
+        argv = ["concepts", DEMO, "--domain", domain, "--engine", "both",
+                "--dot", str(dot), "--json", str(js)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (GOLDENS / f"demo_{domain}.out").read_text(encoding="utf-8")
+        assert js.read_bytes() == (GOLDENS / f"demo_{domain}.json").read_bytes()
+        assert dot.read_bytes() == (GOLDENS / f"demo_{domain}.dot").read_bytes()
+
+    def test_both_engines_build_no_concept(self, capsys, monkeypatch, tmp_path, demo):
+        # the engines are compared, labelled and exported on position
+        # tuples: no lattice computes its Concepts on this path
+        built = []
+        concepts = ConceptLattice.concepts.func
+
+        def counted(lattice):
+            built.append(lattice)
+            return concepts(lattice)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(ConceptLattice, "concepts")
+        monkeypatch.setattr(ConceptLattice, "concepts", prop)
+        argv = ["concepts", DEMO, "--domain", "full", "--engine", "both",
+                "--dot", str(tmp_path / "l.dot"), "--json", str(tmp_path / "l.json")]
+        assert main(argv) == 0
+        assert "engines agree" in capsys.readouterr().out
+        assert built == []
+        # the counter does see a lattice that builds them
+        lattice = enumerate_concepts(demo)
+        assert lattice.top == lattice.concepts[0]
+        assert built == [lattice]
 
     def test_degenerate_context(self, capsys, tmp_path):
         empty = tmp_path / "empty.ctx"

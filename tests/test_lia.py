@@ -8,6 +8,7 @@ from ltvcl import lia
 from ltvcl import (
     BudgetError,
     DimensionError,
+    FuzzyContext,
     LinguisticLabel,
     LoadError,
     ProductAlgebra,
@@ -16,9 +17,11 @@ from ltvcl import (
     TruthValue,
     check_axioms,
     default_algebra,
+    derive_intent,
     label_from_value,
     label_to_value,
     load_table_algebra,
+    object_set,
 )
 from conftest import DATA_DIR
 from oracle import reference_check_axioms
@@ -453,3 +456,53 @@ class TestTableBackedOps:
         ):
             with pytest.raises(DimensionError):
                 call()
+
+
+class TruthValueSubclass(TruthValue):
+    pass
+
+
+class CoordsOnly:
+    """Not a TruthValue, but it carries the coordinates of the default top."""
+
+    coords = (3, 2)
+
+    def __repr__(self) -> str:
+        return "CoordsOnly((3, 2))"
+
+
+class TestPositionLookup:
+    """Vectors of values map to positions by their coordinates; whatever
+    is not a plain element takes the value-keyed lookup, which raises."""
+
+    def test_equal_values_map_to_the_canonical_positions(self):
+        alg = ProductAlgebra([3, 2])
+        other = ProductAlgebra([3, 2])
+        assert alg._positions([TruthValue((3, 2))]) == (alg._top,)
+        assert alg._positions([TruthValue(x.coords) for x in alg.elements]) == tuple(range(6))
+        assert alg._positions(other.elements) == tuple(range(6))
+        assert all(alg._has(x) for x in other.elements)
+        assert alg._positions(()) == ()
+        table = load_table_algebra(BOOL2)
+        assert table._positions([TruthValue((2,)), TruthValue((1,))]) == (1, 0)
+
+    @pytest.mark.parametrize("stranger, shown", [
+        (TruthValue((9, 1)), "TruthValue((9, 1))"),
+        ([3, 2], "[3, 2]"),
+        (TruthValue([3, 2]), "TruthValue([3, 2])"),
+        (CoordsOnly(), "CoordsOnly((3, 2))"),
+        (TruthValueSubclass((3, 2)), "TruthValue((3, 2))"),
+    ], ids=["non-element", "unhashable", "unhashable-coords", "coords-attribute", "subclass"])
+    def test_non_elements_raise_the_same_dimension_error(self, stranger, shown):
+        alg = ProductAlgebra([3, 2])
+        context = FuzzyContext(alg, ("g1", "g2"), ("m1",), ((alg.top,), (alg.bottom,)))
+        for call in (
+            lambda: alg._positions((alg.top, stranger)),
+            lambda: alg._positions((stranger, alg.top)),
+            lambda: alg.check_member(stranger),
+            lambda: derive_intent(context, object_set((alg.top, stranger))),
+        ):
+            with pytest.raises(DimensionError) as err:
+                call()
+            assert str(err.value) == f"{shown} is not an element of ProductAlgebra([3, 2])"
+        assert not alg._has(stranger)
