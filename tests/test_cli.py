@@ -130,8 +130,8 @@ class TestConceptsCommand:
 
     @pytest.mark.parametrize("domain", ["generated", "full"])
     def test_demo_output_bytes_pinned(self, capsys, tmp_path, domain):
-        # goldens recorded from the CLI before export_json wrote its own
-        # layout; the JSON and DOT files are the default engine's lattice
+        # goldens recorded with the json.dumps-based export; the JSON and
+        # DOT files hold the lattice of the first (extent) engine
         dot, js = tmp_path / "lattice.dot", tmp_path / "lattice.json"
         argv = ["concepts", DEMO, "--domain", domain, "--engine", "both",
                 "--dot", str(dot), "--json", str(js)]
