@@ -16,16 +16,18 @@ once, on the set of distinct partial vectors (see ``enumerate_concepts``).
 It admits exactly the concepts of closing every candidate one by one (the
 exhaustive scan the test suite keeps as its oracle) and raises
 StructureError exactly when that does, while its work follows the number
-of concepts. Its closures call the public derivations, and a
-``ConceptLattice`` keeps every extent and intent as a tuple of positions:
-the order, the covers, the labels and the exports read those, and
-``Concept``s are built only when a caller asks for them. The intent engine
-is the extent engine on the transposed grid, which keeps a dual-side check
-available: folding extents and folding intents must produce the same
-concept set. The concept order comes from per-object bitmasks of the
-concepts at or above each extent value, read from the algebra's order
-bitmasks, and its covers are walked one edge at a time where the order
-allows it (see ``lia._cover_pairs``).
+of concepts. Its closures call the public derivations: over a lattice
+implication algebra every image of the fold is an intent, so one
+back-derivation per concept gives its extent, and only off that path is
+each closed pair checked as a fixpoint. A ``ConceptLattice`` keeps every
+extent and intent as a tuple of positions: the order, the covers, the
+labels and the exports read those, and ``Concept``s are built only when a
+caller asks for them. The intent engine is the extent engine on the
+transposed grid, which keeps a dual-side check available: folding extents
+and folding intents must produce the same concept set. The concept order
+comes from per-object bitmasks of the concepts at or above each extent
+value, read from the algebra's order bitmasks, and its covers are walked
+one edge at a time where the order allows it (see ``lia._cover_pairs``).
 
 A scan needs a value domain. ``"generated"`` (the default) ranges over the
 subalgebra generated by the values actually present in the context, which
@@ -101,15 +103,6 @@ def _check_sized(fset: FuzzySet, side: str, size: int) -> None:
         raise DimensionError(f"set of size {len(fset.values)} against {side} list of size {size}")
 
 
-def pointwise_leq(context: FuzzyContext, left: FuzzySet, right: FuzzySet) -> bool:
-    if left.side != right.side:
-        raise DimensionError("cannot compare sets from different sides")
-    if len(left.values) != len(right.values):
-        raise DimensionError("cannot compare sets of different sizes")
-    leq = context.algebra.leq
-    return all(leq(a, b) for a, b in zip(left.values, right.values))
-
-
 def pointwise_meet(context: FuzzyContext, left: FuzzySet, right: FuzzySet) -> FuzzySet:
     if left.side != right.side or len(left.values) != len(right.values):
         raise DimensionError("cannot meet sets of different side or size")
@@ -124,26 +117,14 @@ def pointwise_join(context: FuzzyContext, left: FuzzySet, right: FuzzySet) -> Fu
     return FuzzySet(left.side, tuple(join(a, b) for a, b in zip(left.values, right.values)))
 
 
-def _step(algebra, partial, a: int, line) -> tuple[int, ...]:
-    """One position of the derivation fold, on element positions: meet
-    each component m of the partial vector with imp(a, line[m]). On an
-    algebra whose meet is partial, a pair with no meet raises
-    StructureError naming it, the first such component first: the step is
-    ``Algebra._meet_columns`` inlined, and that raises the error."""
-    meet, imp_a = algebra._meet, algebra._imp[a]
-    out = tuple([meet[p][imp_a[v]] for p, v in zip(partial, line)])
-    if algebra._meet_partial and None in out:
-        algebra._meet_columns(partial, [imp_a[v] for v in line])
-    return out
-
-
 def _derive(algebra, lines, width: int, values) -> tuple[int, ...]:
     """The derivation kernel, a left fold over positions k: start from the
     all-top vector of ``width`` components and take one step per k with
     values[k] and lines[k], all of them element positions. Per component
     that is the meet over k of imp(values[k], lines[k][m]); with no
-    positions it is top. Each step is ``_step`` inlined, and raises as it
-    does."""
+    positions it is top. Each step is ``Algebra._meet_columns`` of the
+    partial vector and the implication column imp(values[k], lines[k][m])
+    inlined, and raises as it does."""
     meet, imp, partial = algebra._meet, algebra._imp, algebra._meet_partial
     out = (algebra._top,) * width
     for a, line in zip(values, lines):
@@ -308,9 +289,9 @@ class ConceptLattice:
             raise MembershipError("concept does not belong to this lattice") from None
 
     def leq(self, lower: Concept, upper: Concept) -> bool:
-        self.index_of(lower)
-        self.index_of(upper)
-        return pointwise_leq(self.context, lower.extent, upper.extent)
+        up = self.context.algebra._up
+        below, above = self._extents[self.index_of(lower)], self._extents[self.index_of(upper)]
+        return all(up[a] >> b & 1 for a, b in zip(below, above))
 
     @property
     def top(self) -> Concept:
@@ -388,14 +369,15 @@ def enumerate_concepts(
     the attribute-side candidates. A derivation is a left fold over the
     candidate's positions, so the fold runs once, one position at a time, on
     the set of distinct partial vectors: S_0 holds the all-top vector and
-    S_k every step of an S_(k-1) vector with a domain value at position k.
-    The last set is exactly the set of the candidates' derivations, each
-    computed by the same meets in the same order as a derivation on its
-    own, and each is derived back once. The fold runs on element positions;
-    the closures call the public derivations, whose calls the benchmark's
-    tracer counts as the closure rate. The lattice is built from the
-    admitted position pairs, and its ``Concept``s are made only when a
-    caller asks for them.
+    S_k every step of an S_(k-1) vector with a domain value a at position
+    k, which meets the vector with the implication column imp(a, I(k, m)).
+    Each column is built once per position and value. The last set is
+    exactly the set of the candidates' derivations, each computed by the
+    same meets in the same order as a derivation on its own, and each is
+    derived back once. The fold runs on element positions; the closures
+    call the public derivations, whose calls the benchmark's tracer counts
+    as the closure rate. The lattice is built from the admitted position
+    pairs, and its ``Concept``s are made only when a caller asks for them.
 
     When the domain holds bottom (``"generated"`` and ``"full"`` always do),
     imp(bottom, x) is top, so over a valid implication algebra each S_k
@@ -405,16 +387,21 @@ def enumerate_concepts(
     partial vector is the prefix of some candidate, and a candidate's first
     missing meet is met by the fold at the same position.
 
-    Each collected pair is verified as a mutual fixpoint before it is
-    admitted: over a valid implication algebra the check never rejects
-    anything, but it keeps the two engines in agreement even on table
-    algebras that fail the axioms, where closures need not be fixpoints at
-    all. When a closed set derives forward to the image it was closed
+    Over a lattice implication algebra (``Algebra._is_lia``; on a table
+    algebra that runs ``check_axioms`` once, cached) the derivations form a
+    Galois connection, so an image derived back and then forward again is
+    itself: every image is already an intent, over any domain, and pairs
+    with its one back-derivation. Distinct images have distinct
+    back-derivations, since each image is the forward derivation of its
+    own, so that costs one derivation per concept and no check. On any
+    other algebra closures need not be fixpoints: each distinct closed set
+    is derived forward and admitted only as a mutual fixpoint, which keeps
+    the two engines in agreement even on table algebras that fail the
+    axioms. When a closed set derives forward to the image it was closed
     from, it is a fixpoint with no third derivation, since that image's
-    closure is the set itself. Over a valid implication algebra that
-    holds for every concept, which then costs two derivations; on any
-    algebra it costs at most three. A domain whose candidate count exceeds
-    the budget raises BudgetError naming the count.
+    closure is the set itself; so an image costs at most three derivations.
+    A domain whose candidate count exceeds the budget raises BudgetError
+    naming the count.
     """
     values = scan_domain(context, domain)
     if engine == EXTENT_SCAN:
@@ -432,24 +419,34 @@ def enumerate_concepts(
         )
 
     algebra = context.algebra
+    imp, step = algebra._imp, algebra._meet_columns
     positions = set(algebra._positions(values))
     images = {(algebra._top,) * width}  # S_0; after the loop, S_|lines|
     for line in lines:
-        images = {_step(algebra, partial, a, line) for partial in images for a in positions}
+        columns = [tuple([imp[a][v] for v in line]) for a in positions]
+        images = {step(partial, column) for partial in images for column in columns}
     els, positions_of = algebra.elements, algebra._positions
-    # each closed set by its positions, with the set and the first image
-    # that closes to it
-    closed: dict[tuple[int, ...], tuple[FuzzySet, tuple[int, ...]]] = {}
-    for image in images:
-        fset = back(context, FuzzySet(image_side, tuple([els[k] for k in image])))
-        closed.setdefault(positions_of(fset.values), (fset, image))
-    pairs = []
-    for key, (fset, image) in closed.items():
-        other = forward(context, fset)
-        derived = positions_of(other.values)
-        # derived == image means back(other) is fset, derived above
-        if derived == image or positions_of(back(context, other).values) == key:
-            pairs.append((key, derived) if engine == EXTENT_SCAN else (derived, key))
+    closures = [
+        (back(context, FuzzySet(image_side, tuple([els[k] for k in image]))), image)
+        for image in images
+    ]
+    if algebra._is_lia:
+        pairs = [(positions_of(fset.values), image) for fset, image in closures]
+    else:
+        # each closed set by its positions, with the set and the first
+        # image that closes to it
+        closed: dict[tuple[int, ...], tuple[FuzzySet, tuple[int, ...]]] = {}
+        for fset, image in closures:
+            closed.setdefault(positions_of(fset.values), (fset, image))
+        pairs = []
+        for key, (fset, image) in closed.items():
+            other = forward(context, fset)
+            derived = positions_of(other.values)
+            # derived == image means back(other) is fset, derived above
+            if derived == image or positions_of(back(context, other).values) == key:
+                pairs.append((key, derived))
+    if engine == INTENT_SCAN:
+        pairs = [(extent, intent) for intent, extent in pairs]
     return ConceptLattice._from_positions(context, pairs)
 
 

@@ -40,6 +40,7 @@ from .galois import (
     EXTENT_SCAN,
     FULL_DOMAIN,
     GENERATED_DOMAIN,
+    OBJECTS,
     ConceptLattice,
     FuzzySet,
     _derive,
@@ -137,23 +138,28 @@ def _require_restriction(base: FuzzyContext, extended: FuzzyContext) -> None:
 def _congener_report(
     base_lattice: ConceptLattice, extended_lattice: ConceptLattice | None
 ) -> CongenerReport:
-    """Compare the extent families of the two lattices. No extended lattice
-    means the closure test showed the extension congener: equal counts, no
-    witnesses."""
+    """Compare the extent families of the two lattices, as sets of position
+    tuples; only the witnesses become ``FuzzySet``s, sorted by side, then
+    by their values' coordinates. No extended lattice means the closure
+    test showed the extension congener: equal counts, no witnesses."""
     if extended_lattice is None:
         count = len(base_lattice)
         return CongenerReport(base_extent_count=count, extended_extent_count=count, witnesses=())
-    base_extents = base_lattice.extent_set()
-    ext_extents = extended_lattice.extent_set()
+    base_extents = set(base_lattice._extents)
+    ext_extents = set(extended_lattice._extents)
+    els = base_lattice.context.algebra.elements
     witnesses = [("base", e) for e in base_extents - ext_extents]
     witnesses += [("extended", e) for e in ext_extents - base_extents]
-    witnesses.sort(key=lambda w: (w[0], tuple(v.coords for v in w[1].values)))
+    witnesses.sort(key=lambda w: (w[0], tuple([els[p].coords for p in w[1]])))
     # equal extent families force equal order structure as well: the concept
     # order is pointwise extent comparison, so no separate check is needed
     return CongenerReport(
         base_extent_count=len(base_extents),
         extended_extent_count=len(ext_extents),
-        witnesses=tuple(witnesses),
+        witnesses=tuple(
+            (side, FuzzySet(OBJECTS, tuple([els[p] for p in extent])))
+            for side, extent in witnesses
+        ),
     )
 
 

@@ -19,6 +19,10 @@ come from enumerating the extension.
 ``reference_export_json`` is ``galois.export_json`` as it built the
 document and handed it to ``json.dumps(doc, indent=2)``, before it wrote
 that layout itself.
+``reference_congener_report`` is ``tacit._congener_report`` as it
+compared the extent sets of ``Concept``s, before it compared position
+tuples. ``pointwise_leq`` is the value-by-value extent comparison
+``ConceptLattice.leq`` ran before it compared position tuples.
 ``check_pointwise_condition`` is the per-extent congener criterion the
 tacit layer exported before the closure test subsumed it; quantified over
 the scan domain it is an independent check of the closure test's verdict.
@@ -39,6 +43,7 @@ from ltvcl.context import (
 )
 from ltvcl.errors import (
     BudgetError,
+    DimensionError,
     PreconditionError,
     StructureError,
     UnclassifiedColumnError,
@@ -57,7 +62,6 @@ from ltvcl.galois import (
     derive_extent,
     derive_intent,
     enumerate_concepts,
-    pointwise_leq,
     scan_domain,
 )
 from ltvcl.lia import DEFAULT_AXIOM_BUDGET, Algebra, AxiomReport, TruthValue
@@ -68,7 +72,6 @@ from ltvcl.tacit import (
     CongenerReport,
     MiningReport,
     TheoremCheck,
-    _congener_report,
     extend_concepts_fast,
 )
 
@@ -143,6 +146,17 @@ def scan_concepts(
         if back(context, other) == fset:
             concepts.append(Concept(fset, other) if side == OBJECTS else Concept(other, fset))
     return ConceptLattice(context, concepts)
+
+
+def pointwise_leq(context: FuzzyContext, left: FuzzySet, right: FuzzySet) -> bool:
+    """Whether ``left`` lies pointwise below ``right``, through
+    ``Algebra.leq`` value by value."""
+    if left.side != right.side:
+        raise DimensionError("cannot compare sets from different sides")
+    if len(left.values) != len(right.values):
+        raise DimensionError("cannot compare sets of different sizes")
+    leq = context.algebra.leq
+    return all(leq(a, b) for a, b in zip(left.values, right.values))
 
 
 def brute_order_pairs(lattice: ConceptLattice) -> tuple[tuple[int, int], ...]:
@@ -450,6 +464,23 @@ def reference_extend_concepts_fast(
     return ConceptLattice(extended, concepts)
 
 
+def reference_congener_report(
+    base_lattice: ConceptLattice, ext_lattice: ConceptLattice
+) -> CongenerReport:
+    """Compare the two lattices' extent families as sets of ``FuzzySet``s,
+    built from every ``Concept`` of both."""
+    base_extents = base_lattice.extent_set()
+    ext_extents = ext_lattice.extent_set()
+    witnesses = [("base", e) for e in base_extents - ext_extents]
+    witnesses += [("extended", e) for e in ext_extents - base_extents]
+    witnesses.sort(key=lambda w: (w[0], tuple(v.coords for v in w[1].values)))
+    return CongenerReport(
+        base_extent_count=len(base_extents),
+        extended_extent_count=len(ext_extents),
+        witnesses=tuple(witnesses),
+    )
+
+
 def reference_is_congener(
     base: FuzzyContext,
     extended: FuzzyContext,
@@ -466,7 +497,7 @@ def reference_is_congener(
     values = scan_domain(extended, domain)
     base_lattice = enumerate_concepts(base, engine, domain=values, budget=budget)
     ext_lattice = enumerate_concepts(extended, engine, domain=values, budget=budget)
-    return _congener_report(base_lattice, ext_lattice)
+    return reference_congener_report(base_lattice, ext_lattice)
 
 
 def check_pointwise_condition(base: FuzzyContext, extended: FuzzyContext, extent: FuzzySet) -> bool:
@@ -513,7 +544,7 @@ def reference_mine(
     values = scan_domain(extended, domain)
     base_lattice = enumerate_concepts(context, engine, domain=values, budget=budget)
     full_lattice = enumerate_concepts(extended, engine, domain=values, budget=budget)
-    congener = _congener_report(base_lattice, full_lattice)
+    congener = reference_congener_report(base_lattice, full_lattice)
 
     fast_verified = False
     if all(c.satisfied for c in checks):

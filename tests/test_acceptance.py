@@ -27,9 +27,10 @@ from ltvcl import (
     object_set,
 )
 from ltvcl.cli import main
-from ltvcl.galois import FULL_DOMAIN, closure_extent, pointwise_leq
+from ltvcl.galois import FULL_DOMAIN, closure_extent
 from conftest import DATA_DIR, concept_set, random_context
 from golden import BASE_CONCEPTS, EXTENDED_CONCEPTS
+from oracle import pointwise_leq
 
 DEMO_PATH = str(DATA_DIR / "demo.ctx")
 

@@ -140,6 +140,19 @@ class TestConceptsCommand:
         assert js.read_bytes() == (GOLDENS / f"demo_{domain}.json").read_bytes()
         assert dot.read_bytes() == (GOLDENS / f"demo_{domain}.dot").read_bytes()
 
+    @pytest.mark.parametrize("name", ["bool2", "chain5"])
+    def test_table_output_bytes_pinned(self, capsys, tmp_path, name):
+        # bool2 passes the axioms and is enumerated one closure per image;
+        # chain5 fails them and keeps the fixpoint check, which rejects
+        # closed sets of this context
+        dot, js = tmp_path / "lattice.dot", tmp_path / "lattice.json"
+        argv = ["concepts", str(DATA_DIR / f"{name}.ctx"), "--domain", "full",
+                "--engine", "both", "--json", str(js), "--dot", str(dot)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (GOLDENS / f"{name}_full.out").read_text(encoding="utf-8")
+        assert js.read_bytes() == (GOLDENS / f"{name}_full.json").read_bytes()
+        assert dot.read_bytes() == (GOLDENS / f"{name}_full.dot").read_bytes()
+
     def test_both_engines_build_no_concept(self, capsys, monkeypatch, tmp_path, demo):
         # the engines are compared, labelled and exported on position
         # tuples: no lattice computes its Concepts on this path

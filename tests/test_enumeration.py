@@ -6,24 +6,44 @@ by one. Both must admit the same concepts, raise on the same inputs, and
 give the same order.
 """
 
+import itertools
 import random
 
 import pytest
 
 from ltvcl import ConceptLattice, ProductAlgebra, enumerate_concepts, load_table_algebra
-from ltvcl import galois
+from ltvcl import galois, lia
 from ltvcl.errors import StructureError
 from ltvcl.galois import EXTENT_SCAN, FULL_DOMAIN, GENERATED_DOMAIN, INTENT_SCAN
-from conftest import DATA_DIR, random_context
-from oracle import brute_order_pairs, scan_concepts
+from conftest import DATA_DIR, load_context, random_context
+from oracle import (
+    brute_order_pairs,
+    reference_derive_extent,
+    reference_derive_intent,
+    scan_concepts,
+)
+from test_lia import shuffled_table
 
 ENGINES = (EXTENT_SCAN, INTENT_SCAN)
 
+
+def _table(name: str):
+    return lambda: load_table_algebra((DATA_DIR / name).read_text(encoding="utf-8"))
+
+
+# Every algebra but chain5 is a lattice implication algebra, on which
+# enumeration closes each image of the fold once and checks no fixpoint;
+# chain5 fails the axioms and keeps the check. The seeded-order table is a
+# shuffled copy of a product, so its gate runs check_axioms.
 ALGEBRAS = {
     "product 3 2": lambda: ProductAlgebra([3, 2]),
     "product 2 2": lambda: ProductAlgebra([2, 2]),
     "product 4": lambda: ProductAlgebra([4]),
-    "chain5": lambda: load_table_algebra((DATA_DIR / "chain5.lia").read_text(encoding="utf-8")),
+    "product 2 3 2": lambda: ProductAlgebra([2, 3, 2]),
+    "product 3 3": lambda: ProductAlgebra([3, 3]),
+    "bool2": _table("bool2.lia"),
+    "seeded-order": lambda: shuffled_table(ProductAlgebra([3, 2]), 1)[0],
+    "chain5": _table("chain5.lia"),
 }
 
 # 0 < a, b < c, d < 1 with a, b incomparable and c, d incomparable: a and b
@@ -70,6 +90,17 @@ def shapes(rng: random.Random):
     return [(0, 2), (2, 0), (0, 0)] + [(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(5)]
 
 
+def brute_covers(pairs) -> tuple[tuple[int, int], ...]:
+    """The pairs (i, j) of a strict order with nothing strictly between."""
+    order = set(pairs)
+    above: dict[int, set[int]] = {}
+    for i, j in order:
+        above.setdefault(i, set()).add(j)
+    return tuple(sorted(
+        (i, j) for i, j in order if not any((k, j) in order for k in above[i])
+    ))
+
+
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
 @pytest.mark.parametrize("engine", ENGINES)
 def test_fold_admits_the_scans_concepts(name, engine):
@@ -79,8 +110,9 @@ def test_fold_admits_the_scans_concepts(name, engine):
         context = random_context(rng, algebra, n_objects, n_attributes)
         for domain in [GENERATED_DOMAIN, FULL_DOMAIN, *explicit_domains(rng, algebra)]:
             lattice = enumerate_concepts(context, engine, domain=domain)
-            assert lattice.pairs() == scan_concepts(context, engine, domain=domain).pairs()
+            assert lattice.concepts == scan_concepts(context, engine, domain=domain).concepts
             assert lattice.order_pairs == brute_order_pairs(lattice)
+            assert lattice.covers == brute_covers(lattice.order_pairs)
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
@@ -140,3 +172,66 @@ def test_fold_makes_at_most_three_derivations_per_concept(monkeypatch):
     assert len(lattice) == GUARD_CONCEPTS
     assert 0 < calls <= 3 * len(lattice)
 
+
+def count_derivations(monkeypatch):
+    """Count the public derivation calls from here on; returns a reader."""
+    calls = []
+
+    def counted(derive):
+        def wrapper(context, fset):
+            calls.append(fset.side)
+            return derive(context, fset)
+        return wrapper
+
+    monkeypatch.setattr(galois, "derive_intent", counted(galois.derive_intent))
+    monkeypatch.setattr(galois, "derive_extent", counted(galois.derive_extent))
+    return lambda: len(calls)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_one_derivation_per_concept_over_an_lia(monkeypatch, engine):
+    calls = count_derivations(monkeypatch)
+    context = random_context(random.Random(GUARD_SEED), ProductAlgebra([3, 2]), 7, 7)
+    lattice = enumerate_concepts(context, engine, domain=FULL_DOMAIN)
+    assert len(lattice) == GUARD_CONCEPTS
+    assert calls() == len(lattice)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_fixpoint_check_runs_off_an_lia(monkeypatch, engine):
+    # chain5 fails the axioms, so every distinct image of the fold is
+    # derived back, and every distinct closed set forward and, unless it
+    # derives to its image, back again: at most three calls per image, and
+    # more than one per concept, since the check rejects some closed sets
+    context = load_context("chain5.ctx")
+    assert not context.algebra._is_lia
+    values = galois.scan_domain(context, FULL_DOMAIN)
+    derive, width = (
+        (reference_derive_intent, len(context.objects))
+        if engine == EXTENT_SCAN
+        else (reference_derive_extent, len(context.attributes))
+    )
+    images = {derive(context, c) for c in itertools.product(values, repeat=width)}
+    calls = count_derivations(monkeypatch)
+    lattice = enumerate_concepts(context, engine, domain=FULL_DOMAIN)
+    assert lattice.pairs() == scan_concepts(context, engine, domain=FULL_DOMAIN).pairs()
+    assert len(lattice) < calls() <= 3 * len(images)
+
+
+@pytest.mark.parametrize("name", ["bool2", "seeded-order"])
+def test_table_gate_checks_the_axioms_once(name, monkeypatch):
+    algebra = ALGEBRAS[name]()
+    assert "_is_lia" not in vars(algebra)
+    checked = []
+    check_axioms = lia.check_axioms
+
+    def counted(*args, **kwargs):
+        checked.append(args[0])
+        return check_axioms(*args, **kwargs)
+
+    monkeypatch.setattr(lia, "check_axioms", counted)
+    context = random_context(random.Random(name), algebra, 2, 2)
+    for engine in ENGINES:
+        enumerate_concepts(context, engine, domain=FULL_DOMAIN)
+    assert checked == [algebra]
+    assert vars(algebra)["_is_lia"] is True

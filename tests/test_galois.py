@@ -26,9 +26,10 @@ from ltvcl import (
     object_set,
     parse_context,
 )
-from ltvcl.galois import FULL_DOMAIN, GENERATED_DOMAIN, concept_label, pointwise_leq, scan_domain
+from ltvcl.galois import FULL_DOMAIN, GENERATED_DOMAIN, concept_label, scan_domain
 from conftest import DATA_DIR, aset, concept_set, oset, random_context
 from golden import BASE_CONCEPTS
+from oracle import pointwise_leq
 
 
 def chain5_context():
@@ -258,6 +259,18 @@ class TestLatticeStructure:
         )
         with pytest.raises(MembershipError):
             concept_meet(lattice, lattice[0], foreign)
+        with pytest.raises(MembershipError):
+            lattice.leq(lattice[0], foreign)
+        with pytest.raises(MembershipError):
+            lattice.leq(foreign, lattice[0])
+
+    @pytest.mark.parametrize("case", ["demo", "chain5"])
+    def test_leq_is_pointwise_extent_order(self, demo, case):
+        # leq reads the stored position tuples; the oracle compares values
+        context = demo if case == "demo" else chain5_context()
+        lattice = enumerate_concepts(context, domain=FULL_DOMAIN)
+        for lower, upper in itertools.product(lattice, repeat=2):
+            assert lattice.leq(lower, upper) == pointwise_leq(context, lower.extent, upper.extent)
 
 
 class TestExport:
