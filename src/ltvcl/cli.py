@@ -63,19 +63,17 @@ def _build_algebra(args):
 
 def cmd_algebra(args) -> int:
     algebra = _build_algebra(args)
+    name = algebra._spellings
+    lines = ["elements: " + " ".join(name), "covers:"]
     fmt = algebra.format_value
-    print("elements:", " ".join(fmt(v) for v in algebra.elements))
-    print("covers:")
-    for low, high in algebra.hasse_covers():
-        print(f"  {fmt(low)} < {fmt(high)}")
+    lines += [f"  {fmt(low)} < {fmt(high)}" for low, high in algebra.hasse_covers()]
     if args.show_tables:
-        print("imp table:")
-        for x in algebra.elements:
-            row = " ".join(fmt(algebra.imp(x, y)) for y in algebra.elements)
-            print(f"  imp {fmt(x)} {row}")
-        print("neg table:")
-        for x in algebra.elements:
-            print(f"  neg {fmt(x)} {fmt(algebra.neg(x))}")
+        lines.append("imp table:")
+        lines += [f"  imp {x} {' '.join(map(name.__getitem__, row))}"
+                  for x, row in zip(name, algebra._imp)]
+        lines.append("neg table:")
+        lines += [f"  neg {x} {name[k]}" for x, k in zip(name, algebra._neg)]
+    print("\n".join(lines))
     if not args.check_axioms:
         return 0
     report = check_axioms(algebra)

@@ -34,11 +34,14 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetError, DimensionError, LoadError, StructureError
 
 DEFAULT_AXIOM_BUDGET = 64
+# the element limit of the check behind Algebra._is_lia, which gates the
+# one-closure enumeration and the congener test
+_GATE_AXIOM_BUDGET = 128
 # Products build every table eagerly, about n^2 entries each; larger
 # products raise BudgetError instead of exhausting time and memory.
 PRODUCT_ELEMENT_LIMIT = 512
@@ -162,11 +165,13 @@ class Algebra:
     @cached_property
     def _is_lia(self) -> bool:
         """Whether the algebra is shown to be a lattice implication algebra:
-        :func:`check_axioms` passes within its default element budget. An
-        algebra over the budget counts as not shown. Computed once, on first
-        use; products are LIAs by construction and skip the check."""
+        :func:`check_axioms` passes within an element limit of
+        ``_GATE_AXIOM_BUDGET`` (128), above the default budget of the CLI
+        check. An algebra over that limit counts as not shown. Computed
+        once, on first use; products are LIAs by construction and skip the
+        check."""
         try:
-            return check_axioms(self).passed
+            return check_axioms(self, element_budget=_GATE_AXIOM_BUDGET).passed
         except BudgetError:
             return False
 
@@ -637,9 +642,17 @@ def check_axioms(algebra: Algebra, element_budget: int = DEFAULT_AXIOM_BUDGET) -
     positions in display order, so witnesses come in that order. A pair
     missing either bound is reported as ``meet-defined`` and/or
     ``join-defined`` and is skipped for both operations by every later law.
-    The check is cubic in the element count and meant for desk-scale
-    validation; algebras larger than ``element_budget`` raise BudgetError.
     Every violating instance is reported with a witness tuple of spellings.
+
+    The five cubic laws (lia-1, lia-6, lia-7, meet-assoc, join-assoc) run
+    row by row over x. When every pair has both bounds and there are at
+    most 256 elements, a screen tests each row over all (y, z) at once with
+    ``bytes.translate`` kernels (see :func:`_flagged_rows`); a row that
+    passes holds no violation and is skipped, and a row that fails replays
+    the exact per-(y, z) loop, so the violations and their order are those
+    of the loop alone. Otherwise every row runs the loop. On a table that
+    passes, the Python work is quadratic and the cubic work runs in C.
+    Algebras larger than ``element_budget`` raise BudgetError.
     """
     n = len(algebra.elements)
     if n > element_budget:
@@ -704,27 +717,77 @@ def check_axioms(algebra: Algebra, element_budget: int = DEFAULT_AXIOM_BUDGET) -
         if imp[imp[x][y]][y] != imp[imp[y][x]][x]:
             bad.append(("lia-5", (name[x], name[y])))
 
-    for x in els:
-        imp_x, meet_x, join_x = imp[x], meet[x], join[x]
-        for y in els:
-            imp_y, meet_y, join_y = imp[y], meet[y], join[y]
-            mxy, jxy = meet_x[y], join_x[y]
-            for z in els:
-                xz, yz = imp_x[z], imp_y[z]
-                if imp_x[yz] != imp_y[xz]:
-                    bad.append(("lia-1", (name[x], name[y], name[z])))
-                if jxy is not None and meet[xz][yz] is not None and imp[jxy][z] != meet[xz][yz]:
-                    bad.append(("lia-6", (name[x], name[y], name[z])))
-                if mxy is not None and join[xz][yz] is not None and imp[mxy][z] != join[xz][yz]:
-                    bad.append(("lia-7", (name[x], name[y], name[z])))
-                myz, jyz = meet_y[z], join_y[z]
-                if mxy is not None and myz is not None:
-                    left, right = meet_x[myz], meet[mxy][z]
-                    if left is not None and right is not None and left != right:
-                        bad.append(("meet-assoc", (name[x], name[y], name[z])))
-                if jxy is not None and jyz is not None:
-                    left, right = join_x[jyz], join[jxy][z]
-                    if left is not None and right is not None and left != right:
-                        bad.append(("join-assoc", (name[x], name[y], name[z])))
+    # the cubic laws: a table with every bound and byte-sized positions is
+    # screened row by row, and only the rows the screen flags are replayed
+    screen = n <= 256 and all(None not in row for row in meet)
+    for x in _flagged_rows(imp, meet, join) if screen else els:
+        _cubic_row(x, imp, meet, join, name, bad)
 
     return report
+
+
+def _flagged_rows(imp, meet, join) -> Iterator[int]:
+    """The rows x, ascending, on which lia-1, lia-6, lia-7, meet-assoc or
+    join-assoc fails for some (y, z), given total meet and join position
+    tables over at most 256 elements.
+
+    Every row of the three tables and every implication column is built
+    once as ``bytes`` (``rows_i``, ``rows_m``, ``rows_j``, ``cols``), and
+    once more padded to 256 bytes as a ``bytes.translate`` table (``ti``,
+    ``tm``, ``tj``, ``tc``), so ``b.translate(tm[a])`` is the meet of a with
+    each position in b, computed in C. Per x the screen compares, over all
+    (y, z) at once:
+
+    - lia-1, x -> (y -> z) against y -> (x -> z), column by column:
+      ``cols[z].translate(ti[x])`` with ``cols[imp[x][z]]``;
+    - meet-assoc, x ^ (y ^ z) against (x ^ y) ^ z, row by row:
+      ``rows_m[y].translate(tm[x])`` with ``rows_m[meet[x][y]]``, and
+      join-assoc the same on the join tables;
+    - lia-6, (x -> z) ^ (y -> z) against (x v y) -> z, per z:
+      ``cols[z].translate(tm[imp[x][z]])`` with
+      ``rows_j[x].translate(tc[z])``, and lia-7 the same with meet and join
+      swapped.
+
+    Each comparison is the law itself, so a row passes exactly when it
+    holds no violation.
+    """
+    pad = bytes(256 - len(imp))
+    rows_i, rows_m, rows_j = ([bytes(row) for row in table] for table in (imp, meet, join))
+    cols = [bytes(col) for col in zip(*imp)]
+    ti, tm, tj, tc = ([b + pad for b in table] for table in (rows_i, rows_m, rows_j, cols))
+    all_cols, all_m, all_j = b"".join(cols), b"".join(rows_m), b"".join(rows_j)
+    for x, (ix, mx, jx) in enumerate(zip(rows_i, rows_m, rows_j)):
+        if (
+            all_cols.translate(ti[x]) != b"".join(map(cols.__getitem__, ix))
+            or all_m.translate(tm[x]) != b"".join(map(rows_m.__getitem__, mx))
+            or all_j.translate(tj[x]) != b"".join(map(rows_j.__getitem__, jx))
+            or list(map(bytes.translate, cols, map(tm.__getitem__, ix))) != list(map(jx.translate, tc))
+            or list(map(bytes.translate, cols, map(tj.__getitem__, ix))) != list(map(mx.translate, tc))
+        ):
+            yield x
+
+
+def _cubic_row(x: int, imp, meet, join, name, bad: list) -> None:
+    """Append the violations of the cubic laws at every (x, y, z), in (y, z)
+    order, to ``bad``; pairs without a bound are skipped."""
+    imp_x, meet_x, join_x = imp[x], meet[x], join[x]
+    for y in range(len(imp)):
+        imp_y, meet_y, join_y = imp[y], meet[y], join[y]
+        mxy, jxy = meet_x[y], join_x[y]
+        for z in range(len(imp)):
+            xz, yz = imp_x[z], imp_y[z]
+            if imp_x[yz] != imp_y[xz]:
+                bad.append(("lia-1", (name[x], name[y], name[z])))
+            if jxy is not None and meet[xz][yz] is not None and imp[jxy][z] != meet[xz][yz]:
+                bad.append(("lia-6", (name[x], name[y], name[z])))
+            if mxy is not None and join[xz][yz] is not None and imp[mxy][z] != join[xz][yz]:
+                bad.append(("lia-7", (name[x], name[y], name[z])))
+            myz, jyz = meet_y[z], join_y[z]
+            if mxy is not None and myz is not None:
+                left, right = meet_x[myz], meet[mxy][z]
+                if left is not None and right is not None and left != right:
+                    bad.append(("meet-assoc", (name[x], name[y], name[z])))
+            if jxy is not None and jyz is not None:
+                left, right = join_x[jyz], join[jxy][z]
+                if left is not None and right is not None and left != right:
+                    bad.append(("join-assoc", (name[x], name[y], name[z])))

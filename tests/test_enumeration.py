@@ -11,7 +11,14 @@ import random
 
 import pytest
 
-from ltvcl import ConceptLattice, ProductAlgebra, enumerate_concepts, load_table_algebra
+from ltvcl import (
+    ConceptLattice,
+    FuzzyContext,
+    ProductAlgebra,
+    TableAlgebra,
+    enumerate_concepts,
+    load_table_algebra,
+)
 from ltvcl import galois, lia
 from ltvcl.errors import StructureError
 from ltvcl.galois import EXTENT_SCAN, FULL_DOMAIN, GENERATED_DOMAIN, INTENT_SCAN
@@ -22,7 +29,7 @@ from oracle import (
     reference_derive_intent,
     scan_concepts,
 )
-from test_lia import shuffled_table
+from test_lia import break_contraposition, shuffled_table, shuffled_tables
 
 ENGINES = (EXTENT_SCAN, INTENT_SCAN)
 
@@ -216,6 +223,37 @@ def test_fixpoint_check_runs_off_an_lia(monkeypatch, engine):
     lattice = enumerate_concepts(context, engine, domain=FULL_DOMAIN)
     assert lattice.pairs() == scan_concepts(context, engine, domain=FULL_DOMAIN).pairs()
     assert len(lattice) < calls() <= 3 * len(images)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_gate_checks_tables_over_the_cli_axiom_budget(monkeypatch, engine):
+    # 72 elements, over the CLI check's budget of 64 and within the gate's
+    # limit of 128: the shuffled copy of an LIA is shown to be one, and
+    # closes one image per concept, as many concepts as over the product
+    product = ProductAlgebra([3, 3, 2, 2, 2])
+    table, rename = shuffled_table(product, 72)
+    context = random_context(random.Random(72), table, 3, 3)
+    calls = count_derivations(monkeypatch)
+    lattice = enumerate_concepts(context, engine, domain=FULL_DOMAIN)
+    assert len(table.elements) > lia.DEFAULT_AXIOM_BUDGET
+    assert table._is_lia is True
+    assert calls() == len(lattice)
+    back = {y: x for x, y in rename.items()}
+    rows = tuple(tuple(back[v] for v in row) for row in context.rows)
+    original = FuzzyContext(product, context.objects, context.attributes, rows)
+    assert len(enumerate_concepts(original, engine, domain=FULL_DOMAIN)) == len(lattice)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_gate_rejects_a_corrupted_table_over_the_cli_axiom_budget(monkeypatch, engine):
+    rng = random.Random(72)
+    names, imp, neg, _ = shuffled_tables(ProductAlgebra([3, 3, 2, 2, 2]), rng)
+    table = TableAlgebra(names, break_contraposition(names, imp, neg, rng), neg)
+    context = random_context(rng, table, 3, 3)
+    calls = count_derivations(monkeypatch)
+    lattice = enumerate_concepts(context, engine, domain=FULL_DOMAIN)
+    assert table._is_lia is False
+    assert len(lattice) < calls()
 
 
 @pytest.mark.parametrize("name", ["bool2", "seeded-order"])

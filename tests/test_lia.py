@@ -314,19 +314,36 @@ class TestAxiomChecker:
         assert check_axioms(ProductAlgebra([3, 3]), element_budget=9).passed
         assert check_axioms(ProductAlgebra([4, 4, 4])).passed
 
-    def test_matches_the_reference_check(self):
+    def test_matches_the_reference_check(self, monkeypatch):
         # shuffled table copies of products with a few corrupted entries:
         # the violation lists, witnesses and their order included, must be
         # those of the check that ran through the public operations
+        replayed = []
+        cubic_row = lia._cubic_row
+
+        def recorded(x, *args):
+            replayed.append(x)
+            return cubic_row(x, *args)
+
+        monkeypatch.setattr(lia, "_cubic_row", recorded)
         rng = random.Random(2012)
-        outcomes = Counter()
-        for case in range(200):
+        cases = []
+        for _ in range(200):
             alg = ProductAlgebra(rng.choice([[2, 2], [3, 2], [2, 2, 2], [3, 3], [4, 2]]))
             names, imp, neg, _ = shuffled_tables(alg, rng)
             for _ in range(rng.randint(0, 6)):
                 imp[rng.choice(names), rng.choice(names)] = rng.choice(names)
             if rng.random() < 0.3:
                 neg[rng.choice(names)] = rng.choice(names)
+            cases.append((names, imp, neg))
+        # 16-27 elements, each with one contraposition-breaking entry: the
+        # order is unchanged, so every bound exists and the screen runs
+        for sizes in ([4, 4], [2, 2, 2, 2], [5, 5], [3, 3, 3]):
+            names, imp, neg, _ = shuffled_tables(ProductAlgebra(sizes), rng)
+            cases.append((names, break_contraposition(names, imp, neg, rng), neg))
+        outcomes = Counter()
+        for case, (names, imp, neg) in enumerate(cases):
+            replayed.clear()
             try:
                 table = TableAlgebra(names, imp, neg)
             except LoadError:
@@ -338,7 +355,38 @@ class TestAxiomChecker:
             outcomes["fail" if violations else "pass"] += 1
             outcomes["undefined-bound"] += bool(laws & {"meet-defined", "join-defined"})
             outcomes["unbounded"] += bool(laws & {"bounded-top", "bounded-bottom"})
-        assert all(outcomes[k] for k in ("pass", "fail", "undefined-bound", "unbounded")), outcomes
+            if laws & {"meet-defined", "join-defined"}:
+                assert replayed == list(range(len(names))), case
+                continue
+            # the screen flags exactly the rows that hold a cubic violation
+            cubic = {names.index(witness[0]) for _, witness in violations if len(witness) == 3}
+            assert replayed == sorted(cubic), case
+            outcomes["screened-replayed"] += len(replayed)
+            outcomes["screened-skipped"] += len(names) - len(replayed)
+        kinds = ("pass", "fail", "undefined-bound", "unbounded", "screened-replayed", "screened-skipped")
+        assert all(outcomes[k] for k in kinds), outcomes
+
+
+    @pytest.mark.parametrize("sizes", [[3, 2], [2, 2, 2], [3, 3], [4, 4]])
+    def test_screen_flags_exactly_the_rows_with_cubic_violations(self, sizes):
+        # one entry of the implication, meet or join table of a product
+        # changed at random, so that each law in turn is the only one to
+        # fail on some row: the screen must flag the rows where the exact
+        # loop finds a violation, and no other
+        alg = ProductAlgebra(sizes)
+        n = len(alg.elements)
+        rng = random.Random(n)
+        for _ in range(100):
+            tables = [[list(row) for row in table] for table in (alg._imp, alg._meet, alg._join)]
+            rng.choice(tables)[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+            imp, meet, join = tables
+            flagged = []
+            for x in range(n):
+                bad = []
+                lia._cubic_row(x, imp, meet, join, alg._spellings, bad)
+                if bad:
+                    flagged.append(x)
+            assert list(lia._flagged_rows(imp, meet, join)) == flagged
 
 
 # Reference Lukasiewicz operations on coordinate tuples, written out here so
@@ -375,6 +423,19 @@ def shuffled_tables(alg, rng):
     imp = {(name[x], name[y]): name[alg.imp(x, y)] for x in els for y in els}
     neg = {name[x]: name[alg.neg(x)] for x in els}
     return [name[x] for x in els], imp, neg, name
+
+
+def break_contraposition(names, imp, neg, rng):
+    """A copy of ``imp`` with one entry changed so that imp(x, y) =
+    imp(neg y, neg x) fails. The entry is off the diagonal, neither its
+    old nor its new value is top, and y is not neg x, so the derived order,
+    and with it every meet and join, stays as it was."""
+    top = imp[names[0], names[0]]
+    x, y = rng.choice([(x, y) for x in names for y in names
+                       if x != y and y != neg[x] and imp[x, y] != top])
+    bad = dict(imp)
+    bad[x, y] = rng.choice([v for v in names if v not in (imp[x, y], top)])
+    return bad
 
 
 def shuffled_table(alg, seed):
