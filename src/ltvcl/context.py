@@ -265,11 +265,8 @@ def restrict_agrees(base: FuzzyContext, extended: FuzzyContext) -> bool:
     if base.objects != extended.objects:
         raise StructureError("contexts do not list the same objects")
     positions = [extended.attribute_index(name) for name in base.attributes]
-    for g in range(len(base.objects)):
-        for m, pos in enumerate(positions):
-            if base.rows[g][m] != extended.rows[g][pos]:
-                return False
-    return True
+    columns = extended.column_positions
+    return all(columns[pos] == column for pos, column in zip(positions, base.column_positions))
 
 
 def parse_context(text: str, base_dir: str = ".") -> FuzzyContext:

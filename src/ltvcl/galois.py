@@ -103,20 +103,6 @@ def _check_sized(fset: FuzzySet, side: str, size: int) -> None:
         raise DimensionError(f"set of size {len(fset.values)} against {side} list of size {size}")
 
 
-def pointwise_meet(context: FuzzyContext, left: FuzzySet, right: FuzzySet) -> FuzzySet:
-    if left.side != right.side or len(left.values) != len(right.values):
-        raise DimensionError("cannot meet sets of different side or size")
-    meet = context.algebra.meet
-    return FuzzySet(left.side, tuple(meet(a, b) for a, b in zip(left.values, right.values)))
-
-
-def pointwise_join(context: FuzzyContext, left: FuzzySet, right: FuzzySet) -> FuzzySet:
-    if left.side != right.side or len(left.values) != len(right.values):
-        raise DimensionError("cannot join sets of different side or size")
-    join = context.algebra.join
-    return FuzzySet(left.side, tuple(join(a, b) for a, b in zip(left.values, right.values)))
-
-
 def _derive(algebra, lines, width: int, values) -> tuple[int, ...]:
     """The derivation kernel, a left fold over positions k: start from the
     all-top vector of ``width`` components and take one step per k with
@@ -270,8 +256,9 @@ class ConceptLattice:
         )
 
     @cached_property
-    def _position(self) -> dict[Concept, int]:
-        return {c: i for i, c in enumerate(self.concepts)}
+    def _index(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
+        """The canonical index of each (extent, intent) position pair."""
+        return {pair: i for i, pair in enumerate(zip(self._extents, self._intents))}
 
     def __len__(self) -> int:
         return len(self._extents)
@@ -283,10 +270,24 @@ class ConceptLattice:
         return self.concepts[index]
 
     def index_of(self, concept: Concept) -> int:
+        """The index of ``concept``, found by its position pair; a concept
+        of another lattice, or holding a non-element, raises
+        MembershipError."""
+        positions = self.context.algebra._positions
         try:
-            return self._position[concept]
-        except KeyError:
+            return self._index[positions(concept.extent.values), positions(concept.intent.values)]
+        except (DimensionError, KeyError):
             raise MembershipError("concept does not belong to this lattice") from None
+
+    def _computed(self, extent: tuple[int, ...], intent: tuple[int, ...]) -> Concept:
+        """The concept with this position pair, computed by a lattice
+        operation; a pair outside the lattice raises StructureError."""
+        try:
+            return self.concepts[self._index[extent, intent]]
+        except KeyError:
+            raise StructureError(
+                "computed concept is missing from the lattice; was it fully enumerated?"
+            ) from None
 
     def leq(self, lower: Concept, upper: Concept) -> bool:
         up = self.context.algebra._up
@@ -450,34 +451,31 @@ def enumerate_concepts(
     return ConceptLattice._from_positions(context, pairs)
 
 
-def _locate(lattice: ConceptLattice, extent: FuzzySet, intent: FuzzySet) -> Concept:
-    concept = Concept(extent, intent)
-    try:
-        return lattice.concepts[lattice.index_of(concept)]
-    except MembershipError:
-        raise StructureError(
-            "computed concept is missing from the lattice; was it fully enumerated?"
-        ) from None
-
-
 def concept_meet(lattice: ConceptLattice, left: Concept, right: Concept) -> Concept:
     """Greatest common subconcept: pointwise meet of extents, closure of the
-    pointwise join of intents. The result is a member of the lattice."""
-    lattice.index_of(left)
-    lattice.index_of(right)
-    extent = pointwise_meet(lattice.context, left.extent, right.extent)
-    intent = closure_intent(lattice.context, pointwise_join(lattice.context, left.intent, right.intent))
-    return _locate(lattice, extent, intent)
+    pointwise join of intents, computed on position tuples. The result is a
+    member of the lattice."""
+    i, j = lattice.index_of(left), lattice.index_of(right)
+    context = lattice.context
+    algebra = context.algebra
+    extent = algebra._meet_columns(lattice._extents[i], lattice._extents[j])
+    joined = algebra._join_columns(lattice._intents[i], lattice._intents[j])
+    closed = _derive(algebra, context.column_positions, len(context.objects), joined)
+    intent = _derive(algebra, context.row_positions, len(context.attributes), closed)
+    return lattice._computed(extent, intent)
 
 
 def concept_join(lattice: ConceptLattice, left: Concept, right: Concept) -> Concept:
     """Least common superconcept: closure of the pointwise join of extents,
-    pointwise meet of intents."""
-    lattice.index_of(left)
-    lattice.index_of(right)
-    extent = closure_extent(lattice.context, pointwise_join(lattice.context, left.extent, right.extent))
-    intent = pointwise_meet(lattice.context, left.intent, right.intent)
-    return _locate(lattice, extent, intent)
+    pointwise meet of intents, computed on position tuples."""
+    i, j = lattice.index_of(left), lattice.index_of(right)
+    context = lattice.context
+    algebra = context.algebra
+    joined = algebra._join_columns(lattice._extents[i], lattice._extents[j])
+    closed = _derive(algebra, context.row_positions, len(context.attributes), joined)
+    extent = _derive(algebra, context.column_positions, len(context.objects), closed)
+    intent = algebra._meet_columns(lattice._intents[i], lattice._intents[j])
+    return lattice._computed(extent, intent)
 
 
 def concept_label(lattice: ConceptLattice, index: int) -> str:

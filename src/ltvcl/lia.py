@@ -38,10 +38,10 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetError, DimensionError, LoadError, StructureError
 
-DEFAULT_AXIOM_BUDGET = 64
-# the element limit of the check behind Algebra._is_lia, which gates the
-# one-closure enumeration and the congener test
-_GATE_AXIOM_BUDGET = 128
+# the element budget of check_axioms, for the CLI check and for the check
+# behind Algebra._is_lia, which gates the one-closure enumeration and the
+# congener test
+DEFAULT_AXIOM_BUDGET = 128
 # Products build every table eagerly, about n^2 entries each; larger
 # products raise BudgetError instead of exhausting time and memory.
 PRODUCT_ELEMENT_LIMIT = 512
@@ -99,13 +99,14 @@ class Algebra:
     of the positions above / below i), bottom, and meet and join tables
     with None where no unique bound exists (``_meet_partial`` says whether
     the meet table holds a None). Each operation is stored once, as such a
-    table; the ops map their TruthValue arguments to positions through
-    ``_rank``. Vectors of values map through ``_by_coords``, the same
-    positions keyed by coordinate tuples, which hash in C where a
-    ``TruthValue`` hashes through its dataclass ``__hash__``. It rejects a
-    non-constant diagonal or a non-antisymmetric order with LoadError; every other law is left to :func:`check_axioms`,
-    whose verdict ``_is_lia`` caches on first use. ``_is_transitive`` is
-    cached the same way, for covers.
+    table. Values map to positions in one place, ``_by_coords``, keyed by
+    coordinate tuples, which hash in C where a ``TruthValue`` hashes
+    through its dataclass ``__hash__``: ``_position`` maps one value and
+    ``_positions`` a vector, and only a value of type ``TruthValue`` itself
+    is looked up there. It rejects a non-constant diagonal or a
+    non-antisymmetric order with LoadError; every other law is left to
+    :func:`check_axioms`, whose verdict ``_is_lia`` caches on first use.
+    ``_is_transitive`` is cached the same way, for covers.
 
     Algebras are immutable after construction and every operation is a pure
     function (the cached verdicts are too), so instances may be shared freely
@@ -123,7 +124,6 @@ class Algebra:
         spellings = tuple(spellings)
         n = len(els)
         self.elements = els
-        self._rank = {v: i for i, v in enumerate(els)}
         self._by_coords = {v.coords: i for i, v in enumerate(els)}
         self._spellings = spellings
         self._by_spelling = dict(zip(spellings, els))
@@ -165,13 +165,13 @@ class Algebra:
     @cached_property
     def _is_lia(self) -> bool:
         """Whether the algebra is shown to be a lattice implication algebra:
-        :func:`check_axioms` passes within an element limit of
-        ``_GATE_AXIOM_BUDGET`` (128), above the default budget of the CLI
-        check. An algebra over that limit counts as not shown. Computed
-        once, on first use; products are LIAs by construction and skip the
-        check."""
+        :func:`check_axioms` passes within its default budget,
+        ``DEFAULT_AXIOM_BUDGET`` (128 elements), the budget of the CLI
+        check too. An algebra over that budget counts as not shown.
+        Computed once, on first use; products are LIAs by construction and
+        skip the check."""
         try:
-            return check_axioms(self, element_budget=_GATE_AXIOM_BUDGET).passed
+            return check_axioms(self).passed
         except BudgetError:
             return False
 
@@ -197,7 +197,7 @@ class Algebra:
 
     def _has(self, v) -> bool:
         try:
-            return (type(v) is TruthValue and v.coords in self._by_coords) or v in self._rank
+            return type(v) is TruthValue and v.coords in self._by_coords
         except TypeError:  # unhashable, so certainly not an element
             return False
 
@@ -212,37 +212,36 @@ class Algebra:
         )
 
     def check_member(self, v: TruthValue) -> None:
-        if not self._has(v):
-            raise self._foreign(v)
+        self._position(v)
+
+    def _position(self, v: TruthValue) -> int:
+        """The display position of ``v``, looked up by its coordinates if
+        its type is TruthValue itself; anything else (a subclass, or
+        another type) or a miss raises DimensionError."""
+        try:
+            if type(v) is TruthValue:
+                return self._by_coords[v.coords]
+        except (KeyError, TypeError):  # a miss, or unhashable coordinates
+            pass
+        raise self._foreign(v)
 
     def _positions(self, values: Sequence[TruthValue]) -> tuple[int, ...]:
-        """The display positions of ``values``; the first non-element
-        raises DimensionError. Values of type TruthValue itself are looked
-        up by their coordinates; if any value is of another type (a
-        subclass, or anything else) or misses, every value is looked up in
-        ``_rank``, which raises."""
+        """The display positions of ``values``, each looked up as
+        ``_position`` looks it up; the first non-element raises
+        DimensionError."""
         try:
             out = [self._by_coords[v.coords] for v in values if type(v) is TruthValue]
         except (KeyError, TypeError):  # a miss, or unhashable coordinates
             out = []
-        if len(out) == len(values):
-            return tuple(out)
-        try:
-            return tuple([self._rank[v] for v in values])
-        except (KeyError, TypeError):
-            raise self._foreign(*values) from None
+        if len(out) != len(values):
+            raise self._foreign(*values)
+        return tuple(out)
 
     def leq(self, x: TruthValue, y: TruthValue) -> bool:
-        try:
-            return bool(self._up[self._rank[x]] >> self._rank[y] & 1)
-        except (KeyError, TypeError):
-            raise self._foreign(x, y) from None
+        return bool(self._up[self._position(x)] >> self._position(y) & 1)
 
     def meet(self, x: TruthValue, y: TruthValue) -> TruthValue:
-        try:
-            k = self._meet[self._rank[x]][self._rank[y]]
-        except (KeyError, TypeError):
-            raise self._foreign(x, y) from None
+        k = self._meet[self._position(x)][self._position(y)]
         if k is None:
             raise self._unbounded("greatest lower bound", x, y)
         return self.elements[k]
@@ -261,31 +260,31 @@ class Algebra:
         return out
 
     def join(self, x: TruthValue, y: TruthValue) -> TruthValue:
-        try:
-            k = self._join[self._rank[x]][self._rank[y]]
-        except (KeyError, TypeError):
-            raise self._foreign(x, y) from None
+        k = self._join[self._position(x)][self._position(y)]
         if k is None:
             raise self._unbounded("least upper bound", x, y)
         return self.elements[k]
 
+    def _join_columns(self, left: Sequence[int], right: Sequence[int]) -> tuple[int, ...]:
+        """The pointwise join of two vectors of element positions; a pair
+        with no join raises the StructureError ``join`` raises, naming it,
+        the first such component first."""
+        join = self._join
+        out = tuple([join[p][q] for p, q in zip(left, right)])
+        if None in out:
+            m = out.index(None)
+            els = self.elements
+            raise self._unbounded("least upper bound", els[left[m]], els[right[m]])
+        return out
+
     def imp(self, x: TruthValue, y: TruthValue) -> TruthValue:
-        try:
-            return self.elements[self._imp[self._rank[x]][self._rank[y]]]
-        except (KeyError, TypeError):
-            raise self._foreign(x, y) from None
+        return self.elements[self._imp[self._position(x)][self._position(y)]]
 
     def neg(self, x: TruthValue) -> TruthValue:
-        try:
-            return self.elements[self._neg[self._rank[x]]]
-        except (KeyError, TypeError):
-            raise self._foreign(x) from None
+        return self.elements[self._neg[self._position(x)]]
 
     def format_value(self, v: TruthValue) -> str:
-        try:
-            return self._spellings[self._rank[v]]
-        except (KeyError, TypeError):
-            raise self._foreign(v) from None
+        return self._spellings[self._position(v)]
 
     def parse_value(self, token: str) -> TruthValue:
         try:
@@ -318,7 +317,7 @@ class Algebra:
             if not new:
                 break
             closed |= new
-        return tuple(sorted(closed, key=self._rank.__getitem__))
+        return tuple(sorted(closed, key=self._position))
 
     def hasse_covers(self) -> tuple[tuple[TruthValue, TruthValue], ...]:
         """Cover pairs (x, y) with x strictly below y and nothing between,
@@ -443,9 +442,7 @@ class ProductAlgebra(Algebra):
 
     def value(self, *coords: int) -> TruthValue:
         """The element with the given coordinates."""
-        v = TruthValue(tuple(int(c) for c in coords))
-        self.check_member(v)
-        return self.elements[self._rank[v]]
+        return self.elements[self._position(TruthValue(tuple(int(c) for c in coords)))]
 
     def parse_value(self, token: str) -> TruthValue:
         """A spelling, or on any product a comma-separated coordinate token."""

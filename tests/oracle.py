@@ -23,6 +23,11 @@ that layout itself.
 compared the extent sets of ``Concept``s, before it compared position
 tuples. ``pointwise_leq`` is the value-by-value extent comparison
 ``ConceptLattice.leq`` ran before it compared position tuples.
+``reference_concept_meet`` and ``reference_concept_join`` are
+``galois.concept_meet`` and ``concept_join`` as they ran on truth values
+(``pointwise_meet`` and ``pointwise_join`` through the public operations,
+then ``closure_*`` and a lookup among the lattice's ``Concept``s), before
+they ran on position tuples.
 ``check_pointwise_condition`` is the per-extent congener criterion the
 tacit layer exported before the closure test subsumed it; quantified over
 the scan domain it is an independent check of the closure test's verdict.
@@ -44,6 +49,7 @@ from ltvcl.context import (
 from ltvcl.errors import (
     BudgetError,
     DimensionError,
+    MembershipError,
     PreconditionError,
     StructureError,
     UnclassifiedColumnError,
@@ -59,6 +65,7 @@ from ltvcl.galois import (
     ConceptLattice,
     FuzzySet,
     closure_extent,
+    closure_intent,
     derive_extent,
     derive_intent,
     enumerate_concepts,
@@ -157,6 +164,58 @@ def pointwise_leq(context: FuzzyContext, left: FuzzySet, right: FuzzySet) -> boo
         raise DimensionError("cannot compare sets of different sizes")
     leq = context.algebra.leq
     return all(leq(a, b) for a, b in zip(left.values, right.values))
+
+
+def pointwise_meet(context: FuzzyContext, left: FuzzySet, right: FuzzySet) -> FuzzySet:
+    """The componentwise meet of two sets of one side, through
+    ``Algebra.meet``."""
+    meet = context.algebra.meet
+    return FuzzySet(left.side, tuple(meet(a, b) for a, b in zip(left.values, right.values)))
+
+
+def pointwise_join(context: FuzzyContext, left: FuzzySet, right: FuzzySet) -> FuzzySet:
+    """The componentwise join of two sets of one side, through
+    ``Algebra.join``."""
+    join = context.algebra.join
+    return FuzzySet(left.side, tuple(join(a, b) for a, b in zip(left.values, right.values)))
+
+
+def _index_of(lattice: ConceptLattice, concept: Concept) -> int:
+    """The index of ``concept`` among the lattice's ``Concept``s, found by
+    value."""
+    try:
+        return lattice.concepts.index(concept)
+    except ValueError:
+        raise MembershipError("concept does not belong to this lattice") from None
+
+
+def _locate(lattice: ConceptLattice, extent: FuzzySet, intent: FuzzySet) -> Concept:
+    try:
+        return lattice.concepts[_index_of(lattice, Concept(extent, intent))]
+    except MembershipError:
+        raise StructureError(
+            "computed concept is missing from the lattice; was it fully enumerated?"
+        ) from None
+
+
+def reference_concept_meet(lattice: ConceptLattice, left: Concept, right: Concept) -> Concept:
+    """Pointwise meet of extents, closure of the pointwise join of
+    intents."""
+    _index_of(lattice, left)
+    _index_of(lattice, right)
+    extent = pointwise_meet(lattice.context, left.extent, right.extent)
+    intent = closure_intent(lattice.context, pointwise_join(lattice.context, left.intent, right.intent))
+    return _locate(lattice, extent, intent)
+
+
+def reference_concept_join(lattice: ConceptLattice, left: Concept, right: Concept) -> Concept:
+    """Closure of the pointwise join of extents, pointwise meet of
+    intents."""
+    _index_of(lattice, left)
+    _index_of(lattice, right)
+    extent = closure_extent(lattice.context, pointwise_join(lattice.context, left.extent, right.extent))
+    intent = pointwise_meet(lattice.context, left.intent, right.intent)
+    return _locate(lattice, extent, intent)
 
 
 def brute_order_pairs(lattice: ConceptLattice) -> tuple[tuple[int, int], ...]:

@@ -69,6 +69,10 @@ class TestAlgebraCommand:
         assert main(["algebra", "--product", "30", "30", "30"]) == 2
         assert "over the limit of 512" in capsys.readouterr().err
 
+    def test_product_over_the_axiom_budget(self, capsys):
+        assert main(["algebra", "--product", "3", "3", "3", "3", "2", "--check-axioms"]) == 2
+        assert "162 elements exceed the axiom-check budget of 128" in capsys.readouterr().err
+
     def test_missing_table_file(self, capsys):
         assert main(["algebra", "--table", "no/such/file.lia"]) == 2
 
@@ -91,6 +95,8 @@ class TestAlgebraCommand:
         # a corrupted 16-element table: its 311 violations overflow the
         # printed ten into the "... and N more" line
         ("bool16_bad", ["--table", BOOL16_BAD, "--check-axioms"], 1),
+        # 72 elements, over the former axiom budget of 64
+        ("product_3_3_2_2_2", ["--product", "3", "3", "2", "2", "2", "--check-axioms"], 0),
     ])
     def test_algebra_output_bytes_pinned(self, capsys, name, argv, code):
         assert main(["algebra", *argv]) == code

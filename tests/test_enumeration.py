@@ -226,16 +226,16 @@ def test_fixpoint_check_runs_off_an_lia(monkeypatch, engine):
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_gate_checks_tables_over_the_cli_axiom_budget(monkeypatch, engine):
-    # 72 elements, over the CLI check's budget of 64 and within the gate's
-    # limit of 128: the shuffled copy of an LIA is shown to be one, and
-    # closes one image per concept, as many concepts as over the product
+def test_gate_checks_tables_between_64_elements_and_the_axiom_budget(monkeypatch, engine):
+    # 72 elements, over the former budget of 64 and within the budget of
+    # 128: the shuffled copy of an LIA is shown to be one, and closes one
+    # image per concept, as many concepts as over the product
     product = ProductAlgebra([3, 3, 2, 2, 2])
     table, rename = shuffled_table(product, 72)
     context = random_context(random.Random(72), table, 3, 3)
     calls = count_derivations(monkeypatch)
     lattice = enumerate_concepts(context, engine, domain=FULL_DOMAIN)
-    assert len(table.elements) > lia.DEFAULT_AXIOM_BUDGET
+    assert 64 < len(table.elements) <= lia.DEFAULT_AXIOM_BUDGET
     assert table._is_lia is True
     assert calls() == len(lattice)
     back = {y: x for x, y in rename.items()}

@@ -11,6 +11,7 @@ from ltvcl import (
     DimensionError,
     FuzzyContext,
     MembershipError,
+    StructureError,
     attribute_set,
     closure_extent,
     closure_intent,
@@ -29,7 +30,8 @@ from ltvcl import (
 from ltvcl.galois import FULL_DOMAIN, GENERATED_DOMAIN, concept_label, scan_domain
 from conftest import DATA_DIR, aset, concept_set, oset, random_context
 from golden import BASE_CONCEPTS
-from oracle import pointwise_leq
+from oracle import pointwise_leq, reference_concept_join, reference_concept_meet
+from test_enumeration import ALGEBRAS, NON_LATTICE
 
 
 def chain5_context():
@@ -263,6 +265,42 @@ class TestLatticeStructure:
             lattice.leq(lattice[0], foreign)
         with pytest.raises(MembershipError):
             lattice.leq(foreign, lattice[0])
+
+    @pytest.mark.parametrize("name", sorted([*ALGEBRAS, "non-lattice"]))
+    def test_meet_and_join_match_the_value_level_reference(self, name):
+        # seeded random contexts of up to 4 x 4, both domains: the same
+        # concept, or the same exception type and message; chain5 fails
+        # the axioms, so a computed pair can miss the lattice, and the
+        # non-lattice table has pairs without a join
+        algebra = load_table_algebra(NON_LATTICE) if name == "non-lattice" else ALGEBRAS[name]()
+        rng = random.Random(name)
+        failures = set()
+
+        def outcome(op, *args):
+            try:
+                return op(*args)
+            except Exception as exc:
+                failures.add(type(exc))
+                return type(exc), str(exc)
+
+        for domain in (GENERATED_DOMAIN, FULL_DOMAIN):
+            for _ in range(12):
+                context = random_context(rng, algebra, rng.randint(1, 4), rng.randint(1, 4))
+                try:
+                    lattice = enumerate_concepts(context, domain=domain)
+                except StructureError:
+                    assert name == "non-lattice"
+                    continue
+                pairs = list(itertools.product(lattice, repeat=2))
+                for left, right in rng.sample(pairs, min(len(pairs), 60)):
+                    for op, reference in (
+                        (concept_meet, reference_concept_meet),
+                        (concept_join, reference_concept_join),
+                    ):
+                        assert outcome(op, lattice, left, right) == outcome(
+                            reference, lattice, left, right
+                        )
+        assert failures == ({StructureError} if name in ("chain5", "non-lattice") else set())
 
     @pytest.mark.parametrize("case", ["demo", "chain5"])
     def test_leq_is_pointwise_extent_order(self, demo, case):

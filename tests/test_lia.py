@@ -7,10 +7,12 @@ import pytest
 from ltvcl import lia
 from ltvcl import (
     BudgetError,
+    Concept,
     DimensionError,
     FuzzyContext,
     LinguisticLabel,
     LoadError,
+    MembershipError,
     ProductAlgebra,
     StructureError,
     TableAlgebra,
@@ -18,6 +20,7 @@ from ltvcl import (
     check_axioms,
     default_algebra,
     derive_intent,
+    enumerate_concepts,
     label_from_value,
     label_to_value,
     load_table_algebra,
@@ -309,10 +312,11 @@ class TestAxiomChecker:
         assert report.passed
 
     def test_budget_guard(self):
-        with pytest.raises(BudgetError):
-            check_axioms(ProductAlgebra([5, 13]))
+        with pytest.raises(BudgetError, match="130 elements exceed the axiom-check budget of 128"):
+            check_axioms(ProductAlgebra([5, 26]))
         assert check_axioms(ProductAlgebra([3, 3]), element_budget=9).passed
         assert check_axioms(ProductAlgebra([4, 4, 4])).passed
+        assert check_axioms(ProductAlgebra([2] * 7)).passed
 
     def test_matches_the_reference_check(self, monkeypatch):
         # shuffled table copies of products with a few corrupted entries:
@@ -533,8 +537,8 @@ class CoordsOnly:
 
 
 class TestPositionLookup:
-    """Vectors of values map to positions by their coordinates; whatever
-    is not a plain element takes the value-keyed lookup, which raises."""
+    """Values map to positions by their coordinates; whatever is not a
+    plain element raises, naming the first stranger."""
 
     def test_equal_values_map_to_the_canonical_positions(self):
         alg = ProductAlgebra([3, 2])
@@ -562,8 +566,23 @@ class TestPositionLookup:
             lambda: alg._positions((stranger, alg.top)),
             lambda: alg.check_member(stranger),
             lambda: derive_intent(context, object_set((alg.top, stranger))),
+            *(lambda op=op: op(alg.top, stranger) for op in (alg.leq, alg.meet, alg.join, alg.imp)),
+            *(lambda op=op: op(stranger, alg.top) for op in (alg.leq, alg.meet, alg.join, alg.imp)),
+            lambda: alg.neg(stranger),
+            lambda: alg.format_value(stranger),
         ):
             with pytest.raises(DimensionError) as err:
                 call()
             assert str(err.value) == f"{shown} is not an element of ProductAlgebra([3, 2])"
         assert not alg._has(stranger)
+
+        # a concept holding the stranger belongs to no lattice
+        lattice = enumerate_concepts(context)
+        held = Concept(object_set((alg.top, stranger)), lattice[0].intent)
+        for call in (
+            lambda: lattice.index_of(held),
+            lambda: lattice.leq(held, lattice[0]),
+            lambda: lattice.leq(lattice[0], held),
+        ):
+            with pytest.raises(MembershipError, match="concept does not belong to this lattice"):
+                call()
