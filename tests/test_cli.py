@@ -265,3 +265,25 @@ class TestCheckCongenerCommand:
         )
         assert main(["check-congener", DEMO, str(tampered)]) == 2
         assert "disagrees" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, argv, code", [
+    ("mine_demo_paper", ["mine", DEMO, "--preset", "paper"], 0),
+    # a table algebra that passes the axioms
+    ("mine_bool2_k3", ["mine", str(DATA_DIR / "bool2.ctx"), "--max-k", "3"], 0),
+    # a table algebra that fails the axioms, over the full domain
+    ("mine_chain5_k3_full",
+     ["mine", str(DATA_DIR / "chain5.ctx"), "--max-k", "3", "--domain", "full"], 0),
+    ("check_congener_demo_extended", ["check-congener", DEMO, DEMO_EXT], 0),
+    # g2's m4 cell changed from O to a: four extents only in the extension
+    ("check_congener_demo_flipped",
+     ["check-congener", DEMO, str(DATA_DIR / "demo_flipped.ctx")], 1),
+])
+def test_mining_output_bytes_pinned(capsys, tmp_path, name, argv, code):
+    report = tmp_path / "report.json"
+    if argv[0] == "mine":
+        argv = [*argv, "--out", str(report)]
+    assert main(argv) == code
+    assert capsys.readouterr().out == (GOLDENS / f"{name}.out").read_text(encoding="utf-8")
+    if argv[0] == "mine":
+        assert report.read_bytes() == (GOLDENS / f"{name}.json").read_bytes()
