@@ -63,6 +63,8 @@ def _build_algebra(args):
 
 def cmd_algebra(args) -> int:
     algebra = _build_algebra(args)
+    # checked first, so that an algebra over the budget prints nothing
+    report = check_axioms(algebra) if args.check_axioms else None
     name = algebra._spellings
     lines = ["elements: " + " ".join(name), "covers:"]
     fmt = algebra.format_value
@@ -74,9 +76,8 @@ def cmd_algebra(args) -> int:
         lines.append("neg table:")
         lines += [f"  neg {x} {name[k]}" for x, k in zip(name, algebra._neg)]
     print("\n".join(lines))
-    if not args.check_axioms:
+    if report is None:
         return 0
-    report = check_axioms(algebra)
     triples = len(algebra.elements) ** 3
     if report.passed:
         print(f"axioms: PASS ({triples} triples)")

@@ -6,18 +6,20 @@ extents unchanged. Over a lattice implication algebra, scanned over the
 read as an object-side set, is an extent of the base context: base extents
 are closed under meets and under shifts a -> A, and the extents of an
 extension by a column c are the sets E meet (b -> c) for a base extent E
-and a value b. So one closure per new column decides the question. Columns
-that are meets of existing columns, or constant top (the meet of no
-columns), are always extents; they are the tacit attributes this module
-hunts for. ``is_congener`` and ``mine`` take that decision in one place,
-and enumerate the extension only where the closure test does not settle it:
-on an algebra not shown to be a lattice implication algebra (see
-``Algebra._is_lia``), over an explicit domain, or for a non-congener
-extension, whose witnesses need both lattices. The fast extension path
-rewrites each base concept's intent directly (appending the meet of the
-source intent components, top when there are none) instead of
-re-enumerating, and the mining pipeline checks it concept by concept
-against intents computed independently of it.
+and a value b. Both domains are subalgebras holding every cell, so an
+extent valued in one derives from an intent valued there, and the base
+lattice enumerated over it lists every such extent: membership in that
+lattice decides the question. Columns that are meets of existing columns,
+or constant top (the meet of no columns), are always extents; they are
+the tacit attributes this module hunts for. ``is_congener`` and ``mine``
+take that decision in one place, and enumerate the extension only where
+membership does not settle it: on an algebra not shown to be a lattice
+implication algebra (see ``Algebra._is_lia``), over an explicit domain,
+or for a non-congener extension, whose witnesses need both lattices. The
+fast extension path rewrites each base concept's intent directly
+(appending the meet of the source intent components, top when there are
+none) instead of re-enumerating, and the mining pipeline checks it
+concept by concept against intents computed independently of it.
 """
 
 from __future__ import annotations
@@ -166,15 +168,16 @@ def _congener_report(
 def _decide_congener(
     base: FuzzyContext, extended: FuzzyContext, engine: str, domain, budget: int
 ) -> tuple[ConceptLattice, ConceptLattice | None]:
-    """The base lattice, and the extension's lattice or None when the
-    closure test shows the extension congener.
+    """The base lattice, and the extension's lattice or None when the base
+    lattice shows the extension congener.
 
     The test applies over a lattice implication algebra and the "generated"
     or "full" domain (both subalgebras holding every value of the
     extension), and asks whether every new column, read as an object-side
-    set, is an extent of the base: closure_extent(base, c) == c, on element
-    positions, once per distinct new column. When it does not apply, or
-    says no, the extension is enumerated.
+    set of element positions, is one of the base lattice's extents. Over
+    such a domain the lattice lists every extent valued in it, so that is
+    closure_extent(base, c) == c with no derivation. When the test does
+    not apply, or says no, the extension is enumerated.
     """
     # Both lattices are scanned over one domain. "generated" resolves on the
     # extension, a superset of the base's; the contexts share one algebra
@@ -182,16 +185,11 @@ def _decide_congener(
     # the same.
     values = scan_domain(extended, domain)
     base_lattice = enumerate_concepts(base, engine, domain=values, budget=budget)
-    algebra = base.algebra
-    if domain in (GENERATED_DOMAIN, FULL_DOMAIN) and algebra._is_lia:
-        rows, columns = base.row_positions, base.column_positions
-        width, height = len(base.attributes), len(base.objects)
-        base_names = set(base.attributes)
-        new = {c for name, c in zip(extended.attributes, extended.column_positions)
-               if name not in base_names}
-        if all(
-            _derive(algebra, columns, height, _derive(algebra, rows, width, c)) == c for c in new
-        ):
+    if domain in (GENERATED_DOMAIN, FULL_DOMAIN) and base.algebra._is_lia:
+        base_names, extents = set(base.attributes), set(base_lattice._extents)
+        new = [c for name, c in zip(extended.attributes, extended.column_positions)
+               if name not in base_names]
+        if all(c in extents for c in new):
             return base_lattice, None
     return base_lattice, enumerate_concepts(extended, engine, domain=values, budget=budget)
 
@@ -208,11 +206,11 @@ def is_congener(
 
     The decision is the one ``mine`` takes. The base lattice is always
     enumerated. Over a lattice implication algebra and the "generated" or
-    "full" domain, an extension whose new columns are all base extents is
-    congener (see the module docstring), and the report follows from the
-    base alone: equal counts, no witnesses. Otherwise the extension is
-    enumerated too and the two extent families are compared, which yields
-    the witnesses.
+    "full" domain, an extension whose new columns are all extents of that
+    lattice is congener (see the module docstring), and the report follows
+    from the base alone: equal counts, no witnesses. Otherwise the
+    extension is enumerated too and the two extent families are compared,
+    which yields the witnesses.
     """
     _require_restriction(base, extended)
     return _congener_report(*_decide_congener(base, extended, engine, domain, budget))
@@ -357,7 +355,7 @@ def mine(
     base lattice's order (the order reads extents only), so the fast
     extension is verified concept by concept against intents computed
     independently of it, rather than trusted: each base extent's intent
-    derived in the extension when the closure test settled the verdict, the
+    derived in the extension when the base lattice settled the verdict, the
     enumerated extension's intents when it did not. Both sides are compared
     as tuples of element positions. A non-congener extension leaves the
     fast path unverified.

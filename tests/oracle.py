@@ -8,12 +8,14 @@ before it folded on element positions; ``reference_derive_intent`` and
 one by one, with the body ``galois.enumerate_concepts`` had before it
 became a deduplicated fold. ``reference_check_axioms`` is the law check
 ``lia.check_axioms`` ran through the public operations before it read the
-position tables directly. ``reference_extend_context``,
+position tables directly; it still tests the eight laws that
+``check_axioms`` leaves out because every ``Algebra`` satisfies them by
+construction. ``reference_extend_context``,
 ``reference_classify_columns``, ``reference_extend_concepts_fast``,
 ``reference_is_congener`` and ``reference_mine`` are the tacit layer as
 it ran on truth values, before it built columns and intents on element
-positions, searched a column's upper set and decided congener by one
-closure per new column: extension, classification and the fast extension
+positions, searched a column's upper set and decided congener by
+membership of every new column in the base lattice: extension, classification and the fast extension
 fold ``Algebra.meet`` row by row from top, and congener verdicts always
 come from enumerating the extension.
 ``reference_export_json`` is ``galois.export_json`` as it built the
@@ -29,8 +31,8 @@ tuples. ``pointwise_leq`` is the value-by-value extent comparison
 then ``closure_*`` and a lookup among the lattice's ``Concept``s), before
 they ran on position tuples.
 ``check_pointwise_condition`` is the per-extent congener criterion the
-tacit layer exported before the closure test subsumed it; quantified over
-the scan domain it is an independent check of the closure test's verdict.
+tacit layer exported before a per-column test subsumed it; quantified over
+the scan domain it is an independent check of the congener verdict.
 Nothing under ``src/`` calls any of them; the suite checks the library
 against them.
 """

@@ -6,10 +6,12 @@ import pytest
 from ltvcl import (
     AttributeProvenance,
     BudgetError,
+    DimensionError,
     ExtensionConfig,
     FuzzyContext,
     ParseError,
     StructureError,
+    TruthValue,
     default_algebra,
     extend_context,
     load_table_algebra,
@@ -263,3 +265,78 @@ class TestRestrictAgrees:
         renamed = FuzzyContext(demo.algebra, ("h1", "h2"), demo.attributes, demo.rows)
         with pytest.raises(StructureError):
             restrict_agrees(demo, renamed)
+
+
+HEAD = "algebra product 3 2\n"
+
+
+def parsed(text):
+    # a relative base directory that does not exist, so the message of an
+    # unreadable table file is the same on every machine
+    return lambda: parse_context(text, base_dir="no/such/dir")
+
+
+def context(**fields):
+    L = default_algebra()
+    top = L.top
+    kwargs = dict(algebra=L, objects=("g1",), attributes=("m1", "m2"), rows=((top, top),))
+    return lambda: FuzzyContext(**{**kwargs, **fields})
+
+
+ORIG = AttributeProvenance.original()
+
+
+@pytest.mark.parametrize("build, error, message, line", [
+    # parse_context
+    (parsed(HEAD * 2), ParseError, "duplicate 'algebra' line", 2),
+    (parsed("algebra product 3 x\n"), ParseError, "product sizes must be integers", 1),
+    (parsed("algebra product\n"), ParseError, "'algebra product' needs chain sizes", 1),
+    (parsed("algebra product 1 2\n"), ParseError, "every chain size must be >= 2, got [1, 2]", 1),
+    (parsed("algebra table t.lia\n"), ParseError,
+     "cannot read table file 't.lia': [Errno 2] No such file or directory: 'no/such/dir/t.lia'", 1),
+    (parsed("algebra lattice 3\n"), ParseError,
+     "expected 'algebra product <sizes>' or 'algebra table <path>'", 1),
+    (parsed("algebra table a b\n"), ParseError,
+     "expected 'algebra product <sizes>' or 'algebra table <path>'", 1),
+    (parsed(HEAD + "alias a=SlT b\n"), ParseError, "alias entries look like tok=Value, got 'b'", 2),
+    (parsed(HEAD + "alias =SlT\n"), ParseError, "alias entries look like tok=Value, got '=SlT'", 2),
+    (parsed(HEAD + "alias a=Nope\n"), ParseError,
+     "unknown value 'Nope' for algebra 'product 3 2'", 2),
+    (parsed(HEAD + "attributes m1\nattributes m2\n"), ParseError, "duplicate 'attributes' line", 3),
+    (parsed(HEAD + "g1 AbT\n"), ParseError, "object rows must follow the 'attributes' line", 2),
+    (parsed(HEAD), ParseError, "missing 'attributes' line", None),
+    (parsed("# nothing\n"), ParseError, "missing 'algebra' line", None),
+    # FuzzyContext
+    (context(objects=("g1", "g1"), rows=((), ())), ValueError, "duplicate object name", None),
+    (context(attributes=("m1", "m1")), ValueError, "duplicate attribute name", None),
+    (context(rows=()), ValueError, "1 objects but 0 rows", None),
+    (context(rows=((),)), ValueError, "row 'g1' has 0 values for 2 attributes", None),
+    (context(provenance=(ORIG,)), ValueError,
+     "provenance list does not match the attribute list", None),
+    (context(rows=((TruthValue((9, 9)), default_algebra().top),)), DimensionError,
+     "TruthValue((9, 9)) is not an element of ProductAlgebra([3, 2])", None),
+    (context(attributes=("m1", "m2", "m3"), objects=(), rows=(),
+             provenance=(ORIG, ORIG, AttributeProvenance.meet_of((0, 3)))),
+     ValueError, "meet source index 3 out of range", None),
+    (context(attributes=("m1", "m2", "m3"), objects=(), rows=(),
+             provenance=(ORIG, ORIG, AttributeProvenance.meet_of((0, 2)))),
+     ValueError, "meet sources must be original attributes", None),
+    # AttributeProvenance
+    (lambda: AttributeProvenance("derived"), ValueError, "unknown provenance kind 'derived'", None),
+    (lambda: AttributeProvenance.meet_of((0,)), ValueError,
+     "a meet column needs at least two sources", None),
+    (lambda: AttributeProvenance.meet_of((1, 0)), ValueError,
+     "meet sources must be strictly increasing", None),
+    (lambda: AttributeProvenance.meet_of((0, 0)), ValueError,
+     "meet sources must be strictly increasing", None),
+    (lambda: AttributeProvenance("top", (0,)), ValueError, "top provenance takes no sources", None),
+    (lambda: AttributeProvenance("original", (0, 1)), ValueError,
+     "original provenance takes no sources", None),
+])
+def test_errors_name_their_cause(build, error, message, line):
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert type(caught.value) is error
+    expected = message if line is None else f"line {line}: {message}"
+    assert str(caught.value) == expected
+    assert getattr(caught.value, "line", None) == line

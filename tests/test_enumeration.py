@@ -17,12 +17,13 @@ from ltvcl import (
     ProductAlgebra,
     TableAlgebra,
     enumerate_concepts,
+    is_congener,
     load_table_algebra,
 )
-from ltvcl import galois, lia
+from ltvcl import galois, lia, tacit
 from ltvcl.errors import StructureError
 from ltvcl.galois import EXTENT_SCAN, FULL_DOMAIN, GENERATED_DOMAIN, INTENT_SCAN
-from conftest import DATA_DIR, load_context, random_context
+from conftest import DATA_DIR, append_column, load_context, random_context
 from oracle import (
     brute_order_pairs,
     reference_derive_extent,
@@ -254,6 +255,47 @@ def test_gate_rejects_a_corrupted_table_over_the_cli_axiom_budget(monkeypatch, e
     lattice = enumerate_concepts(context, engine, domain=FULL_DOMAIN)
     assert table._is_lia is False
     assert len(lattice) < calls()
+
+
+def test_gate_is_off_for_tables_over_the_axiom_budget(monkeypatch):
+    # a shuffled copy of a 162-element LIA: check_axioms refuses it, so it
+    # is not shown to be one; enumeration keeps its fixpoint check and
+    # is_congener enumerates a congener extension, and both agree with the
+    # product, on which the gate is on
+    product = ProductAlgebra([3, 3, 3, 3, 2])
+    table, rename = shuffled_table(product, 162)
+    assert len(table.elements) > lia.DEFAULT_AXIOM_BUDGET
+    assert table._is_lia is False
+    base = random_context(random.Random(162), table, 2, 2)
+    meet = tuple(table.meet(*row) for row in base.rows)
+    ext = append_column(base, "x", meet)
+    back = {y: x for x, y in rename.items()}
+
+    def over_product(context):
+        rows = tuple(tuple(back[v] for v in row) for row in context.rows)
+        return FuzzyContext(product, context.objects, context.attributes, rows)
+
+    enumerated = []
+
+    def counting(context, *args, **kwargs):
+        enumerated.append(context)
+        return enumerate_concepts(context, *args, **kwargs)
+
+    monkeypatch.setattr(tacit, "enumerate_concepts", counting)
+    calls = count_derivations(monkeypatch)
+    for engine in ENGINES:
+        before = calls()
+        lattice = enumerate_concepts(base, engine, domain=FULL_DOMAIN)
+        assert len(lattice) < calls() - before
+        product_lattice = enumerate_concepts(over_product(base), engine, domain=FULL_DOMAIN)
+        assert len(product_lattice) == len(lattice)
+        enumerated.clear()
+        report = is_congener(base, ext, engine=engine, domain=FULL_DOMAIN, budget=10**7)
+        assert enumerated == [base, ext]
+        assert report.is_congener
+        assert report == is_congener(
+            over_product(base), over_product(ext), engine=engine, domain=FULL_DOMAIN, budget=10**7
+        )
 
 
 @pytest.mark.parametrize("name", ["bool2", "seeded-order"])

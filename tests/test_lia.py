@@ -193,6 +193,29 @@ class TestLinguisticLabels:
 
 BOOL2 = (DATA_DIR / "bool2.lia").read_text()
 CHAIN5 = (DATA_DIR / "chain5.lia").read_text()
+BOOL16_BAD = (DATA_DIR / "bool16_bad.lia").read_text()
+
+# laws that hold on every Algebra, so check_axioms does not test them
+LAWS_BY_CONSTRUCTION = {
+    "lia-2", "lia-4", "meet-idem", "join-idem", "meet-comm", "join-comm",
+    "absorb-meet-join", "absorb-join-meet",
+}
+
+
+# the two-element Boolean algebra, in the table format and in memory
+TWO = "elements O I\nimp O I I\nimp I O I\nneg O I\nneg I O\n"
+
+
+def loaded(text):
+    return lambda: load_table_algebra(text)
+
+
+def built(imp=(), neg=(), drop=None):
+    """TableAlgebra over O and I with extra implication and negation
+    entries, and without the implication entry ``drop``."""
+    table = {("O", "O"): "I", ("O", "I"): "I", ("I", "O"): "O", ("I", "I"): "I", **dict(imp)}
+    table.pop(drop, None)
+    return lambda: TableAlgebra(["O", "I"], table, {"O": "I", "I": "O", **dict(neg)})
 
 
 class TestTableAlgebra:
@@ -304,6 +327,49 @@ class TestTableAlgebra:
         with pytest.raises(LoadError, match=f"entry .*{key}.* undeclared"):
             TableAlgebra(["O", "I"], imp, neg)
 
+    @pytest.mark.parametrize("build, message, line", [
+        # load_table_algebra
+        (loaded("elements O I\nelements O I\n"), "duplicate 'elements' line", 2),
+        (loaded("elements\n"), "'elements' needs at least one name", 1),
+        (loaded("imp O I I\n"), "'imp' before 'elements'", 1),
+        (loaded("elements O I\nimp O I\n"), "'imp' row needs a row name and 2 values", 2),
+        (loaded("neg O I\n"), "'neg' before 'elements'", 1),
+        (loaded("elements O I\nneg O\n"), "'neg' takes exactly a name and a value", 2),
+        (loaded("elements O I\ntop I\n"), "unknown directive 'top'", 2),
+        (loaded("# empty\n"), "missing 'elements' line", None),
+        (loaded("elements O I\nimp O I I\nneg O I\nneg I O\n"),
+         "expected 2 'imp' rows, found 1", None),
+        (loaded("elements O I\nimp I O I\nimp O I I\nneg O I\nneg I O\n"),
+         "'imp' rows must follow the declared order; expected 'O'", 2),
+        (loaded(TWO + "neg Z O\n"), "'neg' line names undeclared element 'Z'", 6),
+        (loaded(TWO + "neg O I\n"), "duplicate 'neg' line for 'O'", 6),
+        # TableAlgebra, through the loader
+        (loaded("elements O O\nimp O O O\nimp O O O\nneg O O\n"),
+         "duplicate element name in ['O', 'O']", None),
+        (loaded(TWO.replace("imp O I I", "imp O I X")),
+         "implication entry (O, I) = 'X' is not an element", None),
+        (loaded(TWO.replace("neg I O\n", "")), "negation table is missing entry for I", None),
+        (loaded(TWO.replace("neg I O", "neg I X")),
+         "negation entry I -> 'X' is not an element", None),
+        # TableAlgebra, in memory
+        (lambda: TableAlgebra([], {}, {}), "a table algebra needs at least one element", None),
+        (built(imp={("Z", "O"): "I"}),
+         "implication entry (Z, O) names an undeclared element", None),
+        (built(neg={"Z": "O"}), "negation entry for 'Z' names an undeclared element", None),
+        (built(drop=("O", "I")), "implication table is missing entry (O, I)", None),
+        # Algebra, on the derived order
+        (loaded("elements x y\nimp x x y\nimp y y y\nneg x y\nneg y x\n"),
+         "derived order is not reflexive: the diagonal takes values ['x', 'y'] "
+         "instead of a single top element", None),
+        (loaded("elements x y\nimp x y y\nimp y y y\nneg x y\nneg y x\n"),
+         "derived order is not antisymmetric: x and y lie below each other", None),
+    ])
+    def test_load_errors_name_their_cause(self, build, message, line):
+        with pytest.raises(LoadError) as caught:
+            build()
+        assert str(caught.value) == (message if line is None else f"line {line}: {message}")
+        assert caught.value.line == line
+
 
 class TestAxiomChecker:
     @pytest.mark.parametrize("sizes", [[2, 2], [3, 2], [4, 2], [5, 2]])
@@ -370,6 +436,45 @@ class TestAxiomChecker:
         kinds = ("pass", "fail", "undefined-bound", "unbounded", "screened-replayed", "screened-skipped")
         assert all(outcomes[k] for k in kinds), outcomes
 
+
+    def test_laws_left_out_hold_on_every_loadable_table(self):
+        # the eight laws check_axioms does not test hold on every Algebra by
+        # construction: the reference check, which tests them, never
+        # reports one, here or on any table that loads
+        rng = random.Random(14)
+        cases = [load_table_algebra(CHAIN5), load_table_algebra(BOOL16_BAD)]
+        for sizes in ([2, 2], [3, 2], [4], [2, 2, 2], [3, 3], [4, 2]):
+            cases.append(ProductAlgebra(sizes))
+            names, imp, neg, _ = shuffled_tables(ProductAlgebra(sizes), rng)
+            cases.append(TableAlgebra(names, imp, neg))
+            for _ in range(20):
+                names, imp, neg, _ = shuffled_tables(ProductAlgebra(sizes), rng)
+                for _ in range(rng.randint(1, 4)):
+                    imp[rng.choice(names), rng.choice(names)] = rng.choice(names)
+                if rng.random() < 0.3:
+                    neg[rng.choice(names)] = rng.choice(names)
+                cases.append((names, imp, neg))
+        for _ in range(300):
+            names = [f"e{i}" for i in range(rng.randint(3, 5))]
+            top = rng.choice(names)
+            imp = {(x, y): top if x == y else rng.choice(names) for x in names for y in names}
+            cases.append((names, imp, {x: rng.choice(names) for x in names}))
+        seen = Counter()
+        for case in cases:
+            if isinstance(case, tuple):
+                try:
+                    case = TableAlgebra(*case)
+                except LoadError:
+                    seen["load-error"] += 1
+                    continue
+            violations = reference_check_axioms(case).violations
+            laws = {law for law, _ in violations}
+            assert not laws & LAWS_BY_CONSTRUCTION, (case, laws)
+            assert check_axioms(case).violations == violations
+            seen["fail" if violations else "pass"] += 1
+            seen["missing-bound"] += bool(laws & {"meet-defined", "join-defined"})
+        assert seen["pass"] + seen["fail"] >= 250, seen
+        assert seen["pass"] and seen["missing-bound"] and seen["load-error"], seen
 
     @pytest.mark.parametrize("sizes", [[3, 2], [2, 2, 2], [3, 3], [4, 4]])
     def test_screen_flags_exactly_the_rows_with_cubic_violations(self, sizes):

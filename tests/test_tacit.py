@@ -295,8 +295,9 @@ def _crisp_context(seed: int, n_objects: int, n_attrs: int) -> FuzzyContext:
 
 class TestClosureTest:
     """Over a lattice implication algebra, is_congener and mine decide the
-    congener question by one closure per new column and enumerate only the
-    base."""
+    congener question by membership of every new column in the base
+    lattice, which is the closure test with no derivation, and enumerate
+    only the base."""
 
     @pytest.fixture
     def enumerations(self, monkeypatch):
@@ -317,6 +318,25 @@ class TestClosureTest:
         assert report.congener.is_congener and report.fast_extension_verified
         assert enumerations == [demo]
 
+    @pytest.mark.parametrize("domain", [GENERATED_DOMAIN, FULL_DOMAIN])
+    def test_congener_decision_makes_no_derivation(self, demo, demo_extended, monkeypatch, domain):
+        calls = []
+        derive = tacit._derive
+
+        def counted(*args):
+            calls.append(args)
+            return derive(*args)
+
+        monkeypatch.setattr(tacit, "_derive", counted)
+        report = is_congener(demo, demo_extended, domain=domain)
+        assert report.is_congener
+        assert calls == []
+        # the one derivation left in tacit: mine's check of the fast
+        # extension, one intent per base concept
+        mined = mine(demo, PAPER_PRESET, domain=domain)
+        assert mined.fast_extension_verified
+        assert len(calls) == mined.congener.base_extent_count
+
     def test_non_congener_extension_enumerates_both(self, demo, enumerations):
         alg = demo.algebra
         adv = append_column(demo, "x", (alg.parse_value("AbF"), alg.parse_value("AbT")))
@@ -331,7 +351,7 @@ class TestClosureTest:
     def test_a_wrong_fast_extension_is_caught(self, demo, enumerations, monkeypatch, explicit):
         # one flipped intent component in one concept of the fast extension
         # fails the concept-by-concept check, on the closure path and on the
-        # enumeration path (an explicit domain gates the closure test off)
+        # enumeration path (an explicit domain gates the membership test off)
         real = tacit.extend_concepts_fast
 
         def flipped(base_lattice, base, extended, **kwargs):
@@ -358,8 +378,8 @@ class TestClosureTest:
 
     def test_congener_answer_needs_no_extension_budget(self):
         # deliberate change: enumerating the extension raised BudgetError
-        # ("intent scan needs 134217728 candidates"); the closure test
-        # answers from the 2^10-candidate base scan
+        # ("intent scan needs 134217728 candidates"); membership in the base
+        # lattice answers from the 2^10-candidate base scan
         base = _crisp_context(self.BUDGET_SEED, 7, 10)
         ext = extend_context(base, ExtensionConfig(max_meet_arity=4))
         assert len(ext.attributes) == 27

@@ -4,14 +4,17 @@
 meets folded row by row, every subset of the originals searched, and every
 congener verdict taken from enumerating the extension. The library builds
 columns on element positions, searches a column's upper set, and decides
-congener by one closure per new column where that is exact. Both must give
-the same extensions, classifications, congener reports and mining reports,
-and raise the same errors, on algebras where the closure test applies and
-on algebras where it is gated off.
+congener by membership of every new column in the base lattice where that
+is exact. Both must give the same extensions, classifications, congener
+reports and mining reports, and raise the same errors, on algebras where
+the membership test applies and on algebras where it is gated off; and
+membership must decide exactly as the closure rule,
+``closure_extent(base, c) == c`` for every new column c, does.
 """
 
 import functools
 import random
+from collections import Counter
 
 import pytest
 
@@ -53,7 +56,7 @@ def _table(name: str):
     return lambda: load_table_algebra((DATA_DIR / name).read_text(encoding="utf-8"))
 
 
-# the closure test applies to these ...
+# the membership test applies to these ...
 LIAS = {
     "product 3 2": lambda: ProductAlgebra([3, 2]),
     "product 2 2": lambda: ProductAlgebra([2, 2]),
@@ -179,7 +182,7 @@ def test_mining_matches_the_oracle(name):
         for config in configs(rng):
             extended = extend_context(context, config)
             assert extended == reference_extend_context(context, config)
-            # an explicit domain gates the closure test off: mine enumerates
+            # an explicit domain gates the membership test off: mine enumerates
             # the extension and checks the fast path against its intents
             for domain in (*DOMAINS, algebra.elements):
                 for engine in ENGINES:
@@ -213,7 +216,7 @@ def test_gated_off_on_algebras_that_fail_the_axioms(name, monkeypatch):
                     reference_is_congener, base, ext, engine=engine, domain=domain, budget=BUDGET
                 )
                 if got[0] == "ok":
-                    # the extension was enumerated: the closure test is off
+                    # the extension was enumerated: the membership test is off
                     assert enumerated[:2] == [base, ext]
         for config in configs(rng):
             assert outcome(extend_context, base, config) == outcome(
@@ -223,3 +226,58 @@ def test_gated_off_on_algebras_that_fail_the_axioms(name, monkeypatch):
                 assert outcome(mine, base, config, domain=domain, budget=BUDGET) == outcome(
                     reference_mine, base, config, domain=domain, budget=BUDGET
                 )
+
+
+def membership_column(rng: random.Random, base, kind: str):
+    """A column of random values, a base extent, a base extent E shifted
+    to a -> E, or the meet of two base extents; all but the first are base
+    extents over a lattice implication algebra."""
+    alg = base.algebra
+
+    def values():
+        return tuple(rng.choice(alg.elements) for _ in base.objects)
+
+    def extent():
+        return closure_extent(base, object_set(values())).values
+
+    if kind == "random":
+        return values()
+    if kind == "extent":
+        return extent()
+    if kind == "shifted":
+        a = rng.choice(alg.elements)
+        return tuple(alg.imp(a, v) for v in extent())
+    return tuple(map(alg.meet, extent(), extent()))
+
+
+@pytest.mark.parametrize("name", sorted(LIAS))
+def test_membership_decides_as_the_closure_rule(name, monkeypatch):
+    # 100 seeded extensions per algebra, each under both named domains and
+    # both engines: 2,000 cases over LIAS. The verdict, and whether the
+    # extension was enumerated, follow the closure of every new column.
+    enumerated = []
+
+    def counting(context, *args, **kwargs):
+        enumerated.append(context)
+        return enumerate_concepts(context, *args, **kwargs)
+
+    monkeypatch.setattr(tacit, "enumerate_concepts", counting)
+    algebra = LIAS[name]()
+    rng = random.Random(f"membership {name}")
+    seen = Counter()
+    for _ in range(100):
+        base = random_context(rng, algebra, rng.randint(1, 3), rng.randint(1, 3))
+        ext, closed = base, True
+        for label in ("x", "y")[: rng.randint(1, 2)]:
+            kind = rng.choice(("random", "extent", "shifted", "meet"))
+            column = membership_column(rng, base, kind)
+            ext = append_column(ext, label, column)
+            closed = closed and closure_extent(base, object_set(column)).values == column
+        for domain in DOMAINS:
+            for engine in ENGINES:
+                enumerated.clear()
+                report = is_congener(base, ext, engine=engine, domain=domain, budget=BUDGET)
+                assert report.is_congener == closed
+                assert enumerated == ([base] if closed else [base, ext])
+                seen[closed] += 1
+    assert sum(seen.values()) == 400 and seen[True] and seen[False], seen
