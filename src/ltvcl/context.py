@@ -198,18 +198,19 @@ def extend_context(context: FuzzyContext, config: ExtensionConfig | None = None)
     columns = context.column_positions
     memo = {(): (algebra._top,) * len(context.objects)}
     seen = set(columns)
-    new_columns: list[tuple[AttributeProvenance, tuple[int, ...]]] = []
+    # (source subset, column) per admitted column; the empty subset is top
+    new_columns: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
-    def admit(provenance: AttributeProvenance, column: tuple[int, ...]) -> None:
+    def admit(subset: tuple[int, ...], column: tuple[int, ...]) -> None:
         if cfg.novelty_filter and column in seen:
             return
-        new_columns.append((provenance, column))
+        new_columns.append((subset, column))
         seen.add(column)
 
     for subset in subsets:
-        admit(AttributeProvenance.meet_of(subset), _meet_of(algebra, columns, subset, memo))
+        admit(subset, _meet_of(algebra, columns, subset, memo))
     if cfg.include_top_column:
-        admit(AttributeProvenance.constant_top(), memo[()])
+        admit((), memo[()])
 
     names = list(context.attributes)
     used = set(names)
@@ -225,7 +226,8 @@ def extend_context(context: FuzzyContext, config: ExtensionConfig | None = None)
     rows = tuple(
         row + tuple([els[col[g]] for _, col in new_columns]) for g, row in enumerate(context.rows)
     )
-    provenance = context.provenance + tuple(p for p, _ in new_columns)
+    meet, top = AttributeProvenance.meet_of, AttributeProvenance.constant_top()
+    provenance = context.provenance + tuple(meet(s) if s else top for s, _ in new_columns)
     return FuzzyContext(algebra, context.objects, tuple(names), rows, provenance)
 
 

@@ -197,19 +197,18 @@ class ConceptLattice:
     A lattice also holds every extent and intent as a tuple of element
     positions (``_extents`` and ``_intents``), which the order, the covers
     and the exports read. Enumeration builds a lattice from those tuples
-    (``_from_positions``), and its ``Concept``s are built on first use; a
-    lattice built from ``Concept``s maps them to position tuples when it is
-    built, so a value outside the algebra raises DimensionError there.
-    Both constructors sort the tuples the same way (``_arrange``).
+    (``_from_positions``); a lattice built from ``Concept``s maps them to
+    position tuples when it is built, so a value outside the algebra raises
+    DimensionError there. Both constructors sort the tuples the same way
+    (``_arrange``), and either lattice builds its ``Concept``s on first use.
     """
 
     def __init__(self, context: FuzzyContext, concepts: Iterable[Concept]):
-        unique = list(set(concepts))
         positions = context.algebra._positions
-        order = self._arrange(
-            context, [(positions(c.extent.values), positions(c.intent.values)) for c in unique]
+        pairs = dict.fromkeys(
+            (positions(c.extent.values), positions(c.intent.values)) for c in concepts
         )
-        self.concepts = tuple([unique[i] for i in order])
+        self._arrange(context, pairs)
 
     @classmethod
     def _from_positions(
@@ -218,12 +217,12 @@ class ConceptLattice:
         """The lattice of distinct (extent, intent) position pairs, in the
         canonical order of the public constructor."""
         lattice = cls.__new__(cls)
-        lattice._arrange(context, list(pairs))
+        lattice._arrange(context, pairs)
         return lattice
 
-    def _arrange(self, context: FuzzyContext, pairs: list) -> list[int]:
+    def _arrange(self, context: FuzzyContext, pairs: Iterable) -> None:
         """Store the context and the (extent, intent) position pairs in
-        canonical order, and return that order as indexes into ``pairs``.
+        canonical order.
 
         The order sorts extents descending lexicographically on their
         elements' coordinates, read as one integer rank per position:
@@ -235,12 +234,10 @@ class ConceptLattice:
         for r, p in enumerate(sorted(range(len(els)), key=lambda p: els[p].coords)):
             rank[p] = r
         at = rank.__getitem__
-        keys = [tuple(map(at, extent)) for extent, _ in pairs]
-        order = sorted(range(len(pairs)), key=keys.__getitem__, reverse=True)
+        pairs = sorted(pairs, key=lambda pair: tuple(map(at, pair[0])), reverse=True)
         self.context = context
-        self._extents = tuple([pairs[i][0] for i in order])
-        self._intents = tuple([pairs[i][1] for i in order])
-        return order
+        self._extents = tuple([extent for extent, _ in pairs])
+        self._intents = tuple([intent for _, intent in pairs])
 
     @cached_property
     def concepts(self) -> tuple[Concept, ...]:

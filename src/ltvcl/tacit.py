@@ -142,8 +142,9 @@ def _congener_report(
 ) -> CongenerReport:
     """Compare the extent families of the two lattices, as sets of position
     tuples; only the witnesses become ``FuzzySet``s, sorted by side, then
-    by their values' coordinates. No extended lattice means the closure
-    test showed the extension congener: equal counts, no witnesses."""
+    by their values' coordinates. No extended lattice means membership in
+    the base lattice showed the extension congener: equal counts, no
+    witnesses."""
     if extended_lattice is None:
         count = len(base_lattice)
         return CongenerReport(base_extent_count=count, extended_extent_count=count, witnesses=())
@@ -293,28 +294,32 @@ def extend_concepts_fast(
     top, for the constant-top column). Those meets run on element
     positions, one column over all concepts at a time, memoised by source
     prefix: the base intents are read as position tuples and the lattice is
-    built from them. Sound only when every new column is classified; an
-    unclassified column raises and the caller must fall back to
-    enumerate_concepts on the extension.
+    built from them. Sound only when every new column is classified: an
+    unsatisfied check, or a new column with no check, raises
+    UnclassifiedColumnError, and the caller must fall back to
+    enumerate_concepts on the extension. A satisfied check whose sources
+    name anything but a base attribute raises PreconditionError.
     """
     if checks is None:
         checks = classify_columns(base, extended)
     else:
         _require_restriction(base, extended)
+    base_index = {name: i for i, name in enumerate(base.attributes)}
+    by_attr = {c.attribute: c for c in checks}
+    new_names = [name for name in extended.attributes if name not in base_index]
     unexplained = [c.attribute for c in checks if not c.satisfied]
+    unexplained += [name for name in new_names if name not in by_attr]
     if unexplained:
         raise UnclassifiedColumnError(
             "fast extension is unsound for unclassified columns "
             f"{unexplained}; enumerate the extended context instead"
         )
+    for name in new_names:
+        for s in by_attr[name].sources:
+            if s not in base_index:
+                raise PreconditionError(f"the check of {name} names {s!r}, not a base attribute")
     algebra = base.algebra
-    base_index = {name: i for i, name in enumerate(base.attributes)}
-    by_attr = {c.attribute: c for c in checks}
-    sources = {
-        name: tuple(base_index[s] for s in by_attr[name].sources)
-        for name in extended.attributes
-        if name not in base_index
-    }
+    sources = {name: tuple(base_index[s] for s in by_attr[name].sources) for name in new_names}
     # per base attribute, the intent components of the concepts in lattice
     # order, as a position column
     intents = base_lattice._intents
@@ -355,10 +360,11 @@ def mine(
     base lattice's order (the order reads extents only), so the fast
     extension is verified concept by concept against intents computed
     independently of it, rather than trusted: each base extent's intent
-    derived in the extension when the base lattice settled the verdict, the
-    enumerated extension's intents when it did not. Both sides are compared
-    as tuples of element positions. A non-congener extension leaves the
-    fast path unverified.
+    derived in the extension. Where the extension was enumerated, that is
+    the intent its lattice pairs with the extent, since enumeration pairs
+    every extent with its forward derivation. Both sides are compared as
+    tuples of element positions. A non-congener extension leaves the fast
+    path unverified.
     """
     extended = extend_context(context, config)
     checks = classify_columns(context, extended)
@@ -369,15 +375,10 @@ def mine(
     if all(c.satisfied for c in checks):
         fast_lattice = extend_concepts_fast(base_lattice, context, extended, checks=checks)
         if congener.is_congener:
-            if full_lattice is None:
-                rows, width = extended.row_positions, len(extended.attributes)
-                intents = tuple(
-                    _derive(context.algebra, rows, width, extent)
-                    for extent in base_lattice._extents
-                )
-            else:
-                intents = full_lattice._intents
-            fast_verified = fast_lattice._intents == intents
+            rows, width = extended.row_positions, len(extended.attributes)
+            fast_verified = fast_lattice._intents == tuple(
+                _derive(context.algebra, rows, width, extent) for extent in base_lattice._extents
+            )
 
     tacit = tuple(
         (name, prov.formula(extended.attributes))

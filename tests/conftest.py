@@ -6,7 +6,10 @@ import pytest
 from ltvcl import (
     Concept,
     FuzzyContext,
+    ProductAlgebra,
+    TableAlgebra,
     attribute_set,
+    load_table_algebra,
     object_set,
     parse_context,
 )
@@ -17,6 +20,11 @@ DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 def load_context(name: str) -> FuzzyContext:
     path = DATA_DIR / name
     return parse_context(path.read_text(encoding="utf-8"), base_dir=str(DATA_DIR))
+
+
+def table(name: str) -> TableAlgebra:
+    """The table algebra of ``data/<name>``, with that name as its source."""
+    return load_table_algebra((DATA_DIR / name).read_text(encoding="utf-8"), source=name)
 
 
 @pytest.fixture(scope="session")
@@ -67,3 +75,70 @@ def append_column(context: FuzzyContext, name: str, values) -> FuzzyContext:
         context.attributes + (name,),
         tuple(row + (v,) for row, v in zip(context.rows, values)),
     )
+
+
+def shuffled_tables(alg, rng):
+    """Fresh names for ``alg``'s elements in a shuffled declaration order,
+    its implication and negation tables under them, and the renaming."""
+    els = list(alg.elements)
+    rng.shuffle(els)
+    name = {x: f"e{i}" for i, x in enumerate(els)}
+    imp = {(name[x], name[y]): name[alg.imp(x, y)] for x in els for y in els}
+    neg = {name[x]: name[alg.neg(x)] for x in els}
+    return [name[x] for x in els], imp, neg, name
+
+
+def shuffled_table(alg, seed):
+    """A table-algebra copy of ``alg`` under shuffled names, with the
+    renaming from ``alg``'s values."""
+    names, imp, neg, name = shuffled_tables(alg, random.Random(seed))
+    copy = TableAlgebra(names, imp, neg)
+    return copy, {x: copy.parse_value(n) for x, n in name.items()}
+
+
+def break_contraposition(names, imp, neg, rng):
+    """A copy of ``imp`` with one entry changed so that imp(x, y) =
+    imp(neg y, neg x) fails. The entry is off the diagonal, neither its
+    old nor its new value is top, and y is not neg x, so the derived order,
+    and with it every meet and join, stays as it was."""
+    top = imp[names[0], names[0]]
+    x, y = rng.choice([(x, y) for x in names for y in names
+                       if x != y and y != neg[x] and imp[x, y] != top])
+    bad = dict(imp)
+    bad[x, y] = rng.choice([v for v in names if v not in (imp[x, y], top)])
+    return bad
+
+
+# Every algebra but chain5 is a lattice implication algebra, on which
+# enumeration closes each image of the fold once and checks no fixpoint;
+# chain5 fails the axioms and keeps the check. The seeded-order table is a
+# shuffled copy of a product, so its gate runs check_axioms.
+ALGEBRAS = {
+    "product 3 2": lambda: ProductAlgebra([3, 2]),
+    "product 2 2": lambda: ProductAlgebra([2, 2]),
+    "product 4": lambda: ProductAlgebra([4]),
+    "product 2 3 2": lambda: ProductAlgebra([2, 3, 2]),
+    "product 3 3": lambda: ProductAlgebra([3, 3]),
+    "bool2": lambda: table("bool2.lia"),
+    "seeded-order": lambda: shuffled_table(ProductAlgebra([3, 2]), 1)[0],
+    "chain5": lambda: table("chain5.lia"),
+}
+
+# 0 < a, b < c, d < 1 with a, b incomparable and c, d incomparable: a and b
+# have no least upper bound and c and d no greatest lower bound. Each row is
+# imp(x, y) = 1 when x <= y and y otherwise.
+NON_LATTICE = """\
+elements 0 a b c d 1
+imp 0 1 1 1 1 1 1
+imp a 0 1 b 1 1 1
+imp b 0 a 1 1 1 1
+imp c 0 a b 1 d 1
+imp d 0 a b c 1 1
+imp 1 0 a b c d 1
+neg 0 1
+neg a b
+neg b a
+neg c d
+neg d c
+neg 1 0
+"""

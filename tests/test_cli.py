@@ -1,6 +1,8 @@
 import functools
 import json
-from pathlib import Path
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -8,40 +10,67 @@ from ltvcl import ConceptLattice, enumerate_concepts
 from ltvcl.cli import main
 from conftest import DATA_DIR
 
-GOLDENS = Path(__file__).resolve().parent / "goldens"
+REPO = DATA_DIR.parent
+GOLDENS = REPO / "tests" / "goldens"
 
 DEMO = str(DATA_DIR / "demo.ctx")
 DEMO_EXT = str(DATA_DIR / "demo_extended.ctx")
 CHAIN5 = str(DATA_DIR / "chain5.lia")
 BOOL2 = str(DATA_DIR / "bool2.lia")
-BOOL16_BAD = str(DATA_DIR / "bool16_bad.lia")
 
-PRODUCT_3_2_TABLES = """\
-elements: AbT VeT SlT SlF VeF AbF
-covers:
-  VeT < AbT
-  SlT < VeT
-  SlF < AbT
-  VeF < VeT
-  VeF < SlF
-  AbF < SlT
-  AbF < VeF
-imp table:
-  imp AbT AbT VeT SlT SlF VeF AbF
-  imp VeT AbT AbT VeT SlF SlF VeF
-  imp SlT AbT AbT AbT SlF SlF SlF
-  imp SlF AbT VeT SlT AbT VeT SlT
-  imp VeF AbT AbT VeT AbT AbT VeT
-  imp AbF AbT AbT AbT AbT AbT AbT
-neg table:
-  neg AbT AbF
-  neg VeT VeF
-  neg SlT SlF
-  neg SlF SlT
-  neg VeF VeT
-  neg AbF AbT
-axioms: PASS (216 triples)
-"""
+# The files a run writes, as (option, golden suffix): concepts exports the
+# lattice of the first (extent) engine, mine writes its JSON report.
+EXPORTS = (("--json", "json"), ("--dot", "dot"))
+REPORT = (("--out", "json"),)
+
+# Every pinned CLI run: golden name, argv relative to the repo root, exit
+# code, and the files it writes. Stdout must equal goldens/<name>.out and
+# each file goldens/<name>.<suffix>, byte for byte.
+GOLDEN_RUNS = [
+    ("demo_generated", "concepts data/demo.ctx --domain generated --engine both", 0, EXPORTS),
+    ("demo_full", "concepts data/demo.ctx --domain full --engine both", 0, EXPORTS),
+    # bool2 passes the axioms and is enumerated one closure per image;
+    # chain5 fails them and keeps the fixpoint check, which rejects closed
+    # sets of this context
+    ("bool2_full", "concepts data/bool2.ctx --domain full --engine both", 0, EXPORTS),
+    ("chain5_full", "concepts data/chain5.ctx --domain full --engine both", 0, EXPORTS),
+    ("algebra_product_3_2", "algebra --product 3 2 --show-tables --check-axioms", 0, ()),
+    ("algebra_product_3_3_3", "algebra --product 3 3 3 --check-axioms --show-tables", 0, ()),
+    # 72 elements, over the former axiom budget of 64
+    ("algebra_product_3_3_2_2_2", "algebra --product 3 3 2 2 2 --check-axioms", 0, ()),
+    ("algebra_chain5", "algebra --table data/chain5.lia --check-axioms", 1, ()),
+    # a corrupted 16-element table: its 311 violations overflow the printed
+    # ten into the "... and N more" line
+    ("algebra_bool16_bad", "algebra --table data/bool16_bad.lia --check-axioms", 1, ()),
+    ("mine_demo_paper", "mine data/demo.ctx --preset paper", 0, REPORT),
+    # a table algebra that passes the axioms
+    ("mine_bool2_k3", "mine data/bool2.ctx --max-k 3", 0, REPORT),
+    # a table algebra that fails the axioms, over the full domain
+    ("mine_chain5_k3_full", "mine data/chain5.ctx --max-k 3 --domain full", 0, REPORT),
+    ("check_congener_demo_extended", "check-congener data/demo.ctx data/demo_extended.ctx", 0, ()),
+    # g2's m4 cell changed from O to a: four extents only in the extension
+    ("check_congener_demo_flipped", "check-congener data/demo.ctx data/demo_flipped.ctx", 1, ()),
+]
+
+
+@pytest.mark.parametrize(
+    "name, argv, code, files", GOLDEN_RUNS, ids=[run[0] for run in GOLDEN_RUNS]
+)
+def test_golden_run(tmp_path, name, argv, code, files):
+    # run as a script, through the __main__ guard and sys.exit, on this
+    # checkout's source and the default budget
+    written = [(option, tmp_path / f"{name}.{suffix}") for option, suffix in files]
+    env = {k: v for k, v in os.environ.items() if k != "LTVCL_BUDGET"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "ltvcl.cli", *argv.split(),
+         *[arg for option, path in written for arg in (option, str(path))]],
+        cwd=REPO, env=env, capture_output=True,
+    )
+    assert result.returncode == code, result.stderr.decode()
+    assert result.stdout == (GOLDENS / f"{name}.out").read_bytes()
+    for _, path in written:
+        assert path.read_bytes() == (GOLDENS / path.name).read_bytes()
 
 
 class TestAlgebraCommand:
@@ -85,26 +114,6 @@ class TestAlgebraCommand:
         assert "imp table:" in out
         assert "neg table:" in out
 
-    def test_product_tables_stdout_pinned(self, capsys):
-        assert main(["algebra", "--product", "3", "2", "--show-tables", "--check-axioms"]) == 0
-        assert capsys.readouterr().out == PRODUCT_3_2_TABLES
-
-    def test_chain5_stdout_pinned(self, capsys):
-        assert main(["algebra", "--table", CHAIN5, "--check-axioms"]) == 1
-        assert capsys.readouterr().out == (GOLDENS / "algebra_chain5.out").read_text(encoding="utf-8")
-
-    @pytest.mark.parametrize("name, argv, code", [
-        ("product_3_3_3", ["--product", "3", "3", "3", "--check-axioms", "--show-tables"], 0),
-        # a corrupted 16-element table: its 311 violations overflow the
-        # printed ten into the "... and N more" line
-        ("bool16_bad", ["--table", BOOL16_BAD, "--check-axioms"], 1),
-        # 72 elements, over the former axiom budget of 64
-        ("product_3_3_2_2_2", ["--product", "3", "3", "2", "2", "2", "--check-axioms"], 0),
-    ])
-    def test_algebra_output_bytes_pinned(self, capsys, name, argv, code):
-        assert main(["algebra", *argv]) == code
-        assert capsys.readouterr().out == (GOLDENS / f"algebra_{name}.out").read_text(encoding="utf-8")
-
     def test_product_and_table_conflict(self):
         with pytest.raises(SystemExit) as err:
             main(["algebra", "--product", "3", "2", "--table", CHAIN5])
@@ -131,31 +140,6 @@ class TestConceptsCommand:
         assert dot.read_text().count("[label=") == 12
         doc = json.loads(js.read_text())
         assert len(doc["concepts"]) == 12
-
-    @pytest.mark.parametrize("domain", ["generated", "full"])
-    def test_demo_output_bytes_pinned(self, capsys, tmp_path, domain):
-        # goldens recorded with the json.dumps-based export; the JSON and
-        # DOT files hold the lattice of the first (extent) engine
-        dot, js = tmp_path / "lattice.dot", tmp_path / "lattice.json"
-        argv = ["concepts", DEMO, "--domain", domain, "--engine", "both",
-                "--dot", str(dot), "--json", str(js)]
-        assert main(argv) == 0
-        assert capsys.readouterr().out == (GOLDENS / f"demo_{domain}.out").read_text(encoding="utf-8")
-        assert js.read_bytes() == (GOLDENS / f"demo_{domain}.json").read_bytes()
-        assert dot.read_bytes() == (GOLDENS / f"demo_{domain}.dot").read_bytes()
-
-    @pytest.mark.parametrize("name", ["bool2", "chain5"])
-    def test_table_output_bytes_pinned(self, capsys, tmp_path, name):
-        # bool2 passes the axioms and is enumerated one closure per image;
-        # chain5 fails them and keeps the fixpoint check, which rejects
-        # closed sets of this context
-        dot, js = tmp_path / "lattice.dot", tmp_path / "lattice.json"
-        argv = ["concepts", str(DATA_DIR / f"{name}.ctx"), "--domain", "full",
-                "--engine", "both", "--json", str(js), "--dot", str(dot)]
-        assert main(argv) == 0
-        assert capsys.readouterr().out == (GOLDENS / f"{name}_full.out").read_text(encoding="utf-8")
-        assert js.read_bytes() == (GOLDENS / f"{name}_full.json").read_bytes()
-        assert dot.read_bytes() == (GOLDENS / f"{name}_full.dot").read_bytes()
 
     def test_both_engines_build_no_concept(self, capsys, monkeypatch, tmp_path, demo):
         # the engines are compared, labelled and exported on position
@@ -268,25 +252,3 @@ class TestCheckCongenerCommand:
         )
         assert main(["check-congener", DEMO, str(tampered)]) == 2
         assert "disagrees" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("name, argv, code", [
-    ("mine_demo_paper", ["mine", DEMO, "--preset", "paper"], 0),
-    # a table algebra that passes the axioms
-    ("mine_bool2_k3", ["mine", str(DATA_DIR / "bool2.ctx"), "--max-k", "3"], 0),
-    # a table algebra that fails the axioms, over the full domain
-    ("mine_chain5_k3_full",
-     ["mine", str(DATA_DIR / "chain5.ctx"), "--max-k", "3", "--domain", "full"], 0),
-    ("check_congener_demo_extended", ["check-congener", DEMO, DEMO_EXT], 0),
-    # g2's m4 cell changed from O to a: four extents only in the extension
-    ("check_congener_demo_flipped",
-     ["check-congener", DEMO, str(DATA_DIR / "demo_flipped.ctx")], 1),
-])
-def test_mining_output_bytes_pinned(capsys, tmp_path, name, argv, code):
-    report = tmp_path / "report.json"
-    if argv[0] == "mine":
-        argv = [*argv, "--out", str(report)]
-    assert main(argv) == code
-    assert capsys.readouterr().out == (GOLDENS / f"{name}.out").read_text(encoding="utf-8")
-    if argv[0] == "mine":
-        assert report.read_bytes() == (GOLDENS / f"{name}.json").read_bytes()

@@ -14,12 +14,7 @@ import pytest
 from ltvcl import ProductAlgebra, enumerate_concepts, lia, load_table_algebra
 from ltvcl.galois import EXTENT_SCAN, FULL_DOMAIN, GENERATED_DOMAIN, INTENT_SCAN
 from ltvcl.lia import _cover_pairs
-from conftest import DATA_DIR, random_context
-from test_lia import shuffled_table
-
-
-def _table(name: str):
-    return lambda: load_table_algebra((DATA_DIR / name).read_text(encoding="utf-8"))
+from conftest import random_context, shuffled_table, table
 
 
 ALGEBRAS = {
@@ -28,8 +23,8 @@ ALGEBRAS = {
     "product 4": lambda: ProductAlgebra([4]),
     "product 2 3 2": lambda: ProductAlgebra([2, 3, 2]),
     "product 3 3": lambda: ProductAlgebra([3, 3]),
-    "bool2": _table("bool2.lia"),
-    "chain5": _table("chain5.lia"),
+    "bool2": lambda: table("bool2.lia"),
+    "chain5": lambda: table("chain5.lia"),
 }
 ENGINES = (EXTENT_SCAN, INTENT_SCAN)
 DOMAINS = (GENERATED_DOMAIN, FULL_DOMAIN)
@@ -138,8 +133,8 @@ def test_intransitive_table_falls_back(monkeypatch):
     (lambda: ProductAlgebra([3, 2]), True),
     (lambda: ProductAlgebra([2, 3, 2]), True),
     (lambda: load_table_algebra(TOP_FIRST), True),
-    (_table("bool2.lia"), False),
-    (_table("chain5.lia"), False),
+    (lambda: table("bool2.lia"), False),
+    (lambda: table("chain5.lia"), False),
     (lambda: shuffled_table(ProductAlgebra([3, 2]), 1)[0], False),
     (lambda: load_table_algebra(INTRANSITIVE), False),
 ], ids=["product-3-2", "product-2-3-2", "top-first", "bool2", "chain5", "seeded-order",

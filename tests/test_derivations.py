@@ -23,13 +23,11 @@ from ltvcl import (
     load_table_algebra,
     object_set,
 )
-from conftest import DATA_DIR, random_context
+from conftest import ALGEBRAS as ENUMERATION_ALGEBRAS, NON_LATTICE, random_context
 from oracle import reference_derive_extent, reference_derive_intent
-from test_enumeration import ALGEBRAS as ENUMERATION_ALGEBRAS, NON_LATTICE
 
 ALGEBRAS = {
     **ENUMERATION_ALGEBRAS,
-    "bool2": lambda: load_table_algebra((DATA_DIR / "bool2.lia").read_text(encoding="utf-8")),
     "non-lattice": lambda: load_table_algebra(NON_LATTICE),
 }
 

@@ -12,6 +12,7 @@ import random
 import pytest
 
 from ltvcl import (
+    Concept,
     ConceptLattice,
     FuzzyContext,
     ProductAlgebra,
@@ -23,55 +24,25 @@ from ltvcl import (
 from ltvcl import galois, lia, tacit
 from ltvcl.errors import StructureError
 from ltvcl.galois import EXTENT_SCAN, FULL_DOMAIN, GENERATED_DOMAIN, INTENT_SCAN
-from conftest import DATA_DIR, append_column, load_context, random_context
+from conftest import (
+    ALGEBRAS,
+    NON_LATTICE,
+    append_column,
+    break_contraposition,
+    load_context,
+    random_context,
+    shuffled_table,
+    shuffled_tables,
+)
 from oracle import (
     brute_order_pairs,
     reference_derive_extent,
     reference_derive_intent,
     scan_concepts,
 )
-from test_lia import break_contraposition, shuffled_table, shuffled_tables
 
 ENGINES = (EXTENT_SCAN, INTENT_SCAN)
 
-
-def _table(name: str):
-    return lambda: load_table_algebra((DATA_DIR / name).read_text(encoding="utf-8"))
-
-
-# Every algebra but chain5 is a lattice implication algebra, on which
-# enumeration closes each image of the fold once and checks no fixpoint;
-# chain5 fails the axioms and keeps the check. The seeded-order table is a
-# shuffled copy of a product, so its gate runs check_axioms.
-ALGEBRAS = {
-    "product 3 2": lambda: ProductAlgebra([3, 2]),
-    "product 2 2": lambda: ProductAlgebra([2, 2]),
-    "product 4": lambda: ProductAlgebra([4]),
-    "product 2 3 2": lambda: ProductAlgebra([2, 3, 2]),
-    "product 3 3": lambda: ProductAlgebra([3, 3]),
-    "bool2": _table("bool2.lia"),
-    "seeded-order": lambda: shuffled_table(ProductAlgebra([3, 2]), 1)[0],
-    "chain5": _table("chain5.lia"),
-}
-
-# 0 < a, b < c, d < 1 with a, b incomparable and c, d incomparable: a and b
-# have no least upper bound and c and d no greatest lower bound. Each row is
-# imp(x, y) = 1 when x <= y and y otherwise.
-NON_LATTICE = """\
-elements 0 a b c d 1
-imp 0 1 1 1 1 1 1
-imp a 0 1 b 1 1 1
-imp b 0 a 1 1 1 1
-imp c 0 a b 1 d 1
-imp d 0 a b c 1 1
-imp 1 0 a b c d 1
-neg 0 1
-neg a b
-neg b a
-neg c d
-neg d c
-neg 1 0
-"""
 
 # The work guard's context: random_context(Random(7), product 3 2, 7, 7). Its
 # full domain has 6^7 = 279,936 candidates; the count was taken once from
@@ -127,7 +98,7 @@ def test_fold_admits_the_scans_concepts(name, engine):
 @pytest.mark.parametrize("engine", ENGINES)
 def test_stored_positions_match_the_concepts(name, engine):
     # an enumerated lattice is built from position tuples, a caller's from
-    # Concepts: both must read the same
+    # Concepts, here reversed and listed twice: both must read the same
     algebra = ALGEBRAS[name]()
     rng = random.Random(f"positions/{name}/{engine}")
     for n_objects, n_attributes in shapes(rng):
@@ -136,11 +107,20 @@ def test_stored_positions_match_the_concepts(name, engine):
             lattice = enumerate_concepts(context, engine, domain=domain)
             assert lattice._extents == tuple(algebra._positions(c.extent.values) for c in lattice)
             assert lattice._intents == tuple(algebra._positions(c.intent.values) for c in lattice)
-            rebuilt = ConceptLattice(context, list(lattice))
+            rebuilt = ConceptLattice(context, list(reversed(lattice)) * 2)
             assert rebuilt.concepts == lattice.concepts
             assert (rebuilt._extents, rebuilt._intents) == (lattice._extents, lattice._intents)
             assert rebuilt.covers == lattice.covers
             assert rebuilt.order_pairs == lattice.order_pairs
+
+
+def test_equal_extents_keep_their_input_order(demo):
+    # only a hand-built non-lattice has two concepts with one extent; they
+    # are listed in the order they were given, once each
+    first, second = list(enumerate_concepts(demo))[:2]
+    twin = Concept(first.extent, second.intent)
+    assert ConceptLattice(demo, [first, twin, first]).concepts == (first, twin)
+    assert ConceptLattice(demo, [twin, first, twin]).concepts == (twin, first)
 
 
 @pytest.mark.parametrize("engine", ENGINES)

@@ -7,15 +7,10 @@ import random
 
 import pytest
 
-from ltvcl import ProductAlgebra, TableAlgebra, enumerate_concepts, load_table_algebra, parse_context
+from ltvcl import ProductAlgebra, TableAlgebra, enumerate_concepts, parse_context
 from ltvcl.galois import EXTENT_SCAN, FULL_DOMAIN, GENERATED_DOMAIN, INTENT_SCAN, export_json
-from conftest import DATA_DIR, random_context
+from conftest import random_context, shuffled_tables, table
 from oracle import reference_export_json
-from test_lia import shuffled_tables
-
-
-def _data_table(name: str):
-    return load_table_algebra((DATA_DIR / name).read_text(encoding="utf-8"), source=name)
 
 
 def _seeded_order_table():
@@ -27,8 +22,8 @@ ALGEBRAS = {
     "product 3 2": lambda: ProductAlgebra([3, 2]),
     "product 2 2": lambda: ProductAlgebra([2, 2]),
     "product 2 3 2": lambda: ProductAlgebra([2, 3, 2]),
-    "bool2": lambda: _data_table("bool2.lia"),
-    "chain5": lambda: _data_table("chain5.lia"),
+    "bool2": lambda: table("bool2.lia"),
+    "chain5": lambda: table("chain5.lia"),
     "seeded-order": _seeded_order_table,
 }
 

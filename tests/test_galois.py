@@ -28,10 +28,9 @@ from ltvcl import (
     parse_context,
 )
 from ltvcl.galois import FULL_DOMAIN, GENERATED_DOMAIN, concept_label, scan_domain
-from conftest import DATA_DIR, aset, concept_set, oset, random_context
+from conftest import ALGEBRAS, DATA_DIR, NON_LATTICE, aset, concept_set, oset, random_context
 from golden import BASE_CONCEPTS
 from oracle import pointwise_leq, reference_concept_join, reference_concept_meet
-from test_enumeration import ALGEBRAS, NON_LATTICE
 
 
 def chain5_context():

@@ -26,7 +26,7 @@ from ltvcl import (
     load_table_algebra,
     object_set,
 )
-from conftest import DATA_DIR
+from conftest import DATA_DIR, break_contraposition, shuffled_table, shuffled_tables
 from oracle import reference_check_axioms
 
 L6 = default_algebra()
@@ -521,38 +521,6 @@ def ref_neg(sizes, x):
 
 
 OP_SIZES = [[3, 2], [2, 2], [4, 2], [2, 3, 2], [3, 3, 3]]
-
-
-def shuffled_tables(alg, rng):
-    """Fresh names for ``alg``'s elements in a shuffled declaration order,
-    its implication and negation tables under them, and the renaming."""
-    els = list(alg.elements)
-    rng.shuffle(els)
-    name = {x: f"e{i}" for i, x in enumerate(els)}
-    imp = {(name[x], name[y]): name[alg.imp(x, y)] for x in els for y in els}
-    neg = {name[x]: name[alg.neg(x)] for x in els}
-    return [name[x] for x in els], imp, neg, name
-
-
-def break_contraposition(names, imp, neg, rng):
-    """A copy of ``imp`` with one entry changed so that imp(x, y) =
-    imp(neg y, neg x) fails. The entry is off the diagonal, neither its
-    old nor its new value is top, and y is not neg x, so the derived order,
-    and with it every meet and join, stays as it was."""
-    top = imp[names[0], names[0]]
-    x, y = rng.choice([(x, y) for x in names for y in names
-                       if x != y and y != neg[x] and imp[x, y] != top])
-    bad = dict(imp)
-    bad[x, y] = rng.choice([v for v in names if v not in (imp[x, y], top)])
-    return bad
-
-
-def shuffled_table(alg, seed):
-    """A table-algebra copy of ``alg`` under shuffled names, with the
-    renaming from ``alg``'s values."""
-    names, imp, neg, name = shuffled_tables(alg, random.Random(seed))
-    table = TableAlgebra(names, imp, neg)
-    return table, {x: table.parse_value(n) for x, n in name.items()}
 
 
 class TestTableBackedOps:

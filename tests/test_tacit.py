@@ -32,10 +32,9 @@ from ltvcl import (
 )
 from ltvcl.cli import main
 from ltvcl.galois import FULL_DOMAIN, GENERATED_DOMAIN, scan_domain
-from conftest import append_column, aset, concept_set, oset, random_context
+from conftest import NON_LATTICE, append_column, aset, concept_set, oset, random_context
 from golden import EXTENDED_CONCEPTS
 from oracle import check_pointwise_condition, reference_is_congener
-from test_enumeration import NON_LATTICE
 
 PAPER_PRESET = ExtensionConfig(meet_subsets=((0, 1),))
 
@@ -214,6 +213,23 @@ class TestFastExtension:
         base = enumerate_concepts(demo)
         with pytest.raises(UnclassifiedColumnError, match="enumerate"):
             extend_concepts_fast(base, demo, adv)
+
+    @pytest.mark.parametrize("checks, error, message", [
+        # a new column with no check is unclassified
+        ([], UnclassifiedColumnError, "unclassified columns ['m4', 'm5']"),
+        ([TheoremCheck("m4", "pair-meet", True, ("m1", "m2"))],
+         UnclassifiedColumnError, "unclassified columns ['m5']"),
+        # a source outside the base is named with the check that names it
+        ([TheoremCheck("m4", "pair-meet", True, ("m1", "m4")), TheoremCheck("m5", "all-top", True)],
+         PreconditionError, "the check of m4 names 'm4', not a base attribute"),
+        ([TheoremCheck("m4", "pair-meet", True, ("m1", "m2")),
+          TheoremCheck("m5", "k-meet", True, ("m9",))],
+         PreconditionError, "the check of m5 names 'm9', not a base attribute"),
+    ], ids=["no-checks", "one-missing", "new-source", "unknown-source"])
+    def test_malformed_checks_raise(self, demo, demo_extended, checks, error, message):
+        base = enumerate_concepts(demo)
+        with pytest.raises(error, match=re.escape(message)):
+            extend_concepts_fast(base, demo, demo_extended, checks=checks)
 
     def test_interleaved_attribute_order(self, demo):
         # fast extension must align with the extension's column order even

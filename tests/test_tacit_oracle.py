@@ -34,7 +34,7 @@ from ltvcl import (
 )
 from ltvcl.errors import BudgetError, StructureError
 from ltvcl.galois import EXTENT_SCAN, FULL_DOMAIN, GENERATED_DOMAIN, INTENT_SCAN
-from conftest import DATA_DIR, append_column, random_context
+from conftest import NON_LATTICE, append_column, random_context, table
 from oracle import (
     reference_classify_columns,
     reference_extend_concepts_fast,
@@ -42,7 +42,6 @@ from oracle import (
     reference_is_congener,
     reference_mine,
 )
-from test_enumeration import NON_LATTICE
 
 # the parity runs compare verdicts, so no budget gets in their way; the
 # budget change itself is pinned in test_tacit.py
@@ -52,21 +51,17 @@ ENGINES = (EXTENT_SCAN, INTENT_SCAN)
 KINDS = ("random", "meet", "extent", "flipped")
 
 
-def _table(name: str):
-    return lambda: load_table_algebra((DATA_DIR / name).read_text(encoding="utf-8"))
-
-
 # the membership test applies to these ...
 LIAS = {
     "product 3 2": lambda: ProductAlgebra([3, 2]),
     "product 2 2": lambda: ProductAlgebra([2, 2]),
     "product 4": lambda: ProductAlgebra([4]),
     "product 2 3 2": lambda: ProductAlgebra([2, 3, 2]),
-    "bool2": _table("bool2.lia"),
+    "bool2": lambda: table("bool2.lia"),
 }
 # ... and is gated off on these, which fail the axioms
 NON_LIAS = {
-    "chain5": _table("chain5.lia"),
+    "chain5": lambda: table("chain5.lia"),
     "non-lattice": lambda: load_table_algebra(NON_LATTICE),
 }
 
@@ -191,6 +186,27 @@ def test_mining_matches_the_oracle(name):
                         context, config, engine=engine, domain=domain, budget=BUDGET
                     )
                     assert report.congener.is_congener and report.fast_extension_verified
+
+
+@pytest.mark.parametrize("name", ["product 3 2", "product 2 3 2"])
+def test_mining_over_random_explicit_domains_matches_the_oracle(name):
+    # an explicit domain always enumerates the extension, and a domain that
+    # is no subalgebra can make it non-congener; a congener one is verified
+    # against intents derived from the base extents
+    algebra = LIAS[name]()
+    rng = random.Random(f"explicit/{name}")
+    verdicts = Counter()
+    for _ in range(8):
+        context = random_context(rng, algebra, rng.randint(1, 3), rng.randint(1, 3))
+        domain = rng.sample(algebra.elements, rng.randint(1, 4))
+        for config in configs(rng):
+            for engine in ENGINES:
+                report = mine(context, config, engine=engine, domain=domain, budget=BUDGET)
+                assert report == reference_mine(
+                    context, config, engine=engine, domain=domain, budget=BUDGET
+                )
+                verdicts[report.congener.is_congener, report.fast_extension_verified] += 1
+    assert verdicts[True, True] and verdicts[False, False]
 
 
 @pytest.mark.parametrize("name", sorted(NON_LIAS))
