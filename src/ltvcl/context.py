@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 from .errors import ParseError, StructureError
 from .lia import Algebra, ProductAlgebra, TruthValue, load_table_algebra
@@ -66,6 +66,11 @@ class FuzzyContext:
 
     Rows follow the object order, columns the attribute order. Immutable
     after construction; derived contexts are new instances.
+
+    The algebra's derived order must be a lattice: a pair with no meet, or
+    an order that is not transitive, raises StructureError naming it (see
+    ``Algebra._lattice_fault``), so every meet the layers above take on a
+    context's values exists.
     """
 
     algebra: Algebra
@@ -112,6 +117,9 @@ class FuzzyContext:
                         raise ValueError(f"meet source index {s} out of range")
                     if self.provenance[s].kind != ORIGINAL:
                         raise ValueError("meet sources must be original attributes")
+        fault = self.algebra._lattice_fault
+        if fault is not None:
+            raise StructureError(fault)
 
     @cached_property
     def columns(self) -> tuple[tuple[TruthValue, ...], ...]:
@@ -236,21 +244,11 @@ def _meet_of(algebra: Algebra, columns, subset: tuple[int, ...], memo: dict) -> 
     positions, folded from the all-top column in subset order: the meet of
     the (k-1)-prefix's column, memoised in ``memo`` (which holds the empty
     subset's all-top column), with the last source's column.
-
-    On an algebra whose meet is partial, a pair with no meet raises the
-    StructureError that folding each row on its own raises: the first row
-    that has such a pair, at the first such step of that row.
     """
     column = memo.get(subset)
     if column is None:
-        try:
-            prefix = _meet_of(algebra, columns, subset[:-1], memo)
-            column = memo[subset] = algebra._meet_columns(prefix, columns[subset[-1]])
-        except StructureError:
-            els = algebra.elements
-            for row in zip(*(columns[s] for s in subset)):
-                reduce(algebra.meet, [els[p] for p in row], algebra.top)
-            raise
+        prefix = _meet_of(algebra, columns, subset[:-1], memo)
+        column = memo[subset] = algebra._meet_columns(prefix, columns[subset[-1]])
     return column
 
 

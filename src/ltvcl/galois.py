@@ -14,12 +14,12 @@ arguments and results of the derivations) and in ``Concept``s.
 Enumeration runs that fold over every candidate of one chosen side at
 once, on the set of distinct partial vectors (see ``enumerate_concepts``).
 It admits exactly the concepts of closing every candidate one by one (the
-exhaustive scan the test suite keeps as its oracle) and raises
-StructureError exactly when that does, while its work follows the number
-of concepts. Its closures call the public derivations: over a lattice
-implication algebra every image of the fold is an intent, so one
-back-derivation per concept gives its extent, and only off that path is
-each closed pair checked as a fixpoint. A ``ConceptLattice`` keeps every
+exhaustive scan the test suite keeps as its oracle), while its work
+follows the number of concepts. A context's order is a lattice, so no
+meet the fold takes is missing. Its closures call the public derivations:
+over a lattice implication algebra every image of the fold is an intent,
+so one back-derivation per concept gives its extent, and only off that
+path is each closed pair checked as a fixpoint. A ``ConceptLattice`` keeps every
 extent and intent as a tuple of positions: the order, the covers, the
 labels and the exports read those, and ``Concept``s are built only when a
 caller asks for them. The intent engine is the extent engine on the
@@ -110,15 +110,12 @@ def _derive(algebra, lines, width: int, values) -> tuple[int, ...]:
     that is the meet over k of imp(values[k], lines[k][m]); with no
     positions it is top. Each step is ``Algebra._meet_columns`` of the
     partial vector and the implication column imp(values[k], lines[k][m])
-    inlined, and raises as it does."""
-    meet, imp, partial = algebra._meet, algebra._imp, algebra._meet_partial
+    inlined."""
+    meet, imp = algebra._meet, algebra._imp
     out = (algebra._top,) * width
     for a, line in zip(values, lines):
         imp_a = imp[a]
-        step = tuple([meet[p][imp_a[v]] for p, v in zip(out, line)])
-        if partial and None in step:
-            algebra._meet_columns(out, [imp_a[v] for v in line])
-        out = step
+        out = tuple([meet[p][imp_a[v]] for p, v in zip(out, line)])
     return out
 
 
@@ -346,11 +343,11 @@ class ConceptLattice:
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Transitive reduction of the order: the Hasse edges, sorted. The
-        pointwise order is transitive when the element order is, and the
-        canonical order lists upper concepts first on products and on
+        pointwise order is transitive, as a context's element order is, and
+        the canonical order lists upper concepts first on products and on
         tables declared bottom first; then the covers are walked in
         O(covers) mask operations, otherwise tested pair by pair."""
-        return tuple(_cover_pairs(self._order_masks, self.context.algebra._is_transitive))
+        return tuple(_cover_pairs(self._order_masks, True))
 
 
 def enumerate_concepts(
@@ -381,9 +378,7 @@ def enumerate_concepts(
     imp(bottom, x) is top, so over a valid implication algebra each S_k
     contains S_(k-1) and none is larger than the number of concepts. On any
     algebra the fold makes no more meets than deriving every candidate on
-    its own, and it raises StructureError exactly when that would: every
-    partial vector is the prefix of some candidate, and a candidate's first
-    missing meet is met by the fold at the same position.
+    its own, since every partial vector is the prefix of some candidate.
 
     Over a lattice implication algebra (``Algebra._is_lia``; on a table
     algebra that runs ``check_axioms`` once, cached) the derivations form a

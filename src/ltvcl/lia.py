@@ -97,16 +97,17 @@ class Algebra:
     ``neg[i]`` are positions in ``values``). The constructor derives top
     (at position ``_top``), the order (``_up[i]`` / ``_down[i]``: bitmasks
     of the positions above / below i), bottom, and meet and join tables
-    with None where no unique bound exists (``_meet_partial`` says whether
-    the meet table holds a None). Each operation is stored once, as such a
-    table. Values map to positions in one place, ``_by_coords``, keyed by
-    coordinate tuples, which hash in C where a ``TruthValue`` hashes
-    through its dataclass ``__hash__``: ``_position`` maps one value and
-    ``_positions`` a vector, and only a value of type ``TruthValue`` itself
-    is looked up there. It rejects a non-constant diagonal or a
+    with None where no unique bound exists. Each operation is stored once,
+    as such a table. Values map to positions in one place, ``_by_coords``,
+    keyed by coordinate tuples, which hash in C where a ``TruthValue``
+    hashes through its dataclass ``__hash__``: ``_position`` maps one value
+    and ``_positions`` a vector, and only a value of type ``TruthValue``
+    itself is looked up there. It rejects a non-constant diagonal or a
     non-antisymmetric order with LoadError; every law that can still fail
     is left to :func:`check_axioms`, whose verdict ``_is_lia`` caches on
-    first use. ``_is_transitive`` is cached the same way, for covers.
+    first use. ``_is_transitive`` is cached the same way, for covers, and
+    so is ``_lattice_fault``, which a ``FuzzyContext`` reads to refuse an
+    order that is not a lattice.
 
     Algebras are immutable after construction and every operation is a pure
     function (the cached verdicts are too), so instances may be shared freely
@@ -154,7 +155,6 @@ class Algebra:
         self._bottom = els[bottoms[0]] if bottoms else None
         self._meet = _meet_table(down)
         self._join = _meet_table(up)
-        self._meet_partial = any(None in row for row in self._meet)
 
     @property
     def bottom(self) -> TruthValue:
@@ -182,6 +182,24 @@ class Algebra:
         on first use."""
         up = self._up
         return all(not up[j] & ~above for above in up for j in _bits(above))
+
+    @cached_property
+    def _lattice_fault(self) -> str | None:
+        """Why the derived order is not a lattice the position folds can
+        run on, or None when it is: the first pair in display order with no
+        meet, else the first triple that breaks transitivity. Computed
+        once, on first use; products are lattices by construction."""
+        els, up = self.elements, self._up
+        for i, row in enumerate(self._meet):
+            if None in row:
+                return str(self._unbounded("greatest lower bound", els[i], els[row.index(None)]))
+        if self._is_transitive:
+            return None
+        x, y, z = next(
+            (self._spellings[i], self._spellings[j], self._spellings[k])
+            for i, above in enumerate(up) for j in _bits(above) for k in _bits(up[j] & ~above)
+        )
+        return f"the derived order is not transitive: {x} <= {y} and {y} <= {z} but not {x} <= {z}"
 
     def __eq__(self, other) -> bool:
         return self is other or (
@@ -247,17 +265,11 @@ class Algebra:
         return self.elements[k]
 
     def _meet_columns(self, left: Sequence[int], right: Sequence[int]) -> tuple[int, ...]:
-        """The pointwise meet of two vectors of element positions. On an
-        algebra whose meet is partial, a pair with no meet raises the
-        StructureError ``meet`` raises, naming it, the first such component
-        first."""
+        """The pointwise meet of two vectors of element positions, on an
+        algebra whose every pair has a meet, as every context's has (see
+        ``_lattice_fault``)."""
         meet = self._meet
-        out = tuple([meet[p][q] for p, q in zip(left, right)])
-        if self._meet_partial and None in out:
-            m = out.index(None)
-            els = self.elements
-            raise self._unbounded("greatest lower bound", els[left[m]], els[right[m]])
-        return out
+        return tuple([meet[p][q] for p, q in zip(left, right)])
 
     def join(self, x: TruthValue, y: TruthValue) -> TruthValue:
         k = self._join[self._position(x)][self._position(y)]
@@ -400,6 +412,7 @@ class ProductAlgebra(Algebra):
 
     _is_lia = True  # every product of Lukasiewicz chains is one
     _is_transitive = True  # every coordinatewise order is
+    _lattice_fault = None  # and is a lattice
 
     def __init__(self, chain_sizes: Sequence[int]):
         sizes = tuple(int(n) for n in chain_sizes)
@@ -493,7 +506,9 @@ class TableAlgebra(Algebra):
     Elements are numbered in declared order, which is also the display
     order. The order is derived from the implication alone (see
     :class:`Algebra`), and meets and joins are derived from the order; a
-    pair with no unique bound raises :class:`StructureError` when used.
+    pair with no unique bound raises :class:`StructureError` when used. A
+    table whose order is not a lattice loads, so that :func:`check_axioms`
+    can report it, but a context over it is refused when it is built.
     """
 
     def __init__(

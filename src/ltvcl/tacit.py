@@ -24,7 +24,6 @@ concept by concept against intents computed independently of it.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -36,7 +35,7 @@ from .context import (
     extend_context,
     restrict_agrees,
 )
-from .errors import PreconditionError, StructureError, UnclassifiedColumnError
+from .errors import PreconditionError, UnclassifiedColumnError
 from .galois import (
     DEFAULT_CANDIDATE_BUDGET,
     EXTENT_SCAN,
@@ -233,14 +232,12 @@ def classify_columns(
     pair-meet, any other count is k-meet. Columns matching nothing come
     back unsatisfied with rule None.
 
-    Over a lattice implication algebra a matching subset lies inside the
+    A context's order is a lattice, so a matching subset lies inside the
     column's upper set, the originals pointwise at or above it, and then
     the whole upper set meets to the column too. So a column whose upper
     set meets to anything else is unclassified without a search, and any
     other column searches only the subsets of its upper set, in the same
-    order, which finds the same first match. On any other algebra every
-    subset of the originals is searched, so that a pair with no meet raises
-    the StructureError the plain search raises. Subset meets are memoised
+    order, which finds the same first match. Subset meets are memoised
     position columns (see ``context._meet_of``).
     """
     _require_restriction(base, extended)
@@ -256,14 +253,12 @@ def classify_columns(
     for name, column in zip(extended.attributes, extended.column_positions):
         if name in base_names:
             continue
-        pool = range(n_orig)
-        if algebra._is_lia:
-            pool = tuple(
-                s for s in pool if all(up[c] >> v & 1 for c, v in zip(column, originals[s]))
-            )
-            if _meet_of(algebra, originals, pool, memo) != column:
-                checks.append(TheoremCheck(name, None, False))
-                continue
+        pool = tuple(
+            s for s in range(n_orig) if all(up[c] >> v & 1 for c, v in zip(column, originals[s]))
+        )
+        if _meet_of(algebra, originals, pool, memo) != column:
+            checks.append(TheoremCheck(name, None, False))
+            continue
         subsets = itertools.chain.from_iterable(
             itertools.combinations(pool, arity) for arity in arities
         )
@@ -322,19 +317,9 @@ def extend_concepts_fast(
     sources = {name: tuple(base_index[s] for s in by_attr[name].sources) for name in new_names}
     # per base attribute, the intent components of the concepts in lattice
     # order, as a position column
-    intents = base_lattice._intents
-    components = tuple(zip(*intents))
+    components = tuple(zip(*base_lattice._intents))
     memo = {(): (algebra._top,) * len(base_lattice)}
-    try:
-        new = {name: _meet_of(algebra, components, s, memo) for name, s in sources.items()}
-    except StructureError:
-        # raise what meeting concept by concept raises first
-        els = algebra.elements
-        for intent in intents:
-            for s in sources.values():
-                functools.reduce(algebra.meet, [els[intent[i]] for i in s], algebra.top)
-        raise
-
+    new = {name: _meet_of(algebra, components, s, memo) for name, s in sources.items()}
     columns = [
         new[name] if name in new else components[base_index[name]] for name in extended.attributes
     ]
@@ -363,8 +348,8 @@ def mine(
     derived in the extension. Where the extension was enumerated, that is
     the intent its lattice pairs with the extent, since enumeration pairs
     every extent with its forward derivation. Both sides are compared as
-    tuples of element positions. A non-congener extension leaves the fast
-    path unverified.
+    tuples of element positions. A non-congener extension builds no fast
+    extension and reports it unverified.
     """
     extended = extend_context(context, config)
     checks = classify_columns(context, extended)
@@ -372,13 +357,12 @@ def mine(
     congener = _congener_report(base_lattice, full_lattice)
 
     fast_verified = False
-    if all(c.satisfied for c in checks):
+    if congener.is_congener and all(c.satisfied for c in checks):
         fast_lattice = extend_concepts_fast(base_lattice, context, extended, checks=checks)
-        if congener.is_congener:
-            rows, width = extended.row_positions, len(extended.attributes)
-            fast_verified = fast_lattice._intents == tuple(
-                _derive(context.algebra, rows, width, extent) for extent in base_lattice._extents
-            )
+        rows, width = extended.row_positions, len(extended.attributes)
+        fast_verified = fast_lattice._intents == tuple(
+            _derive(context.algebra, rows, width, extent) for extent in base_lattice._extents
+        )
 
     tacit = tuple(
         (name, prov.formula(extended.attributes))

@@ -50,6 +50,11 @@ GOLDEN_RUNS = [
     ("check_congener_demo_extended", "check-congener data/demo.ctx data/demo_extended.ctx", 0, ()),
     # g2's m4 cell changed from O to a: four extents only in the extension
     ("check_congener_demo_flipped", "check-congener data/demo.ctx data/demo_flipped.ctx", 1, ()),
+    # a context over a table whose order has no meet for (c, d) is refused
+    # when it is read: exit 2, nothing on stdout
+    ("concepts_nonlattice", "concepts data/nonlattice.ctx", 2, ()),
+    ("mine_nonlattice", "mine data/nonlattice.ctx", 2, ()),
+    ("check_congener_nonlattice", "check-congener data/nonlattice.ctx data/nonlattice.ctx", 2, ()),
 ]
 
 

@@ -19,7 +19,8 @@ from ltvcl import (
     restrict_agrees,
     serialize_context,
 )
-from conftest import DATA_DIR
+from ltvcl import lia
+from conftest import ALGEBRAS, DATA_DIR, NON_LATTICE
 
 
 def labels(context, column_name):
@@ -265,6 +266,68 @@ class TestRestrictAgrees:
         renamed = FuzzyContext(demo.algebra, ("h1", "h2"), demo.attributes, demo.rows)
         with pytest.raises(StructureError):
             restrict_agrees(demo, renamed)
+
+
+# 0 lies below every element, a <= b and b <= 1, but not a <= 1: every pair
+# has a meet, and the derived order is not transitive
+INTRANSITIVE = """\
+elements 0 a b 1
+imp 0 1 1 1 1
+imp a 0 1 1 0
+imp b 0 0 1 1
+imp 1 0 0 0 1
+neg 0 1
+neg a b
+neg b a
+neg 1 0
+"""
+
+# each table loads, and a context over it is refused with this message;
+# meets are checked first, so the second message shows every meet exists
+REFUSED = {
+    "non-lattice": (
+        NON_LATTICE,
+        "no unique greatest lower bound for (c, d): the derived order is not a lattice",
+    ),
+    "intransitive": (
+        INTRANSITIVE,
+        "the derived order is not transitive: a <= b and b <= 1 but not a <= 1",
+    ),
+}
+
+
+class TestLatticeOrder:
+    @pytest.mark.parametrize("name", sorted(REFUSED))
+    def test_context_is_refused(self, name):
+        # one cell: no derivation, meet or order pair would reach the fault
+        text, message = REFUSED[name]
+        alg = load_table_algebra(text)
+        with pytest.raises(StructureError) as err:
+            FuzzyContext(alg, ("g1",), ("m1",), ((alg.top,),))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("name", sorted(REFUSED))
+    def test_parsed_context_is_refused(self, name, tmp_path):
+        text, message = REFUSED[name]
+        (tmp_path / "t.lia").write_text(text, encoding="utf-8")
+        with pytest.raises(StructureError) as err:
+            parse_context("algebra table t.lia\nattributes m1\ng1 1\n", base_dir=str(tmp_path))
+        assert str(err.value) == message
+
+    def test_shape_and_membership_are_checked_first(self):
+        alg = load_table_algebra(NON_LATTICE)
+        with pytest.raises(ValueError) as err:
+            FuzzyContext(alg, ("g1",), ("m1",), ())
+        assert type(err.value) is ValueError
+        with pytest.raises(DimensionError):
+            FuzzyContext(alg, ("g1",), ("m1",), ((TruthValue((9,)),),))
+
+    @pytest.mark.parametrize("name", sorted(ALGEBRAS))
+    def test_every_test_lattice_passes(self, name):
+        # products declare the verdict; the check must agree with it
+        algebra = ALGEBRAS[name]()
+        assert lia.Algebra._lattice_fault.func(algebra) is None
+        assert algebra._lattice_fault is None
 
 
 HEAD = "algebra product 3 2\n"

@@ -28,7 +28,7 @@ from ltvcl import (
     parse_context,
 )
 from ltvcl.galois import FULL_DOMAIN, GENERATED_DOMAIN, concept_label, scan_domain
-from conftest import ALGEBRAS, DATA_DIR, NON_LATTICE, aset, concept_set, oset, random_context
+from conftest import ALGEBRAS, DATA_DIR, aset, concept_set, oset, random_context
 from golden import BASE_CONCEPTS
 from oracle import pointwise_leq, reference_concept_join, reference_concept_meet
 
@@ -265,13 +265,12 @@ class TestLatticeStructure:
         with pytest.raises(MembershipError):
             lattice.leq(foreign, lattice[0])
 
-    @pytest.mark.parametrize("name", sorted([*ALGEBRAS, "non-lattice"]))
+    @pytest.mark.parametrize("name", sorted(ALGEBRAS))
     def test_meet_and_join_match_the_value_level_reference(self, name):
         # seeded random contexts of up to 4 x 4, both domains: the same
         # concept, or the same exception type and message; chain5 fails
-        # the axioms, so a computed pair can miss the lattice, and the
-        # non-lattice table has pairs without a join
-        algebra = load_table_algebra(NON_LATTICE) if name == "non-lattice" else ALGEBRAS[name]()
+        # the axioms, so a computed pair can miss the lattice
+        algebra = ALGEBRAS[name]()
         rng = random.Random(name)
         failures = set()
 
@@ -285,11 +284,7 @@ class TestLatticeStructure:
         for domain in (GENERATED_DOMAIN, FULL_DOMAIN):
             for _ in range(12):
                 context = random_context(rng, algebra, rng.randint(1, 4), rng.randint(1, 4))
-                try:
-                    lattice = enumerate_concepts(context, domain=domain)
-                except StructureError:
-                    assert name == "non-lattice"
-                    continue
+                lattice = enumerate_concepts(context, domain=domain)
                 pairs = list(itertools.product(lattice, repeat=2))
                 for left, right in rng.sample(pairs, min(len(pairs), 60)):
                     for op, reference in (
@@ -299,7 +294,7 @@ class TestLatticeStructure:
                         assert outcome(op, lattice, left, right) == outcome(
                             reference, lattice, left, right
                         )
-        assert failures == ({StructureError} if name in ("chain5", "non-lattice") else set())
+        assert failures == ({StructureError} if name == "chain5" else set())
 
     @pytest.mark.parametrize("case", ["demo", "chain5"])
     def test_leq_is_pointwise_extent_order(self, demo, case):

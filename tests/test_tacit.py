@@ -14,7 +14,6 @@ from ltvcl import (
     FuzzyContext,
     FuzzySet,
     PreconditionError,
-    StructureError,
     TheoremCheck,
     UnclassifiedColumnError,
     classify_columns,
@@ -24,7 +23,6 @@ from ltvcl import (
     extend_concepts_fast,
     extend_context,
     is_congener,
-    load_table_algebra,
     mine,
     object_set,
     parse_context,
@@ -32,7 +30,7 @@ from ltvcl import (
 )
 from ltvcl.cli import main
 from ltvcl.galois import FULL_DOMAIN, GENERATED_DOMAIN, scan_domain
-from conftest import NON_LATTICE, append_column, aset, concept_set, oset, random_context
+from conftest import DATA_DIR, append_column, concept_set, oset, random_context
 from golden import EXTENDED_CONCEPTS
 from oracle import check_pointwise_condition, reference_is_congener
 
@@ -422,65 +420,17 @@ class TestClosureTest:
 
 
 class TestNonLatticeAlgebra:
-    """On an algebra whose meet is partial the tacit layer raises the
-    StructureError that names the pair with no meet, never a TypeError."""
+    """A context over an order that is not a lattice is refused when it is
+    built (see test_context.py), so every subcommand that reads one exits 2
+    before any layer runs, naming the pair with no meet."""
 
     MESSAGE = "no unique greatest lower bound for (c, d)"
 
-    @pytest.fixture
-    def context(self):
-        alg = load_table_algebra(NON_LATTICE)
-        v = alg.parse_value
-        return FuzzyContext(alg, ("g1", "g2"), ("m1", "m2"), ((v("1"), v("a")), (v("c"), v("d"))))
-
-    def test_extend_context(self, context):
-        with pytest.raises(StructureError, match=re.escape(self.MESSAGE)):
-            extend_context(context)
-
-    def test_extend_context_names_the_first_row_without_a_meet(self, context):
-        # the prefix meet(m2, m1) first fails on g2, at (d, c), but the row
-        # fold of g1 fails earlier, at its last step (c, d)
-        alg = context.algebra
-        v = alg.parse_value
-        ctx = FuzzyContext(
-            alg, ("g1", "g2"), ("m1", "m2", "m3"),
-            ((v("1"), v("c"), v("d")), (v("d"), v("c"), v("1"))),
-        )
-        with pytest.raises(StructureError, match=re.escape(self.MESSAGE)):
-            extend_context(ctx, ExtensionConfig(meet_subsets=((0, 1, 2),)))
-
-    def test_fast_extension_names_the_first_concept_without_a_meet(self):
-        # the first concept fails on y, at (c, d); the second one fails
-        # earlier in column order, on x, at (d, c)
-        alg = load_table_algebra(NON_LATTICE)
-        v = alg.parse_value
-        base = FuzzyContext(alg, ("g1",), ("m1", "m2", "m3", "m4"), ((v("1"),) * 4,))
-        ext = append_column(append_column(base, "x", (v("1"),)), "y", (v("1"),))
-        lattice = ConceptLattice(base, [
-            Concept(oset(base, "1"), aset(base, "1 1 c d")),
-            Concept(oset(base, "0"), aset(base, "d c 1 1")),
-        ])
-        checks = [TheoremCheck("x", "pair-meet", True, ("m1", "m2")),
-                  TheoremCheck("y", "pair-meet", True, ("m3", "m4"))]
-        with pytest.raises(StructureError, match=re.escape(self.MESSAGE)):
-            extend_concepts_fast(lattice, base, ext, checks=checks)
-
-    def test_classify_columns(self, context):
-        bottom = context.algebra.parse_value("0")
-        with pytest.raises(StructureError, match=re.escape(self.MESSAGE)):
-            classify_columns(context, append_column(context, "x", (bottom, bottom)))
-
-    def test_mine(self, context):
-        with pytest.raises(StructureError, match=re.escape(self.MESSAGE)):
-            mine(context)
-
-    def test_cli_mine_exits_2(self, tmp_path, capsys):
-        (tmp_path / "nonlattice.lia").write_text(NON_LATTICE, encoding="utf-8")
-        path = tmp_path / "ctx.ctx"
-        path.write_text(
-            "algebra table nonlattice.lia\nattributes m1 m2\ng1 1 a\ng2 c d\n", encoding="utf-8"
-        )
-        assert main(["mine", str(path)]) == 2
+    @pytest.mark.parametrize("command", ["concepts", "mine", "check-congener"])
+    def test_cli_mine_exits_2(self, command, capsys):
+        path = str(DATA_DIR / "nonlattice.ctx")
+        argv = [command, path, path] if command == "check-congener" else [command, path]
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert self.MESSAGE in captured.err
