@@ -138,6 +138,20 @@ class FuzzyContext:
         """``columns`` as the algebra's element positions."""
         return tuple(map(self.algebra._positions, self.columns))
 
+    @cached_property
+    def row_masks(self) -> tuple[tuple[int, ...], ...]:
+        """Per object g and element position b, the implication column
+        imp(b, I(g, m)) over the attributes m, encoded as one int (see
+        ``Algebra._code``): an intent is the ``&`` of one mask per object."""
+        return _masks(self.algebra, self.row_positions)
+
+    @cached_property
+    def column_masks(self) -> tuple[tuple[int, ...], ...]:
+        """Per attribute m and element position b, imp(b, I(g, m)) over the
+        objects g, encoded as one int: an extent is the ``&`` of one mask
+        per attribute."""
+        return _masks(self.algebra, self.column_positions)
+
     def attribute_index(self, name: str) -> int:
         try:
             return self.attributes.index(name)
@@ -237,6 +251,14 @@ def extend_context(context: FuzzyContext, config: ExtensionConfig | None = None)
     meet, top = AttributeProvenance.meet_of, AttributeProvenance.constant_top()
     provenance = context.provenance + tuple(meet(s) if s else top for s, _ in new_columns)
     return FuzzyContext(algebra, context.objects, tuple(names), rows, provenance)
+
+
+def _masks(algebra: Algebra, lines) -> tuple[tuple[int, ...], ...]:
+    """Per line and element position b, the encoded vector of imp(b, v)
+    over the positions v of the line."""
+    encode = algebra._code.encode
+    return tuple(tuple([encode([imp_b[v] for v in line]) for imp_b in algebra._imp])
+                 for line in lines)
 
 
 def _meet_of(algebra: Algebra, columns, subset: tuple[int, ...], memo: dict) -> tuple[int, ...]:

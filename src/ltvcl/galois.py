@@ -3,23 +3,26 @@
 The derivation pair maps an object-side fuzzy set A to the intent
 ``m -> meet_g imp(A(g), I(g, m))`` and dually for attribute-side sets; its
 composites are closure operators and the fixpoint pairs form a complete
-lattice. A derivation is one kernel, a left fold over the positions of its
-argument: start from the all-top vector and, per object g (per attribute m
-for an extent), meet each component with imp(A(g), I(g, m)). The kernel
-runs on element positions, the indexes of the algebra's operation tables:
-the context caches its grid as positions, and every cell of the fold is
-two table lookups. ``TruthValue``s appear only at the public boundary (the
-arguments and results of the derivations) and in ``Concept``s.
+lattice. A derivation is one kernel over vectors encoded as ints: every
+element is coded by the join-irreducibles at or below it, a vector is one
+int of fixed-width blocks, and a pointwise meet is one ``&`` (see
+``lia.VectorCode``). The context caches, per object (per attribute for an
+extent) and per element a, the encoded implication column imp(a, I(g, m))
+as a mask, so a derivation is the ``&`` of one mask per position of its
+argument, starting from all-top, decoded once to element positions.
+``TruthValue``s appear only at the public boundary (the arguments and
+results of the derivations) and in ``Concept``s.
 
 Enumeration runs that fold over every candidate of one chosen side at
-once, on the set of distinct partial vectors (see ``enumerate_concepts``).
-It admits exactly the concepts of closing every candidate one by one (the
-exhaustive scan the test suite keeps as its oracle), while its work
-follows the number of concepts. A context's order is a lattice, so no
-meet the fold takes is missing. Its closures call the public derivations:
-over a lattice implication algebra every image of the fold is an intent,
-so one back-derivation per concept gives its extent, and only off that
-path is each closed pair checked as a fixpoint. A ``ConceptLattice`` keeps every
+once, on the set of distinct partial vectors, each one int (see
+``enumerate_concepts``). It admits exactly the concepts of closing every
+candidate one by one (the exhaustive scan the test suite keeps as its
+oracle), while its work follows the number of concepts. A context's order
+is a lattice, so every vector has its encoding. Its closures still call
+the public derivations, whose calls the benchmark counts: over a lattice
+implication algebra every image of the fold is an intent, so one
+back-derivation per concept gives its extent, and only off that path is
+each closed pair checked as a fixpoint. A ``ConceptLattice`` keeps every
 extent and intent as a tuple of positions: the order, the covers, the
 labels and the exports read those, and ``Concept``s are built only when a
 caller asks for them. The intent engine is the extent engine on the
@@ -34,7 +37,7 @@ subalgebra generated by the values actually present in the context, which
 is where a context's arithmetic lives; ``"full"`` ranges over every element
 of the ambient algebra and can surface additional fixpoints valued outside
 the data. Either way the budget counts the |domain|^|side| candidates the
-fold stands for.
+fold stands for, each distinct value counted once.
 """
 
 from __future__ import annotations
@@ -103,27 +106,18 @@ def _check_sized(fset: FuzzySet, side: str, size: int) -> None:
         raise DimensionError(f"set of size {len(fset.values)} against {side} list of size {size}")
 
 
-def _derive(algebra, lines, width: int, values) -> tuple[int, ...]:
-    """The derivation kernel, a left fold over positions k: start from the
-    all-top vector of ``width`` components and take one step per k with
-    values[k] and lines[k], all of them element positions. Per component
-    that is the meet over k of imp(values[k], lines[k][m]); with no
-    positions it is top. Each step is ``Algebra._meet_columns`` of the
-    partial vector and the implication column imp(values[k], lines[k][m])
-    inlined."""
-    meet, imp = algebra._meet, algebra._imp
-    out = (algebra._top,) * width
-    for a, line in zip(values, lines):
-        imp_a = imp[a]
-        out = tuple([meet[p][imp_a[v]] for p, v in zip(out, line)])
-    return out
-
-
-def _derive_values(algebra, lines, width: int, values) -> tuple[TruthValue, ...]:
-    """``_derive`` on truth values: map them to positions once (a
-    non-element raises DimensionError) and the result back once."""
-    els = algebra.elements
-    return tuple([els[k] for k in _derive(algebra, lines, width, algebra._positions(values))])
+def _derive(algebra, masks, width: int, values) -> tuple[int, ...]:
+    """The derivation kernel: the ``&`` over positions k of
+    ``masks[k][values[k]]``, the encoded implication column imp(values[k],
+    I(k, m)) (see ``FuzzyContext.row_masks``), starting from the all-top
+    vector of ``width`` components, decoded once to element positions. Per
+    component that is the meet over k of imp(values[k], I(k, m)); with no
+    positions it is top."""
+    code = algebra._code
+    out = code.top(width)
+    for line, a in zip(masks, values):
+        out &= line[a]
+    return code.decode(out, width)
 
 
 def derive_intent(context: FuzzyContext, extent: FuzzySet) -> FuzzySet:
@@ -133,20 +127,22 @@ def derive_intent(context: FuzzyContext, extent: FuzzySet) -> FuzzySet:
     objects the meet is empty and every intent component is top.
     """
     _check_sized(extent, OBJECTS, len(context.objects))
-    values = _derive_values(
-        context.algebra, context.row_positions, len(context.attributes), extent.values
-    )
-    return FuzzySet(ATTRIBUTES, values)
+    algebra = context.algebra
+    positions = algebra._positions(extent.values)
+    els = algebra.elements
+    intent = _derive(algebra, context.row_masks, len(context.attributes), positions)
+    return FuzzySet(ATTRIBUTES, tuple([els[k] for k in intent]))
 
 
 def derive_extent(context: FuzzyContext, intent: FuzzySet) -> FuzzySet:
     """Dual of derive_intent: per object, meet over attributes of
     imp(B(m), I(g, m)); the empty attribute set yields an all-top extent."""
     _check_sized(intent, ATTRIBUTES, len(context.attributes))
-    values = _derive_values(
-        context.algebra, context.column_positions, len(context.objects), intent.values
-    )
-    return FuzzySet(OBJECTS, values)
+    algebra = context.algebra
+    positions = algebra._positions(intent.values)
+    els = algebra.elements
+    extent = _derive(algebra, context.column_masks, len(context.objects), positions)
+    return FuzzySet(OBJECTS, tuple([els[k] for k in extent]))
 
 
 def closure_extent(context: FuzzyContext, extent: FuzzySet) -> FuzzySet:
@@ -195,16 +191,20 @@ class ConceptLattice:
     positions (``_extents`` and ``_intents``), which the order, the covers
     and the exports read. Enumeration builds a lattice from those tuples
     (``_from_positions``); a lattice built from ``Concept``s maps them to
-    position tuples when it is built, so a value outside the algebra raises
-    DimensionError there. Both constructors sort the tuples the same way
-    (``_arrange``), and either lattice builds its ``Concept``s on first use.
+    position tuples when it is built, so a value outside the algebra, or a
+    set of the wrong side or length, raises DimensionError there. Both
+    constructors sort the tuples the same way (``_arrange``), and either
+    lattice builds its ``Concept``s on first use.
     """
 
     def __init__(self, context: FuzzyContext, concepts: Iterable[Concept]):
         positions = context.algebra._positions
-        pairs = dict.fromkeys(
-            (positions(c.extent.values), positions(c.intent.values)) for c in concepts
-        )
+        objects, attributes = len(context.objects), len(context.attributes)
+        pairs = {}
+        for c in concepts:
+            _check_sized(c.extent, OBJECTS, objects)
+            _check_sized(c.intent, ATTRIBUTES, attributes)
+            pairs[positions(c.extent.values), positions(c.intent.values)] = None
         self._arrange(context, pairs)
 
     @classmethod
@@ -366,13 +366,14 @@ def enumerate_concepts(
     the set of distinct partial vectors: S_0 holds the all-top vector and
     S_k every step of an S_(k-1) vector with a domain value a at position
     k, which meets the vector with the implication column imp(a, I(k, m)).
-    Each column is built once per position and value. The last set is
-    exactly the set of the candidates' derivations, each computed by the
-    same meets in the same order as a derivation on its own, and each is
-    derived back once. The fold runs on element positions; the closures
-    call the public derivations, whose calls the benchmark's tracer counts
-    as the closure rate. The lattice is built from the admitted position
-    pairs, and its ``Concept``s are made only when a caller asks for them.
+    Vectors are ints and columns the context's cached masks, so a step is
+    one ``&`` (see ``FuzzyContext.row_masks``). The last set is exactly the
+    set of the candidates' derivations, each computed by the same meets as
+    a derivation on its own; each is decoded to positions once and derived
+    back once. Those closures call the public derivations, whose calls the
+    benchmark's tracer counts as the closure rate. The lattice is built
+    from the admitted position pairs, and its ``Concept``s are made only
+    when a caller asks for them.
 
     When the domain holds bottom (``"generated"`` and ``"full"`` always do),
     imp(bottom, x) is top, so over a valid implication algebra each S_k
@@ -393,35 +394,35 @@ def enumerate_concepts(
     axioms. When a closed set derives forward to the image it was closed
     from, it is a fixpoint with no third derivation, since that image's
     closure is the set itself; so an image costs at most three derivations.
-    A domain whose candidate count exceeds the budget raises BudgetError
-    naming the count.
+    A domain whose candidate count, |distinct domain values|^|side|,
+    exceeds the budget raises BudgetError naming the count.
     """
     values = scan_domain(context, domain)
     if engine == EXTENT_SCAN:
         image_side, forward, back = ATTRIBUTES, derive_intent, derive_extent
-        lines, width = context.row_positions, len(context.attributes)
+        masks, width = context.row_masks, len(context.attributes)
     elif engine == INTENT_SCAN:
         image_side, forward, back = OBJECTS, derive_extent, derive_intent
-        lines, width = context.column_positions, len(context.objects)
+        masks, width = context.column_masks, len(context.objects)
     else:
         raise ValueError(f"unknown engine {engine!r}; use 'extent' or 'intent'")
-    count = len(values) ** len(lines)
+    algebra = context.algebra
+    positions = set(algebra._positions(values))
+    count = len(positions) ** len(masks)
     if count > budget:
         raise BudgetError(
             f"{engine} scan needs {count} candidates, over the budget of {budget}"
         )
 
-    algebra = context.algebra
-    imp, step = algebra._imp, algebra._meet_columns
-    positions = set(algebra._positions(values))
-    images = {(algebra._top,) * width}  # S_0; after the loop, S_|lines|
-    for line in lines:
-        columns = [tuple([imp[a][v] for v in line]) for a in positions]
-        images = {step(partial, column) for partial in images for column in columns}
-    els, positions_of = algebra.elements, algebra._positions
+    code = algebra._code
+    images = {code.top(width)}  # S_0; after the loop, S_|masks|
+    for line in masks:
+        columns = [line[a] for a in positions]
+        images = {partial & column for partial in images for column in columns}
+    els, positions_of, decode = algebra.elements, algebra._positions, code.decode
     closures = [
         (back(context, FuzzySet(image_side, tuple([els[k] for k in image]))), image)
-        for image in images
+        for image in [decode(vector, width) for vector in images]
     ]
     if algebra._is_lia:
         pairs = [(positions_of(fset.values), image) for fset, image in closures]
@@ -452,8 +453,8 @@ def concept_meet(lattice: ConceptLattice, left: Concept, right: Concept) -> Conc
     algebra = context.algebra
     extent = algebra._meet_columns(lattice._extents[i], lattice._extents[j])
     joined = algebra._join_columns(lattice._intents[i], lattice._intents[j])
-    closed = _derive(algebra, context.column_positions, len(context.objects), joined)
-    intent = _derive(algebra, context.row_positions, len(context.attributes), closed)
+    closed = _derive(algebra, context.column_masks, len(context.objects), joined)
+    intent = _derive(algebra, context.row_masks, len(context.attributes), closed)
     return lattice._computed(extent, intent)
 
 
@@ -464,8 +465,8 @@ def concept_join(lattice: ConceptLattice, left: Concept, right: Concept) -> Conc
     context = lattice.context
     algebra = context.algebra
     joined = algebra._join_columns(lattice._extents[i], lattice._extents[j])
-    closed = _derive(algebra, context.row_positions, len(context.attributes), joined)
-    extent = _derive(algebra, context.column_positions, len(context.objects), closed)
+    closed = _derive(algebra, context.row_masks, len(context.attributes), joined)
+    extent = _derive(algebra, context.column_masks, len(context.objects), closed)
     intent = algebra._meet_columns(lattice._intents[i], lattice._intents[j])
     return lattice._computed(extent, intent)
 

@@ -107,7 +107,8 @@ class Algebra:
     is left to :func:`check_axioms`, whose verdict ``_is_lia`` caches on
     first use. ``_is_transitive`` is cached the same way, for covers, and
     so is ``_lattice_fault``, which a ``FuzzyContext`` reads to refuse an
-    order that is not a lattice.
+    order that is not a lattice, and so is ``_code``, the encoding of
+    position vectors as ints that the derivations fold on.
 
     Algebras are immutable after construction and every operation is a pure
     function (the cached verdicts are too), so instances may be shared freely
@@ -200,6 +201,13 @@ class Algebra:
             for i, above in enumerate(up) for j in _bits(above) for k in _bits(up[j] & ~above)
         )
         return f"the derived order is not transitive: {x} <= {y} and {y} <= {z} but not {x} <= {z}"
+
+    @cached_property
+    def _code(self) -> "VectorCode":
+        """The encoding of position vectors as ints, on which a pointwise
+        meet is one ``&`` (see ``VectorCode``). Built once, on first use;
+        it needs a lattice order, as every context's algebra has."""
+        return VectorCode(self._down, self._top)
 
     def __eq__(self, other) -> bool:
         return self is other or (
@@ -401,6 +409,62 @@ def _meet_table(below: list[int]) -> list[list[int | None]]:
                     table[i][j] = table[j][i] = k
                     break
     return table
+
+
+class VectorCode:
+    """Vectors of element positions encoded as ints, so that the pointwise
+    meet of two vectors is the ``&`` of their ints.
+
+    ``code[p]`` is the bitmask of the join-irreducible elements at or below
+    p, the irreducibles numbered in display order. On a finite lattice that
+    map is injective and an order embedding, and the code of a meet is the
+    ``&`` of the codes (Davey and Priestley, *Introduction to Lattices and
+    Order*, 2002). A vector is one int of fixed-width blocks, one per
+    component and component 0 lowest; a block is ``block`` bytes, enough for
+    one bit per irreducible. ``encode`` builds that int and ``decode`` maps
+    an int of ``length`` blocks back to positions: with one-byte blocks (at
+    most eight irreducibles, so at most 256 elements) by one
+    ``bytes.translate``, otherwise through a dict keyed by each block's
+    bytes.
+    """
+
+    __slots__ = ("code", "block", "_blocks", "_top", "_table", "_of_block")
+
+    def __init__(self, down: Sequence[int], top: int):
+        # j is join-irreducible when the elements strictly below it have a
+        # greatest one: their mask is some element's down-set
+        downsets = set(down)
+        irreducibles = [j for j, mask in enumerate(down) if (mask & ~(1 << j)) in downsets]
+        self.code = tuple(
+            sum(1 << r for r, j in enumerate(irreducibles) if mask >> j & 1) for mask in down
+        )
+        self.block = max(1, -(-len(irreducibles) // 8))
+        self._blocks = [c.to_bytes(self.block, "little") for c in self.code]
+        self._top = self._blocks[top]
+        self._table = self._of_block = None
+        if self.block == 1:
+            table = bytearray(256)
+            for p, c in enumerate(self.code):
+                table[c] = p
+            self._table = bytes(table)
+        else:
+            self._of_block = {b: p for p, b in enumerate(self._blocks)}
+
+    def encode(self, positions: Iterable[int]) -> int:
+        """The int of a vector of positions."""
+        return int.from_bytes(b"".join([self._blocks[p] for p in positions]), "little")
+
+    def top(self, length: int) -> int:
+        """The int of the all-top vector of ``length`` components."""
+        return int.from_bytes(self._top * length, "little")
+
+    def decode(self, vector: int, length: int) -> tuple[int, ...]:
+        """The positions of an int of ``length`` blocks."""
+        if self._table is not None:
+            return tuple(vector.to_bytes(length, "little").translate(self._table))
+        w, of_block = self.block, self._of_block
+        data = vector.to_bytes(length * w, "little")
+        return tuple([of_block[data[i:i + w]] for i in range(0, length * w, w)])
 
 
 class ProductAlgebra(Algebra):

@@ -359,9 +359,9 @@ def mine(
     fast_verified = False
     if congener.is_congener and all(c.satisfied for c in checks):
         fast_lattice = extend_concepts_fast(base_lattice, context, extended, checks=checks)
-        rows, width = extended.row_positions, len(extended.attributes)
+        masks, width = extended.row_masks, len(extended.attributes)
         fast_verified = fast_lattice._intents == tuple(
-            _derive(context.algebra, rows, width, extent) for extent in base_lattice._extents
+            _derive(context.algebra, masks, width, extent) for extent in base_lattice._extents
         )
 
     tacit = tuple(

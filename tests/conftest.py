@@ -127,3 +127,11 @@ ALGEBRAS = {
 # data/nonlattice.lia: c and d have no greatest lower bound (and a and b
 # no least upper bound), so the table loads but no context is built over it
 NON_LATTICE = (DATA_DIR / "nonlattice.lia").read_text(encoding="utf-8")
+
+# Algebras with more than eight join-irreducibles (9 and 11), whose vectors
+# are encoded in two-byte blocks. Their elements are many, so the tests
+# that scan |domain|^|side| candidates keep their contexts small.
+WIDE_ALGEBRAS = {
+    "product 4 4 4": lambda: ProductAlgebra([4, 4, 4]),
+    "product 12": lambda: ProductAlgebra([12]),
+}

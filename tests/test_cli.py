@@ -34,6 +34,9 @@ GOLDEN_RUNS = [
     # sets of this context
     ("bool2_full", "concepts data/bool2.ctx --domain full --engine both", 0, EXPORTS),
     ("chain5_full", "concepts data/chain5.ctx --domain full --engine both", 0, EXPORTS),
+    # a 12-chain has eleven join-irreducibles, so its vectors are encoded
+    # in two-byte blocks
+    ("chain12_full", "concepts data/chain12.ctx --domain full --engine both", 0, EXPORTS),
     ("algebra_product_3_2", "algebra --product 3 2 --show-tables --check-axioms", 0, ()),
     ("algebra_product_3_3_3", "algebra --product 3 3 3 --check-axioms --show-tables", 0, ()),
     # 72 elements, over the former axiom budget of 64

@@ -23,7 +23,7 @@ from ltvcl import (
     load_table_algebra,
     object_set,
 )
-from conftest import ALGEBRAS, NON_LATTICE, random_context
+from conftest import ALGEBRAS, NON_LATTICE, WIDE_ALGEBRAS, random_context
 from oracle import reference_derive_extent, reference_derive_intent
 
 # Values that belong to none of the algebras above; the list is unhashable.
@@ -55,9 +55,9 @@ def outcome(call):
         return type(exc), str(exc)
 
 
-@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+@pytest.mark.parametrize("name", sorted(ALGEBRAS) + sorted(WIDE_ALGEBRAS))
 def test_derivations_match_the_value_level_oracle(name):
-    algebra = ALGEBRAS[name]()
+    algebra = {**ALGEBRAS, **WIDE_ALGEBRAS}[name]()
     rng = random.Random(f"derivations/{name}")
     shapes = [(0, 2), (2, 0), (0, 0)] + [(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(40)]
     seen = set()

@@ -23,6 +23,7 @@ from ltvcl import galois, lia, tacit
 from ltvcl.galois import EXTENT_SCAN, FULL_DOMAIN, GENERATED_DOMAIN, INTENT_SCAN
 from conftest import (
     ALGEBRAS,
+    WIDE_ALGEBRAS,
     append_column,
     break_contraposition,
     load_context,
@@ -60,9 +61,12 @@ def explicit_domains(rng: random.Random, algebra):
     ]
 
 
-def shapes(rng: random.Random):
-    """Context sizes: both empty sides, then random ones up to 3 x 3."""
-    return [(0, 2), (2, 0), (0, 0)] + [(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(5)]
+def shapes(rng: random.Random, largest: int = 3):
+    """Context sizes: both empty sides, then random ones up to largest x
+    largest."""
+    return [(0, 2), (2, 0), (0, 0)] + [
+        (rng.randint(1, largest), rng.randint(1, largest)) for _ in range(5)
+    ]
 
 
 def brute_covers(pairs) -> tuple[tuple[int, int], ...]:
@@ -76,12 +80,14 @@ def brute_covers(pairs) -> tuple[tuple[int, int], ...]:
     ))
 
 
-@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+# the one-byte algebras, chain5's checked path among them, and two-byte
+# ones on contexts of at most 2 x 2
+@pytest.mark.parametrize("name", sorted(ALGEBRAS) + sorted(WIDE_ALGEBRAS))
 @pytest.mark.parametrize("engine", ENGINES)
 def test_fold_admits_the_scans_concepts(name, engine):
-    algebra = ALGEBRAS[name]()
+    algebra = {**ALGEBRAS, **WIDE_ALGEBRAS}[name]()
     rng = random.Random(f"{name}/{engine}")
-    for n_objects, n_attributes in shapes(rng):
+    for n_objects, n_attributes in shapes(rng, 2 if name in WIDE_ALGEBRAS else 3):
         context = random_context(rng, algebra, n_objects, n_attributes)
         for domain in [GENERATED_DOMAIN, FULL_DOMAIN, *explicit_domains(rng, algebra)]:
             lattice = enumerate_concepts(context, engine, domain=domain)

@@ -8,6 +8,7 @@ import pytest
 from ltvcl import (
     BudgetError,
     Concept,
+    ConceptLattice,
     DimensionError,
     FuzzyContext,
     MembershipError,
@@ -28,7 +29,15 @@ from ltvcl import (
     parse_context,
 )
 from ltvcl.galois import FULL_DOMAIN, GENERATED_DOMAIN, concept_label, scan_domain
-from conftest import ALGEBRAS, DATA_DIR, aset, concept_set, oset, random_context
+from conftest import (
+    ALGEBRAS,
+    DATA_DIR,
+    WIDE_ALGEBRAS,
+    aset,
+    concept_set,
+    oset,
+    random_context,
+)
 from golden import BASE_CONCEPTS
 from oracle import pointwise_leq, reference_concept_join, reference_concept_meet
 
@@ -157,6 +166,17 @@ class TestEnumeration:
         with pytest.raises(BudgetError, match="36"):
             enumerate_concepts(demo, domain=FULL_DOMAIN, budget=35)
 
+    def test_budget_counts_distinct_domain_values(self):
+        # a domain listing top and bottom 16 times each stands for 2^4
+        # candidates over four objects, not 32^4
+        algebra = default_algebra()
+        context = random_context(random.Random(4), algebra, 4, 2)
+        domain = [algebra.top, algebra.bottom] * 16
+        lattice = enumerate_concepts(context, domain=domain, budget=16)
+        assert lattice.concepts == enumerate_concepts(context, domain=domain[:2]).concepts
+        with pytest.raises(BudgetError, match="extent scan needs 16 candidates"):
+            enumerate_concepts(context, domain=domain, budget=15)
+
     def test_unknown_engine_and_domain(self, demo):
         with pytest.raises(ValueError):
             enumerate_concepts(demo, "sideways")
@@ -265,12 +285,31 @@ class TestLatticeStructure:
         with pytest.raises(MembershipError):
             lattice.leq(foreign, lattice[0])
 
-    @pytest.mark.parametrize("name", sorted(ALGEBRAS))
+    def test_mis_sized_concepts_are_refused(self):
+        # a two-value extent on a four-object context once built the
+        # cycle ((0, 1), (1, 0)) as covers
+        algebra = default_algebra()
+        context = random_context(random.Random(2), algebra, 4, 2)
+        top, bottom = algebra.top, algebra.bottom
+        for extent, intent in (
+            ((top, bottom), (top, top)),
+            ((top,) * 4, (top,) * 3),
+            ((top,) * 5, (top, top)),
+        ):
+            with pytest.raises(DimensionError):
+                ConceptLattice(context, [
+                    Concept(object_set(extent), attribute_set(intent)),
+                    Concept(object_set((bottom,) * len(extent)), attribute_set(intent)),
+                ])
+
+    @pytest.mark.parametrize("name", sorted(ALGEBRAS) + sorted(WIDE_ALGEBRAS))
     def test_meet_and_join_match_the_value_level_reference(self, name):
-        # seeded random contexts of up to 4 x 4, both domains: the same
-        # concept, or the same exception type and message; chain5 fails
-        # the axioms, so a computed pair can miss the lattice
-        algebra = ALGEBRAS[name]()
+        # seeded random contexts of up to 4 x 4 (2 x 2 over the two-byte
+        # algebras), both domains: the same concept, or the same exception
+        # type and message; chain5 fails the axioms, so a computed pair can
+        # miss the lattice
+        algebra = {**ALGEBRAS, **WIDE_ALGEBRAS}[name]()
+        largest = 2 if name in WIDE_ALGEBRAS else 4
         rng = random.Random(name)
         failures = set()
 
@@ -283,7 +322,9 @@ class TestLatticeStructure:
 
         for domain in (GENERATED_DOMAIN, FULL_DOMAIN):
             for _ in range(12):
-                context = random_context(rng, algebra, rng.randint(1, 4), rng.randint(1, 4))
+                context = random_context(
+                    rng, algebra, rng.randint(1, largest), rng.randint(1, largest)
+                )
                 lattice = enumerate_concepts(context, domain=domain)
                 pairs = list(itertools.product(lattice, repeat=2))
                 for left, right in rng.sample(pairs, min(len(pairs), 60)):

@@ -26,7 +26,14 @@ from ltvcl import (
     load_table_algebra,
     object_set,
 )
-from conftest import DATA_DIR, break_contraposition, shuffled_table, shuffled_tables
+from conftest import (
+    ALGEBRAS,
+    DATA_DIR,
+    WIDE_ALGEBRAS,
+    break_contraposition,
+    shuffled_table,
+    shuffled_tables,
+)
 from oracle import reference_check_axioms
 
 L6 = default_algebra()
@@ -659,3 +666,46 @@ class TestPositionLookup:
         ):
             with pytest.raises(MembershipError, match="concept does not belong to this lattice"):
                 call()
+
+
+# Every algebra the suite enumerates over, a shuffled two-byte table and a
+# three-byte chain, with their numbers of join-irreducibles
+ENCODED = {
+    **ALGEBRAS,
+    **WIDE_ALGEBRAS,
+    "shuffled product 4 4 4": lambda: shuffled_table(ProductAlgebra([4, 4, 4]), 4)[0],
+    "product 20": lambda: ProductAlgebra([20]),
+}
+IRREDUCIBLES = {
+    "product 3 2": 3, "product 2 2": 2, "product 4": 3, "product 2 3 2": 4, "product 3 3": 4,
+    "bool2": 1, "seeded-order": 3, "chain5": 4, "product 4 4 4": 9, "product 12": 11,
+    "shuffled product 4 4 4": 9, "product 20": 19,
+}
+
+
+class TestVectorCode:
+    @pytest.mark.parametrize("name", sorted(ENCODED))
+    def test_code_is_an_order_embedding_that_maps_meets_to_and(self, name):
+        algebra = ENCODED[name]()
+        encoding, n = algebra._code, len(algebra.elements)
+        code = encoding.code
+        assert len(set(code)) == n
+        assert bin(code[algebra._top]).count("1") == IRREDUCIBLES[name]
+        assert encoding.block == -(-IRREDUCIBLES[name] // 8)
+        for p, q in itertools.product(range(n), repeat=2):
+            assert bool(algebra._up[p] >> q & 1) == (code[p] & ~code[q] == 0)
+            assert code[algebra._meet[p][q]] == code[p] & code[q]
+
+    @pytest.mark.parametrize("name", sorted(ENCODED))
+    def test_vectors_decode_and_meet_by_and(self, name):
+        algebra = ENCODED[name]()
+        encoding, n = algebra._code, len(algebra.elements)
+        rng = random.Random(name)
+        for length in (0, 1, 2, 7):
+            assert encoding.decode(encoding.top(length), length) == (algebra._top,) * length
+            for _ in range(30):
+                u = tuple(rng.randrange(n) for _ in range(length))
+                w = tuple(rng.randrange(n) for _ in range(length))
+                assert encoding.decode(encoding.encode(u), length) == u
+                meet = encoding.encode(u) & encoding.encode(w)
+                assert encoding.decode(meet, length) == algebra._meet_columns(u, w)

@@ -57,6 +57,8 @@ LIAS = {
     "product 4": lambda: ProductAlgebra([4]),
     "product 2 3 2": lambda: ProductAlgebra([2, 3, 2]),
     "bool2": lambda: table("bool2.lia"),
+    # eleven join-irreducibles: two-byte blocks
+    "product 12": lambda: ProductAlgebra([12]),
 }
 # ... and is gated off on this lattice, which fails the axioms
 NON_LIAS = {
