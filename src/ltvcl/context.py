@@ -67,10 +67,10 @@ class FuzzyContext:
     Rows follow the object order, columns the attribute order. Immutable
     after construction; derived contexts are new instances.
 
-    The algebra's derived order must be a lattice: a pair with no meet, or
-    an order that is not transitive, raises StructureError naming it (see
-    ``Algebra._lattice_fault``), so every meet the layers above take on a
-    context's values exists.
+    The algebra's derived order must be a lattice: a pair with no meet or
+    no join, or an order that is not transitive, raises StructureError
+    naming it (see ``Algebra._lattice_fault``), so every meet and join the
+    layers above take on a context's values exists.
     """
 
     algebra: Algebra
@@ -188,10 +188,10 @@ def extend_context(context: FuzzyContext, config: ExtensionConfig | None = None)
     Original columns are never touched; new columns carry meet/top
     provenance and fresh names continuing the ``m<k>`` numbering.
 
-    Columns are built and compared on element positions: a k-subset's
-    column is its memoised (k-1)-prefix's column met with one more source
-    column, the novelty filter compares position tuples, and the new
-    columns become truth values once, when the context is built.
+    Columns are built and compared as encoded ints (see ``Algebra._code``,
+    which is injective): a k-subset's column is its memoised (k-1)-prefix's
+    ``&`` one more source column, and each admitted column is decoded once,
+    when the rows are built.
     """
     cfg = config or ExtensionConfig()
     if cfg.max_meet_arity < 2:
@@ -217,20 +217,21 @@ def extend_context(context: FuzzyContext, config: ExtensionConfig | None = None)
             for combo in itertools.combinations(range(n_attrs), arity)
         ]
 
-    columns = context.column_positions
-    memo = {(): (algebra._top,) * len(context.objects)}
+    code, n = algebra._code, len(context.objects)
+    columns = [code.encode(column) for column in context.column_positions]
+    memo = {(): code.top(n)}
     seen = set(columns)
-    # (source subset, column) per admitted column; the empty subset is top
-    new_columns: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    # (source subset, encoded column) per admitted column; () is the top one
+    new_columns: list[tuple[tuple[int, ...], int]] = []
 
-    def admit(subset: tuple[int, ...], column: tuple[int, ...]) -> None:
+    def admit(subset: tuple[int, ...], column: int) -> None:
         if cfg.novelty_filter and column in seen:
             return
         new_columns.append((subset, column))
         seen.add(column)
 
     for subset in subsets:
-        admit(subset, _meet_of(algebra, columns, subset, memo))
+        admit(subset, _meet_of(columns, subset, memo))
     if cfg.include_top_column:
         admit((), memo[()])
 
@@ -245,9 +246,8 @@ def extend_context(context: FuzzyContext, config: ExtensionConfig | None = None)
         counter += 1
 
     els = algebra.elements
-    rows = tuple(
-        row + tuple([els[col[g]] for _, col in new_columns]) for g, row in enumerate(context.rows)
-    )
+    added = [code.decode(column, n) for _, column in new_columns]
+    rows = tuple(row + tuple([els[col[g]] for col in added]) for g, row in enumerate(context.rows))
     meet, top = AttributeProvenance.meet_of, AttributeProvenance.constant_top()
     provenance = context.provenance + tuple(meet(s) if s else top for s, _ in new_columns)
     return FuzzyContext(algebra, context.objects, tuple(names), rows, provenance)
@@ -261,16 +261,15 @@ def _masks(algebra: Algebra, lines) -> tuple[tuple[int, ...], ...]:
                  for line in lines)
 
 
-def _meet_of(algebra: Algebra, columns, subset: tuple[int, ...], memo: dict) -> tuple[int, ...]:
-    """The pointwise meet of ``columns[s]`` for s in ``subset``, on element
-    positions, folded from the all-top column in subset order: the meet of
-    the (k-1)-prefix's column, memoised in ``memo`` (which holds the empty
-    subset's all-top column), with the last source's column.
+def _meet_of(columns, subset: tuple[int, ...], memo: dict) -> int:
+    """The pointwise meet of the encoded ``columns[s]`` for s in ``subset``
+    (see ``Algebra._code``): the ``&`` of the (k-1)-prefix's meet, memoised
+    in ``memo`` (which holds the empty subset's all-top int), with the last
+    source's column.
     """
     column = memo.get(subset)
     if column is None:
-        prefix = _meet_of(algebra, columns, subset[:-1], memo)
-        column = memo[subset] = algebra._meet_columns(prefix, columns[subset[-1]])
+        column = memo[subset] = _meet_of(columns, subset[:-1], memo) & columns[subset[-1]]
     return column
 
 

@@ -445,13 +445,13 @@ def enumerate_concepts(
 
 
 def concept_meet(lattice: ConceptLattice, left: Concept, right: Concept) -> Concept:
-    """Greatest common subconcept: pointwise meet of extents, closure of the
-    pointwise join of intents, computed on position tuples. The result is a
+    """Greatest common subconcept: pointwise meet of extents (the ``&`` of
+    their codes), closure of the pointwise join of intents. The result is a
     member of the lattice."""
     i, j = lattice.index_of(left), lattice.index_of(right)
     context = lattice.context
     algebra = context.algebra
-    extent = algebra._meet_columns(lattice._extents[i], lattice._extents[j])
+    extent = _meet_vectors(algebra._code, lattice._extents[i], lattice._extents[j])
     joined = algebra._join_columns(lattice._intents[i], lattice._intents[j])
     closed = _derive(algebra, context.column_masks, len(context.objects), joined)
     intent = _derive(algebra, context.row_masks, len(context.attributes), closed)
@@ -460,15 +460,19 @@ def concept_meet(lattice: ConceptLattice, left: Concept, right: Concept) -> Conc
 
 def concept_join(lattice: ConceptLattice, left: Concept, right: Concept) -> Concept:
     """Least common superconcept: closure of the pointwise join of extents,
-    pointwise meet of intents, computed on position tuples."""
+    pointwise meet of intents (the ``&`` of their codes)."""
     i, j = lattice.index_of(left), lattice.index_of(right)
     context = lattice.context
     algebra = context.algebra
     joined = algebra._join_columns(lattice._extents[i], lattice._extents[j])
     closed = _derive(algebra, context.row_masks, len(context.attributes), joined)
     extent = _derive(algebra, context.column_masks, len(context.objects), closed)
-    intent = algebra._meet_columns(lattice._intents[i], lattice._intents[j])
+    intent = _meet_vectors(algebra._code, lattice._intents[i], lattice._intents[j])
     return lattice._computed(extent, intent)
+
+
+def _meet_vectors(code, left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...]:
+    return code.decode(code.encode(left) & code.encode(right), len(left))
 
 
 def concept_label(lattice: ConceptLattice, index: int) -> str:

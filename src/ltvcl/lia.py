@@ -108,7 +108,7 @@ class Algebra:
     first use. ``_is_transitive`` is cached the same way, for covers, and
     so is ``_lattice_fault``, which a ``FuzzyContext`` reads to refuse an
     order that is not a lattice, and so is ``_code``, the encoding of
-    position vectors as ints that the derivations fold on.
+    position vectors as ints on which every pointwise meet runs.
 
     Algebras are immutable after construction and every operation is a pure
     function (the cached verdicts are too), so instances may be shared freely
@@ -186,21 +186,25 @@ class Algebra:
 
     @cached_property
     def _lattice_fault(self) -> str | None:
-        """Why the derived order is not a lattice the position folds can
-        run on, or None when it is: the first pair in display order with no
-        meet, else the first triple that breaks transitivity. Computed
-        once, on first use; products are lattices by construction."""
+        """Why the derived order is not a lattice, or None when it is: the
+        first pair in display order with no meet, else the first triple
+        that breaks transitivity, else the first pair with no join.
+        Computed once, on first use; products are lattices by construction."""
         els, up = self.elements, self._up
-        for i, row in enumerate(self._meet):
-            if None in row:
-                return str(self._unbounded("greatest lower bound", els[i], els[row.index(None)]))
-        if self._is_transitive:
-            return None
-        x, y, z = next(
-            (self._spellings[i], self._spellings[j], self._spellings[k])
-            for i, above in enumerate(up) for j in _bits(above) for k in _bits(up[j] & ~above)
-        )
-        return f"the derived order is not transitive: {x} <= {y} and {y} <= {z} but not {x} <= {z}"
+
+        def unbounded(what: str, table) -> str | None:
+            return next((str(self._unbounded(what, els[i], els[row.index(None)]))
+                         for i, row in enumerate(table) if None in row), None)
+
+        fault = unbounded("greatest lower bound", self._meet)
+        if fault is None and not self._is_transitive:
+            x, y, z = next(
+                (self._spellings[i], self._spellings[j], self._spellings[k])
+                for i, above in enumerate(up) for j in _bits(above) for k in _bits(up[j] & ~above)
+            )
+            fault = (f"the derived order is not transitive: {x} <= {y} and {y} <= {z} "
+                     f"but not {x} <= {z}")
+        return fault or unbounded("least upper bound", self._join)
 
     @cached_property
     def _code(self) -> "VectorCode":
@@ -272,13 +276,6 @@ class Algebra:
             raise self._unbounded("greatest lower bound", x, y)
         return self.elements[k]
 
-    def _meet_columns(self, left: Sequence[int], right: Sequence[int]) -> tuple[int, ...]:
-        """The pointwise meet of two vectors of element positions, on an
-        algebra whose every pair has a meet, as every context's has (see
-        ``_lattice_fault``)."""
-        meet = self._meet
-        return tuple([meet[p][q] for p, q in zip(left, right)])
-
     def join(self, x: TruthValue, y: TruthValue) -> TruthValue:
         k = self._join[self._position(x)][self._position(y)]
         if k is None:
@@ -286,16 +283,11 @@ class Algebra:
         return self.elements[k]
 
     def _join_columns(self, left: Sequence[int], right: Sequence[int]) -> tuple[int, ...]:
-        """The pointwise join of two vectors of element positions; a pair
-        with no join raises the StructureError ``join`` raises, naming it,
-        the first such component first."""
+        """The pointwise join of two vectors of element positions, on an
+        algebra whose every pair has a join, as every context's has (see
+        ``_lattice_fault``)."""
         join = self._join
-        out = tuple([join[p][q] for p, q in zip(left, right)])
-        if None in out:
-            m = out.index(None)
-            els = self.elements
-            raise self._unbounded("least upper bound", els[left[m]], els[right[m]])
-        return out
+        return tuple([join[p][q] for p, q in zip(left, right)])
 
     def imp(self, x: TruthValue, y: TruthValue) -> TruthValue:
         return self.elements[self._imp[self._position(x)][self._position(y)]]

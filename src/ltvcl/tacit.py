@@ -237,33 +237,31 @@ def classify_columns(
     the whole upper set meets to the column too. So a column whose upper
     set meets to anything else is unclassified without a search, and any
     other column searches only the subsets of its upper set, in the same
-    order, which finds the same first match. Subset meets are memoised
-    position columns (see ``context._meet_of``).
+    order, which finds the same first match. Columns and memoised subset
+    meets are encoded ints (see ``context._meet_of``).
     """
     _require_restriction(base, extended)
-    algebra = base.algebra
+    code = base.algebra._code
     n_orig = len(base.attributes)
     arities = (0, *range(max(min_arity, 1), n_orig + 1))
     base_names = set(base.attributes)
-    originals = base.column_positions
-    memo = {(): (algebra._top,) * len(base.objects)}
-    up = algebra._up
+    originals = [code.encode(column) for column in base.column_positions]
+    memo = {(): code.top(len(base.objects))}
 
     checks: list[TheoremCheck] = []
     for name, column in zip(extended.attributes, extended.column_positions):
         if name in base_names:
             continue
-        pool = tuple(
-            s for s in range(n_orig) if all(up[c] >> v & 1 for c, v in zip(column, originals[s]))
-        )
-        if _meet_of(algebra, originals, pool, memo) != column:
+        column = code.encode(column)
+        pool = tuple(s for s in range(n_orig) if not column & ~originals[s])
+        if _meet_of(originals, pool, memo) != column:
             checks.append(TheoremCheck(name, None, False))
             continue
         subsets = itertools.chain.from_iterable(
             itertools.combinations(pool, arity) for arity in arities
         )
         match = next(
-            (subset for subset in subsets if _meet_of(algebra, originals, subset, memo) == column),
+            (subset for subset in subsets if _meet_of(originals, subset, memo) == column),
             None,
         )
         if match is None:
@@ -286,13 +284,12 @@ def extend_concepts_fast(
 
     Every concept keeps its extent; its intent gains, per new column, the
     meet of the intent components at the column's sources (the empty meet,
-    top, for the constant-top column). Those meets run on element
-    positions, one column over all concepts at a time, memoised by source
-    prefix: the base intents are read as position tuples and the lattice is
-    built from them. Sound only when every new column is classified: an
-    unsatisfied check, or a new column with no check, raises
-    UnclassifiedColumnError, and the caller must fall back to
-    enumerate_concepts on the extension. A satisfied check whose sources
+    top, for the constant-top column). Those meets run on encoded columns
+    over all concepts (see ``context._meet_of``), each new one decoded
+    once, and the lattice is built from position tuples. Sound only when
+    every new column is classified: an unsatisfied check, or a new column
+    with no check, raises UnclassifiedColumnError, and the caller must fall
+    back to enumerate_concepts on the extension. A satisfied check whose sources
     name anything but a base attribute raises PreconditionError.
     """
     if checks is None:
@@ -313,13 +310,14 @@ def extend_concepts_fast(
         for s in by_attr[name].sources:
             if s not in base_index:
                 raise PreconditionError(f"the check of {name} names {s!r}, not a base attribute")
-    algebra = base.algebra
+    code, n = base.algebra._code, len(base_lattice)
     sources = {name: tuple(base_index[s] for s in by_attr[name].sources) for name in new_names}
     # per base attribute, the intent components of the concepts in lattice
-    # order, as a position column
+    # order, as a position column and encoded
     components = tuple(zip(*base_lattice._intents))
-    memo = {(): (algebra._top,) * len(base_lattice)}
-    new = {name: _meet_of(algebra, components, s, memo) for name, s in sources.items()}
+    encoded = [code.encode(column) for column in components]
+    memo = {(): code.top(n)}
+    new = {name: code.decode(_meet_of(encoded, s, memo), n) for name, s in sources.items()}
     columns = [
         new[name] if name in new else components[base_index[name]] for name in extended.attributes
     ]

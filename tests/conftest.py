@@ -125,7 +125,8 @@ ALGEBRAS = {
 }
 
 # data/nonlattice.lia: c and d have no greatest lower bound (and a and b
-# no least upper bound), so the table loads but no context is built over it
+# no least upper bound), so the table loads but no context is built over
+# it; data/nojoin.lia is refused too, for its one missing join
 NON_LATTICE = (DATA_DIR / "nonlattice.lia").read_text(encoding="utf-8")
 
 # Algebras with more than eight join-irreducibles (9 and 11), whose vectors

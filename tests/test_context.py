@@ -283,7 +283,8 @@ neg 1 0
 """
 
 # each table loads, and a context over it is refused with this message;
-# meets are checked first, so the second message shows every meet exists
+# meets are checked first, then transitivity, then joins, so each later
+# message shows the earlier checks pass
 REFUSED = {
     "non-lattice": (
         NON_LATTICE,
@@ -292,6 +293,10 @@ REFUSED = {
     "intransitive": (
         INTRANSITIVE,
         "the derived order is not transitive: a <= b and b <= 1 but not a <= 1",
+    ),
+    "no-join": (
+        (DATA_DIR / "nojoin.lia").read_text(encoding="utf-8"),
+        "no unique least upper bound for (a, b): the derived order is not a lattice",
     ),
 }
 
@@ -311,7 +316,7 @@ class TestLatticeOrder:
         text, message = REFUSED[name]
         (tmp_path / "t.lia").write_text(text, encoding="utf-8")
         with pytest.raises(StructureError) as err:
-            parse_context("algebra table t.lia\nattributes m1\ng1 1\n", base_dir=str(tmp_path))
+            parse_context("algebra table t.lia\nattributes m1\ng1 0\n", base_dir=str(tmp_path))
         assert str(err.value) == message
 
     def test_shape_and_membership_are_checked_first(self):

@@ -708,4 +708,6 @@ class TestVectorCode:
                 w = tuple(rng.randrange(n) for _ in range(length))
                 assert encoding.decode(encoding.encode(u), length) == u
                 meet = encoding.encode(u) & encoding.encode(w)
-                assert encoding.decode(meet, length) == algebra._meet_columns(u, w)
+                assert encoding.decode(meet, length) == tuple(
+                    algebra._meet[p][q] for p, q in zip(u, w)
+                )

@@ -162,9 +162,15 @@ def configs(rng: random.Random):
         )
 
 
-@pytest.mark.parametrize("name", sorted(LIAS))
+# a non-chain algebra with two-byte blocks (nine join-irreducibles), whose
+# codes are not nested; its random cases seldom classify every column, so
+# only the mining parity runs over it
+MINED = {**LIAS, "product 6 5": lambda: ProductAlgebra([6, 5])}
+
+
+@pytest.mark.parametrize("name", sorted(MINED))
 def test_mining_matches_the_oracle(name):
-    algebra = LIAS[name]()
+    algebra = MINED[name]()
     rng = random.Random(name)
     for _ in range(3):
         context = random_context(rng, algebra, rng.randint(1, 3), rng.randint(1, 4))
