@@ -65,7 +65,9 @@ class FuzzyContext:
     """Objects x attributes grid of truth values over one algebra.
 
     Rows follow the object order, columns the attribute order. Immutable
-    after construction; derived contexts are new instances.
+    after construction; derived contexts are new instances. The rows as
+    element positions, ``row_positions``, are mapped once, when the context
+    is built: the grid's one membership check, read by every layer.
 
     The algebra's derived order must be a lattice: a pair with no meet or
     no join, or an order that is not transitive, raises StructureError
@@ -100,14 +102,15 @@ class FuzzyContext:
             raise ValueError(
                 f"{len(self.objects)} objects but {len(self.rows)} rows"
             )
+        positions = []
         for obj, row in zip(self.objects, self.rows):
             if len(row) != len(self.attributes):
                 raise ValueError(
                     f"row {obj!r} has {len(row)} values for "
                     f"{len(self.attributes)} attributes"
                 )
-            for v in row:
-                self.algebra.check_member(v)
+            positions.append(self.algebra._positions(row))
+        object.__setattr__(self, "row_positions", tuple(positions))
         if len(self.provenance) != len(self.attributes):
             raise ValueError("provenance list does not match the attribute list")
         for prov in self.provenance:
@@ -128,15 +131,9 @@ class FuzzyContext:
         return tuple(tuple(row[m] for row in self.rows) for m in range(len(self.attributes)))
 
     @cached_property
-    def row_positions(self) -> tuple[tuple[int, ...], ...]:
-        """``rows`` as the algebra's element positions, the indexes of its
-        operation tables."""
-        return tuple(map(self.algebra._positions, self.rows))
-
-    @cached_property
     def column_positions(self) -> tuple[tuple[int, ...], ...]:
-        """``columns`` as the algebra's element positions."""
-        return tuple(map(self.algebra._positions, self.columns))
+        """``row_positions`` transposed: one tuple per attribute."""
+        return tuple(zip(*self.row_positions)) or ((),) * len(self.attributes)
 
     @cached_property
     def row_masks(self) -> tuple[tuple[int, ...], ...]:
@@ -188,10 +185,9 @@ def extend_context(context: FuzzyContext, config: ExtensionConfig | None = None)
     Original columns are never touched; new columns carry meet/top
     provenance and fresh names continuing the ``m<k>`` numbering.
 
-    Columns are built and compared as encoded ints (see ``Algebra._code``,
-    which is injective): a k-subset's column is its memoised (k-1)-prefix's
-    ``&`` one more source column, and each admitted column is decoded once,
-    when the rows are built.
+    Columns are built by ``_meet_of`` and compared as encoded ints (see
+    ``Algebra._code``, which is injective), and each admitted column is
+    decoded once, when the rows are built.
     """
     cfg = config or ExtensionConfig()
     if cfg.max_meet_arity < 2:
@@ -263,13 +259,19 @@ def _masks(algebra: Algebra, lines) -> tuple[tuple[int, ...], ...]:
 
 def _meet_of(columns, subset: tuple[int, ...], memo: dict) -> int:
     """The pointwise meet of the encoded ``columns[s]`` for s in ``subset``
-    (see ``Algebra._code``): the ``&`` of the (k-1)-prefix's meet, memoised
-    in ``memo`` (which holds the empty subset's all-top int), with the last
-    source's column.
+    (see ``Algebra._code``): the longest prefix memoised in ``memo`` (which
+    holds the empty subset's all-top int) ``&`` each later source's column,
+    every prefix memoised, in a loop, so any size meets without recursion.
     """
     column = memo.get(subset)
     if column is None:
-        column = memo[subset] = _meet_of(columns, subset[:-1], memo) & columns[subset[-1]]
+        last = k = len(subset) - 1
+        while (column := memo.get(subset[:k])) is None:
+            k -= 1
+        while k < last:
+            column = memo[subset[:k + 1]] = column & columns[subset[k]]
+            k += 1
+        column = memo[subset] = column & columns[subset[last]]
     return column
 
 
@@ -431,7 +433,7 @@ def serialize_context(context: FuzzyContext) -> str:
     for name, prov in zip(context.attributes, context.provenance):
         if prov.kind != ORIGINAL:
             lines.append(f"# {name} = {prov.formula(context.attributes)}")
-    fmt = context.algebra.format_value
-    for obj, row in zip(context.objects, context.rows):
-        lines.append((obj + " " + " ".join(fmt(v) for v in row)).rstrip())
+    spellings = context.algebra._spellings
+    for obj, row in zip(context.objects, context.row_positions):
+        lines.append((obj + " " + " ".join([spellings[p] for p in row])).rstrip())
     return "\n".join(lines) + "\n"

@@ -17,8 +17,7 @@ Enumeration runs that fold over every candidate of one chosen side at
 once, on the set of distinct partial vectors, each one int (see
 ``enumerate_concepts``). It admits exactly the concepts of closing every
 candidate one by one (the exhaustive scan the test suite keeps as its
-oracle), while its work follows the number of concepts. A context's order
-is a lattice, so every vector has its encoding. Its closures still call
+oracle), while its work follows the number of concepts. Its closures call
 the public derivations, whose calls the benchmark counts: over a lattice
 implication algebra every image of the fold is an intent, so one
 back-derivation per concept gives its extent, and only off that path is
@@ -159,20 +158,21 @@ def scan_domain(context: FuzzyContext, domain) -> tuple[TruthValue, ...]:
     """Resolve a domain spec to the concrete values a scan ranges over.
 
     ``"full"`` is every algebra element, ``"generated"`` the subalgebra
-    generated by the context's cells; an explicit sequence of values is
-    passed through after membership checks.
+    generated by the distinct ``row_positions``; an explicit sequence of
+    values is passed through after one ``_positions`` check.
     """
+    algebra = context.algebra
     if domain == FULL_DOMAIN:
-        return context.algebra.elements
+        return algebra.elements
     if domain == GENERATED_DOMAIN:
-        return context.algebra.generated_subalgebra(context.all_values())
+        els = algebra.elements
+        return algebra.generated_subalgebra([els[p] for p in set().union(*context.row_positions)])
     if isinstance(domain, str):
         raise ValueError(f"unknown domain {domain!r}; use 'generated' or 'full'")
     values = tuple(domain)
     if not values:
         raise ValueError("a scan domain needs at least one value")
-    for v in values:
-        context.algebra.check_member(v)
+    algebra._positions(values)
     return values
 
 

@@ -305,31 +305,26 @@ class Algebra:
             raise ValueError(f"unknown element {token!r}") from None
 
     def generated_subalgebra(self, values: Iterable[TruthValue]) -> tuple[TruthValue, ...]:
-        """Close the given values, plus top, under imp/neg/meet/join.
-
-        The result is returned in display order. Seeding with top
-        guarantees the closure is never empty and always contains bottom
-        (as ``neg(top)``).
-        """
-        closed = {self.top}
-        for v in values:
-            self.check_member(v)
-            closed.add(v)
+        """Close the given values, plus top, under imp/neg/meet/join, as
+        positions over the operation tables; the result is in display order
+        and holds bottom (``neg(top)``). The first pair, in display order,
+        of the closure so far with no meet, else no join, raises."""
+        closed = {self._top, *self._positions(tuple(values))}
         while True:
-            current = list(closed)
-            new = set()
-            for x in current:
-                nx = self.neg(x)
-                if nx not in closed:
-                    new.add(nx)
-                for y in current:
-                    for z in (self.imp(x, y), self.meet(x, y), self.join(x, y)):
-                        if z not in closed:
-                            new.add(z)
-            if not new:
-                break
-            closed |= new
-        return tuple(sorted(closed, key=self._position))
+            current = sorted(closed)
+            reached = {self._neg[x] for x in current}
+            for table in (self._imp, self._meet, self._join):
+                for x in current:
+                    row = table[x]
+                    reached.update([row[y] for y in current])
+            if None in reached:
+                raise next(self._unbounded(what, self.elements[x], self.elements[y])
+                           for what, table in (("greatest lower bound", self._meet),
+                                               ("least upper bound", self._join))
+                           for x in current for y in current if table[x][y] is None)
+            if reached <= closed:
+                return tuple([self.elements[p] for p in current])
+            closed |= reached
 
     def hasse_covers(self) -> tuple[tuple[TruthValue, TruthValue], ...]:
         """Cover pairs (x, y) with x strictly below y and nothing between,

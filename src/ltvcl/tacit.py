@@ -17,8 +17,7 @@ membership does not settle it: on an algebra not shown to be a lattice
 implication algebra (see ``Algebra._is_lia``), over an explicit domain,
 or for a non-congener extension, whose witnesses need both lattices. The
 fast extension path rewrites each base concept's intent directly
-(appending the meet of the source intent components, top when there are
-none) instead of re-enumerating, and the mining pipeline checks it
+instead of re-enumerating, and the mining pipeline checks it
 concept by concept against intents computed independently of it.
 """
 
@@ -286,7 +285,7 @@ def extend_concepts_fast(
     meet of the intent components at the column's sources (the empty meet,
     top, for the constant-top column). Those meets run on encoded columns
     over all concepts (see ``context._meet_of``), each new one decoded
-    once, and the lattice is built from position tuples. Sound only when
+    once, and the intents are one transpose of the columns. Sound only when
     every new column is classified: an unsatisfied check, or a new column
     with no check, raises UnclassifiedColumnError, and the caller must fall
     back to enumerate_concepts on the extension. A satisfied check whose sources
@@ -321,11 +320,8 @@ def extend_concepts_fast(
     columns = [
         new[name] if name in new else components[base_index[name]] for name in extended.attributes
     ]
-    pairs = [
-        (extent, tuple([column[k] for column in columns]))
-        for k, extent in enumerate(base_lattice._extents)
-    ]
-    return ConceptLattice._from_positions(extended, pairs)
+    intents = list(zip(*columns)) or [()] * n
+    return ConceptLattice._from_positions(extended, zip(base_lattice._extents, intents))
 
 
 def mine(

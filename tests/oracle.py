@@ -10,7 +10,10 @@ became a deduplicated fold. ``reference_check_axioms`` is the law check
 ``lia.check_axioms`` ran through the public operations before it read the
 position tables directly; it still tests the eight laws that
 ``check_axioms`` leaves out because every ``Algebra`` satisfies them by
-construction. ``reference_extend_context``,
+construction. ``reference_generated_subalgebra`` is
+``Algebra.generated_subalgebra`` as it closed a set of truth values
+through the public operations, before it closed positions over the
+operation tables. ``reference_extend_context``,
 ``reference_classify_columns``, ``reference_extend_concepts_fast``,
 ``reference_is_congener`` and ``reference_mine`` are the tacit layer as
 it ran on truth values, before it built columns and intents on element
@@ -353,6 +356,28 @@ def reference_check_axioms(algebra: Algebra, element_budget: int = DEFAULT_AXIOM
                 bad.append(("join-assoc", witness))
 
     return report
+
+
+def reference_generated_subalgebra(algebra: Algebra, values) -> tuple[TruthValue, ...]:
+    closed = {algebra.top}
+    for v in values:
+        algebra.check_member(v)
+        closed.add(v)
+    while True:
+        current = list(closed)
+        new = set()
+        for x in current:
+            nx = algebra.neg(x)
+            if nx not in closed:
+                new.add(nx)
+            for y in current:
+                for z in (algebra.imp(x, y), algebra.meet(x, y), algebra.join(x, y)):
+                    if z not in closed:
+                        new.add(z)
+        if not new:
+            break
+        closed |= new
+    return tuple(sorted(closed, key=algebra._position))
 
 
 def meet_all(algebra: Algebra, values) -> TruthValue:

@@ -383,6 +383,12 @@ ORIG = AttributeProvenance.original()
      "provenance list does not match the attribute list", None),
     (context(rows=((TruthValue((9, 9)), default_algebra().top),)), DimensionError,
      "TruthValue((9, 9)) is not an element of ProductAlgebra([3, 2])", None),
+    # a bad value in row 1 is named before the short row 2
+    pytest.param(
+        context(objects=("g1", "g2"), rows=((TruthValue((9, 9)), default_algebra().top), ())),
+        DimensionError, "TruthValue((9, 9)) is not an element of ProductAlgebra([3, 2])", None,
+        id="bad-value-before-short-row",
+    ),
     (context(attributes=("m1", "m2", "m3"), objects=(), rows=(),
              provenance=(ORIG, ORIG, AttributeProvenance.meet_of((0, 3)))),
      ValueError, "meet source index 3 out of range", None),

@@ -29,12 +29,13 @@ from ltvcl import (
 from conftest import (
     ALGEBRAS,
     DATA_DIR,
+    NON_LATTICE,
     WIDE_ALGEBRAS,
     break_contraposition,
     shuffled_table,
     shuffled_tables,
 )
-from oracle import reference_check_axioms
+from oracle import reference_check_axioms, reference_generated_subalgebra
 
 L6 = default_algebra()
 
@@ -711,3 +712,42 @@ class TestVectorCode:
                 assert encoding.decode(meet, length) == tuple(
                     algebra._meet[p][q] for p, q in zip(u, w)
                 )
+
+
+CLOSED = {**ALGEBRAS, **WIDE_ALGEBRAS}
+
+
+class TestGeneratedSubalgebra:
+    @pytest.mark.parametrize("name", sorted(CLOSED))
+    def test_matches_the_value_closure(self, name):
+        algebra = CLOSED[name]()
+        rng = random.Random(name)
+        els = algebra.elements
+        for size in (0, 0, 1, 1, 2, 2, 3, len(els)):
+            values = rng.sample(els, min(size, len(els)))
+            assert algebra.generated_subalgebra(values) == reference_generated_subalgebra(
+                algebra, values
+            )
+        foreign = TruthValue((99,) * len(algebra.top.coords))
+        values = rng.sample(els, 2)
+        values.insert(1, foreign)
+        messages = []
+        for close in (algebra.generated_subalgebra,
+                      lambda vs: reference_generated_subalgebra(algebra, vs)):
+            with pytest.raises(DimensionError) as err:
+                close(values)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == f"{foreign!r} is not an element of {algebra!r}"
+
+    @pytest.mark.parametrize("names, message", [
+        ("c d", "no unique greatest lower bound for (c, d)"),
+        ("d c", "no unique greatest lower bound for (c, d)"),
+        ("a b", "no unique least upper bound for (a, b)"),
+    ])
+    def test_names_the_first_missing_bound_in_display_order(self, names, message):
+        # the first pair of the closure reached so far with no meet, else
+        # with no join, as _lattice_fault and check_axioms name them
+        algebra = load_table_algebra(NON_LATTICE)
+        with pytest.raises(StructureError) as err:
+            algebra.generated_subalgebra([algebra.parse_value(n) for n in names.split()])
+        assert str(err.value) == f"{message}: the derived order is not a lattice"

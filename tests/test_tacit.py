@@ -176,6 +176,18 @@ class TestClassifyColumns:
         assert checks[0].sources == ("m1", "m2")
 
 
+    def test_a_pool_of_every_original_meets_without_recursion(self):
+        # the new column lies below all 1100 originals, so its upper set
+        # holds every one of them and is met as a single subset
+        alg = default_algebra()
+        false, true = alg.parse_value("AbF"), alg.parse_value("AbT")
+        n_attrs = 1100
+        rows = ((false, true) + (true,) * (n_attrs - 2), (true, false) + (true,) * (n_attrs - 2))
+        base = FuzzyContext(alg, ("g1", "g2"), tuple(f"a{i}" for i in range(n_attrs)), rows)
+        checks = classify_columns(base, append_column(base, "x", (false, false)))
+        assert [(c.rule, c.sources) for c in checks] == [("pair-meet", ("a0", "a1"))]
+
+
 class TestFastExtension:
     def test_demo_golden_intents(self, demo, demo_extended):
         base = enumerate_concepts(demo)

@@ -172,9 +172,16 @@ MINED = {**LIAS, "product 6 5": lambda: ProductAlgebra([6, 5])}
 def test_mining_matches_the_oracle(name):
     algebra = MINED[name]()
     rng = random.Random(name)
+    cases = []
     for _ in range(3):
         context = random_context(rng, algebra, rng.randint(1, 3), rng.randint(1, 4))
-        for config in configs(rng):
+        cases.append((context, list(configs(rng))))
+    # no attributes: without the top column the extension has none either,
+    # and every fast-extension intent is empty
+    no_attributes = random_context(rng, algebra, 2, 0)
+    cases.append((no_attributes, [ExtensionConfig(include_top_column=top) for top in (False, True)]))
+    for context, case_configs in cases:
+        for config in case_configs:
             extended = extend_context(context, config)
             assert extended == reference_extend_context(context, config)
             # an explicit domain gates the membership test off: mine enumerates
