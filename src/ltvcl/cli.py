@@ -17,7 +17,7 @@ import os
 import sys
 
 from .context import ExtensionConfig, parse_context
-from .errors import BudgetError, LoadError, ParseError
+from .errors import BudgetError
 from .galois import (
     DEFAULT_CANDIDATE_BUDGET,
     EXTENT_SCAN,
@@ -237,7 +237,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, LoadError, BudgetError, OSError, ValueError) as exc:
+    except (BudgetError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -155,9 +155,6 @@ class FuzzyContext:
         except ValueError:
             raise StructureError(f"no attribute named {name!r}") from None
 
-    def all_values(self) -> tuple[TruthValue, ...]:
-        return tuple(v for row in self.rows for v in row)
-
 
 @dataclass(frozen=True)
 class ExtensionConfig:

@@ -445,16 +445,14 @@ def enumerate_concepts(
 
 
 def concept_meet(lattice: ConceptLattice, left: Concept, right: Concept) -> Concept:
-    """Greatest common subconcept: pointwise meet of extents (the ``&`` of
-    their codes), closure of the pointwise join of intents. The result is a
-    member of the lattice."""
+    """Greatest common subconcept: extents are closed under pointwise
+    meets, so its extent is the pointwise meet of the two (the ``&`` of
+    their codes) and its intent that extent's derivation."""
     i, j = lattice.index_of(left), lattice.index_of(right)
     context = lattice.context
     algebra = context.algebra
     extent = _meet_vectors(algebra._code, lattice._extents[i], lattice._extents[j])
-    joined = algebra._join_columns(lattice._intents[i], lattice._intents[j])
-    closed = _derive(algebra, context.column_masks, len(context.objects), joined)
-    intent = _derive(algebra, context.row_masks, len(context.attributes), closed)
+    intent = _derive(algebra, context.row_masks, len(context.attributes), extent)
     return lattice._computed(extent, intent)
 
 
@@ -464,7 +462,8 @@ def concept_join(lattice: ConceptLattice, left: Concept, right: Concept) -> Conc
     i, j = lattice.index_of(left), lattice.index_of(right)
     context = lattice.context
     algebra = context.algebra
-    joined = algebra._join_columns(lattice._extents[i], lattice._extents[j])
+    join = algebra._join
+    joined = [join[p][q] for p, q in zip(lattice._extents[i], lattice._extents[j])]
     closed = _derive(algebra, context.row_masks, len(context.attributes), joined)
     extent = _derive(algebra, context.column_masks, len(context.objects), closed)
     intent = _meet_vectors(algebra._code, lattice._intents[i], lattice._intents[j])

@@ -105,10 +105,10 @@ class Algebra:
     itself is looked up there. It rejects a non-constant diagonal or a
     non-antisymmetric order with LoadError; every law that can still fail
     is left to :func:`check_axioms`, whose verdict ``_is_lia`` caches on
-    first use. ``_is_transitive`` is cached the same way, for covers, and
-    so is ``_lattice_fault``, which a ``FuzzyContext`` reads to refuse an
-    order that is not a lattice, and so is ``_code``, the encoding of
-    position vectors as ints on which every pointwise meet runs.
+    first use. So is ``_lattice_fault``, which a ``FuzzyContext`` reads to
+    refuse an order that is not a lattice and ``hasse_covers`` reads to
+    walk a lattice's covers, and so is ``_code``, the encoding of position
+    vectors as ints on which every pointwise meet runs.
 
     Algebras are immutable after construction and every operation is a pure
     function (the cached verdicts are too), so instances may be shared freely
@@ -177,14 +177,6 @@ class Algebra:
             return False
 
     @cached_property
-    def _is_transitive(self) -> bool:
-        """Whether the derived order is transitive: every element above i
-        has its own upper set inside i's. O(n^2) mask work, computed once,
-        on first use."""
-        up = self._up
-        return all(not up[j] & ~above for above in up for j in _bits(above))
-
-    @cached_property
     def _lattice_fault(self) -> str | None:
         """Why the derived order is not a lattice, or None when it is: the
         first pair in display order with no meet, else the first triple
@@ -197,13 +189,13 @@ class Algebra:
                          for i, row in enumerate(table) if None in row), None)
 
         fault = unbounded("greatest lower bound", self._meet)
-        if fault is None and not self._is_transitive:
-            x, y, z = next(
-                (self._spellings[i], self._spellings[j], self._spellings[k])
-                for i, above in enumerate(up) for j in _bits(above) for k in _bits(up[j] & ~above)
-            )
-            fault = (f"the derived order is not transitive: {x} <= {y} and {y} <= {z} "
-                     f"but not {x} <= {z}")
+        if fault is None:
+            triple = next(((i, j, k) for i, above in enumerate(up) for j in _bits(above)
+                           for k in _bits(up[j] & ~above)), None)
+            if triple is not None:
+                x, y, z = (self._spellings[k] for k in triple)
+                fault = (f"the derived order is not transitive: {x} <= {y} and {y} <= {z} "
+                         f"but not {x} <= {z}")
         return fault or unbounded("least upper bound", self._join)
 
     @cached_property
@@ -282,13 +274,6 @@ class Algebra:
             raise self._unbounded("least upper bound", x, y)
         return self.elements[k]
 
-    def _join_columns(self, left: Sequence[int], right: Sequence[int]) -> tuple[int, ...]:
-        """The pointwise join of two vectors of element positions, on an
-        algebra whose every pair has a join, as every context's has (see
-        ``_lattice_fault``)."""
-        join = self._join
-        return tuple([join[p][q] for p, q in zip(left, right)])
-
     def imp(self, x: TruthValue, y: TruthValue) -> TruthValue:
         return self.elements[self._imp[self._position(x)][self._position(y)]]
 
@@ -330,7 +315,7 @@ class Algebra:
         """Cover pairs (x, y) with x strictly below y and nothing between,
         sorted by the display positions of x, then y."""
         els = self.elements
-        pairs = _cover_pairs(self._up, self._is_transitive)
+        pairs = _cover_pairs(self._up, self._lattice_fault is None)
         return tuple((els[i], els[j]) for i, j in pairs)
 
 
@@ -462,8 +447,7 @@ class ProductAlgebra(Algebra):
     """
 
     _is_lia = True  # every product of Lukasiewicz chains is one
-    _is_transitive = True  # every coordinatewise order is
-    _lattice_fault = None  # and is a lattice
+    _lattice_fault = None  # every coordinatewise order is a lattice
 
     def __init__(self, chain_sizes: Sequence[int]):
         sizes = tuple(int(n) for n in chain_sizes)

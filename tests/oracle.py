@@ -32,7 +32,11 @@ tuples. ``pointwise_leq`` is the value-by-value extent comparison
 ``galois.concept_meet`` and ``concept_join`` as they ran on truth values
 (``pointwise_meet`` and ``pointwise_join`` through the public operations,
 then ``closure_*`` and a lookup among the lattice's ``Concept``s), before
-they ran on position tuples.
+they ran on position tuples; the meet keeps its closure of the join of
+intents, which ``concept_meet``'s derivation of the meet of extents equals
+wherever lia-6 holds. ``reference_order_meet`` and ``reference_order_join``
+are the greatest common subconcept and least common superconcept by
+brute force over the extent order, through ``pointwise_leq``.
 ``check_pointwise_condition`` is the per-extent congener criterion the
 tacit layer exported before a per-column test subsumed it; quantified over
 the scan domain it is an independent check of the congener verdict.
@@ -221,6 +225,33 @@ def reference_concept_join(lattice: ConceptLattice, left: Concept, right: Concep
     extent = closure_extent(lattice.context, pointwise_join(lattice.context, left.extent, right.extent))
     intent = pointwise_meet(lattice.context, left.intent, right.intent)
     return _locate(lattice, extent, intent)
+
+
+def _order_bound(lattice: ConceptLattice, left: Concept, right: Concept, below: bool):
+    """The common bound of ``left`` and ``right`` on the ``below`` side
+    that lies beyond every other one in the extent order, or None."""
+    _index_of(lattice, left)
+    _index_of(lattice, right)
+
+    def leq(lower: Concept, upper: Concept) -> bool:
+        if not below:
+            lower, upper = upper, lower
+        return pointwise_leq(lattice.context, lower.extent, upper.extent)
+
+    bounds = [c for c in lattice.concepts if leq(c, left) and leq(c, right)]
+    return next((c for c in bounds if all(leq(b, c) for b in bounds)), None)
+
+
+def reference_order_meet(lattice: ConceptLattice, left: Concept, right: Concept) -> Concept | None:
+    """The greatest concept whose extent lies pointwise below both
+    extents, or None when there is none."""
+    return _order_bound(lattice, left, right, below=True)
+
+
+def reference_order_join(lattice: ConceptLattice, left: Concept, right: Concept) -> Concept | None:
+    """The least concept whose extent lies pointwise above both extents,
+    or None when there is none."""
+    return _order_bound(lattice, left, right, below=False)
 
 
 def brute_order_pairs(lattice: ConceptLattice) -> tuple[tuple[int, int], ...]:

@@ -53,6 +53,11 @@ GOLDEN_RUNS = [
     ("check_congener_demo_extended", "check-congener data/demo.ctx data/demo_extended.ctx", 0, ()),
     # g2's m4 cell changed from O to a: four extents only in the extension
     ("check_congener_demo_flipped", "check-congener data/demo.ctx data/demo_flipped.ctx", 1, ()),
+    # contexts over different algebras are refused: exit 2, nothing on stdout
+    ("check_congener_algebras", "check-congener data/demo.ctx data/bool2.ctx", 2, ()),
+    # one attribute: nothing to mine, and the paper's preset needs two
+    ("mine_single_no_top", "mine data/single.ctx --no-top", 0, ()),
+    ("mine_single_paper", "mine data/single.ctx --preset paper", 2, ()),
     # a context over a table whose order has no meet for (c, d) is refused
     # when it is read: exit 2, nothing on stdout
     ("concepts_nonlattice", "concepts data/nonlattice.ctx", 2, ()),

@@ -77,7 +77,7 @@ def count_tested(monkeypatch, compute):
 def test_walk_equals_pair_by_pair_on_random_lattices(name, monkeypatch):
     algebra = ALGEBRAS[name]()
     # products declare the verdict; the check must agree with it
-    assert lia.Algebra._is_transitive.func(algebra)
+    assert lia.Algebra._lattice_fault.func(algebra) is None
     rng = random.Random(name)
     for engine in ENGINES:
         for domain in DOMAINS:
@@ -85,7 +85,7 @@ def test_walk_equals_pair_by_pair_on_random_lattices(name, monkeypatch):
                 context = random_context(rng, algebra, rng.randint(1, 4), rng.randint(1, 4))
                 lattice = enumerate_concepts(context, engine, domain=domain)
                 up = lattice._order_masks
-                assert algebra._is_transitive and upper_first(up)
+                assert algebra._lattice_fault is None and upper_first(up)
                 covers, tested = count_tested(monkeypatch, lambda: lattice.covers)
                 assert tested == 0
                 assert covers == pair_by_pair(up)
@@ -103,7 +103,7 @@ def test_seeded_order_tables_fall_back(monkeypatch):
     # order reads declared positions, which do not list upper concepts first
     for seed in range(4):
         table, _ = shuffled_table(ProductAlgebra([3, 2]), seed)
-        assert table._is_transitive
+        assert table._lattice_fault is None
         rng = random.Random(seed)
         for _ in range(3):
             lattice = enumerate_concepts(random_context(rng, table, 3, 3), domain=FULL_DOMAIN)
@@ -126,7 +126,7 @@ def test_seeded_order_tables_fall_back(monkeypatch):
         "intransitive"])
 def test_hasse_covers_on_both_paths(build, walked, monkeypatch):
     algebra = build()
-    algebra._is_transitive  # computed once, with _bits, before counting
+    algebra._lattice_fault  # computed once, with _bits, before counting
     covers, tested = count_tested(monkeypatch, algebra.hasse_covers)
     assert (tested == 0) == walked
     els = algebra.elements

@@ -37,9 +37,16 @@ from conftest import (
     concept_set,
     oset,
     random_context,
+    table,
 )
 from golden import BASE_CONCEPTS
-from oracle import pointwise_leq, reference_concept_join, reference_concept_meet
+from oracle import (
+    pointwise_leq,
+    reference_concept_join,
+    reference_concept_meet,
+    reference_order_join,
+    reference_order_meet,
+)
 
 
 def chain5_context():
@@ -182,6 +189,8 @@ class TestEnumeration:
             enumerate_concepts(demo, "sideways")
         with pytest.raises(ValueError):
             enumerate_concepts(demo, domain="everything")
+        with pytest.raises(ValueError, match="^a scan domain needs at least one value$"):
+            enumerate_concepts(demo, domain=[])
 
     def test_generated_domain_of_demo(self, demo):
         values = scan_domain(demo, GENERATED_DOMAIN)
@@ -336,6 +345,48 @@ class TestLatticeStructure:
                             reference, lattice, left, right
                         )
         assert failures == ({StructureError} if name == "chain5" else set())
+
+    @pytest.mark.parametrize("name", sorted(ALGEBRAS) + sorted(WIDE_ALGEBRAS) + ["meet4"])
+    def test_meet_and_join_are_the_order_bounds(self, name):
+        # seeded random contexts as above: wherever concept_meet returns,
+        # it is the greatest common subconcept by extent order; off chain5
+        # and meet4, which fail the axioms, neither operation raises and
+        # the join is the least common superconcept
+        algebra = {**ALGEBRAS, **WIDE_ALGEBRAS, "meet4": lambda: table("meet4.lia")}[name]()
+        lawful = name not in ("chain5", "meet4")
+        largest = 2 if name in WIDE_ALGEBRAS else 4
+        rng = random.Random(name)
+        for domain in (GENERATED_DOMAIN, FULL_DOMAIN):
+            for _ in range(12):
+                context = random_context(
+                    rng, algebra, rng.randint(1, largest), rng.randint(1, largest)
+                )
+                lattice = enumerate_concepts(context, domain=domain)
+                pairs = list(itertools.product(lattice, repeat=2))
+                for left, right in rng.sample(pairs, min(len(pairs), 30)):
+                    try:
+                        meet = concept_meet(lattice, left, right)
+                    except StructureError:
+                        assert not lawful
+                    else:
+                        assert meet == reference_order_meet(lattice, left, right)
+                    if lawful:
+                        assert concept_join(lattice, left, right) == reference_order_join(
+                            lattice, left, right
+                        )
+
+    def test_meet_is_the_meet_of_extents_off_lia_6(self):
+        # meet4 breaks lia-6, so deriving the join of the two intents (b
+        # and a, giving b) misses the extent a; the meet of extents does not
+        context = parse_context(
+            "algebra table meet4.lia\nattributes m\ng O\n", base_dir=str(DATA_DIR)
+        )
+        lattice = enumerate_concepts(context, domain=FULL_DOMAIN)
+        assert [concept_label(lattice, i) for i in range(len(lattice))] == [
+            "0# (b | b)", "1# (a | a)",
+        ]
+        assert lattice.leq(lattice[1], lattice[0])
+        assert concept_meet(lattice, lattice[0], lattice[1]) == lattice[1]
 
     @pytest.mark.parametrize("case", ["demo", "chain5"])
     def test_leq_is_pointwise_extent_order(self, demo, case):

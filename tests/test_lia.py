@@ -250,6 +250,10 @@ class TestTableAlgebra:
         assert report.passed
         assert report.violations == []
 
+    def test_unknown_spelling_rejected(self):
+        with pytest.raises(ValueError, match="^unknown element 'nope'$"):
+            load_table_algebra(BOOL2).parse_value("nope")
+
     def test_corrupted_boolean_is_caught_with_witness(self):
         corrupted = BOOL2.replace("imp O I I", "imp O I O")
         report = check_axioms(load_table_algebra(corrupted))
@@ -286,6 +290,8 @@ class TestTableAlgebra:
         alg = load_table_algebra(text)
         with pytest.raises(StructureError, match=r"\(a, b\)"):
             alg.meet(alg.parse_value("a"), alg.parse_value("b"))
+        with pytest.raises(StructureError, match="^the derived order has no least element$"):
+            alg.bottom
 
     def test_pair_missing_one_bound_is_skipped_for_both(self):
         # the product 2 2 with imp(e11, e12) changed from top to e11: the pair
