@@ -85,14 +85,8 @@ class FuzzyContext:
         object.__setattr__(self, "objects", tuple(self.objects))
         object.__setattr__(self, "attributes", tuple(self.attributes))
         object.__setattr__(self, "rows", tuple(tuple(row) for row in self.rows))
-        if not self.provenance:
-            object.__setattr__(
-                self,
-                "provenance",
-                tuple(AttributeProvenance.original() for _ in self.attributes),
-            )
-        else:
-            object.__setattr__(self, "provenance", tuple(self.provenance))
+        provenance = self.provenance or [AttributeProvenance.original()] * len(self.attributes)
+        object.__setattr__(self, "provenance", tuple(provenance))
 
         if len(set(self.objects)) != len(self.objects):
             raise ValueError("duplicate object name")
@@ -160,8 +154,8 @@ class FuzzyContext:
 class ExtensionConfig:
     """Knobs for the candidate-column generator.
 
-    ``max_meet_arity`` bounds the k-wise meets (the candidate count grows as
-    the number of attribute subsets, so the default stays at pairs);
+    ``max_meet_arity`` bounds the k-wise meets (pairs by default, though
+    with the novelty filter ``_subset_meets`` keeps any arity output-sized);
     ``meet_subsets`` pins an explicit list of source-index tuples instead of
     enumerating, which is how the two-column preset is expressed.
     """
@@ -182,9 +176,10 @@ def extend_context(context: FuzzyContext, config: ExtensionConfig | None = None)
     Original columns are never touched; new columns carry meet/top
     provenance and fresh names continuing the ``m<k>`` numbering.
 
-    Columns are built by ``_meet_of`` and compared as encoded ints (see
-    ``Algebra._code``, which is injective), and each admitted column is
-    decoded once, when the rows are built.
+    Columns are compared as encoded ints (see ``Algebra._code``, which is
+    injective) and decoded once each, when the rows are built. Enumerated
+    candidates come from ``_subset_meets``, which, with the novelty filter
+    on, skips the subsets whose meets the filter would drop.
     """
     cfg = config or ExtensionConfig()
     if cfg.max_meet_arity < 2:
@@ -192,58 +187,42 @@ def extend_context(context: FuzzyContext, config: ExtensionConfig | None = None)
     if any(p.kind != ORIGINAL for p in context.provenance):
         raise ValueError("context has derived columns already; extend the original")
 
-    algebra = context.algebra
-    n_attrs = len(context.attributes)
+    algebra, n_attrs = context.algebra, len(context.attributes)
+    code, n = algebra._code, len(context.objects)
+    columns = [code.encode(column) for column in context.column_positions]
+    top = code.top(n)
     if cfg.meet_subsets is not None:
-        subsets = []
+        candidates = []
         for subset in cfg.meet_subsets:
             idx = tuple(int(s) for s in subset)
             if len(idx) < 2 or list(idx) != sorted(set(idx)):
                 raise ValueError(f"meet subset {subset!r} must be >= 2 strictly increasing indices")
             if idx[0] < 0 or idx[-1] >= n_attrs:
                 raise ValueError(f"meet subset {subset!r} out of range")
-            subsets.append(idx)
+            candidates.append((idx, _meet(columns, idx, top)))
     else:
-        subsets = [
-            combo
-            for arity in range(2, min(cfg.max_meet_arity, n_attrs) + 1)
-            for combo in itertools.combinations(range(n_attrs), arity)
-        ]
+        arities = range(2, cfg.max_meet_arity + 1)
+        candidates = _subset_meets(columns, top, arities, cfg.novelty_filter)
 
-    code, n = algebra._code, len(context.objects)
-    columns = [code.encode(column) for column in context.column_positions]
-    memo = {(): code.top(n)}
     seen = set(columns)
     # (source subset, encoded column) per admitted column; () is the top one
     new_columns: list[tuple[tuple[int, ...], int]] = []
+    top_column = [((), top)] if cfg.include_top_column else []
+    for subset, column in itertools.chain(candidates, top_column):
+        if not (cfg.novelty_filter and column in seen):
+            new_columns.append((subset, column))
+            seen.add(column)
 
-    def admit(subset: tuple[int, ...], column: int) -> None:
-        if cfg.novelty_filter and column in seen:
-            return
-        new_columns.append((subset, column))
-        seen.add(column)
-
-    for subset in subsets:
-        admit(subset, _meet_of(columns, subset, memo))
-    if cfg.include_top_column:
-        admit((), memo[()])
-
-    names = list(context.attributes)
-    used = set(names)
-    counter = n_attrs + 1
-    for _ in new_columns:
-        while f"m{counter}" in used:
-            counter += 1
-        names.append(f"m{counter}")
-        used.add(f"m{counter}")
-        counter += 1
+    used = set(context.attributes)
+    fresh = (name for i in itertools.count(n_attrs + 1) if (name := f"m{i}") not in used)
+    names = context.attributes + tuple(itertools.islice(fresh, len(new_columns)))
 
     els = algebra.elements
     added = [code.decode(column, n) for _, column in new_columns]
     rows = tuple(row + tuple([els[col[g]] for col in added]) for g, row in enumerate(context.rows))
-    meet, top = AttributeProvenance.meet_of, AttributeProvenance.constant_top()
-    provenance = context.provenance + tuple(meet(s) if s else top for s, _ in new_columns)
-    return FuzzyContext(algebra, context.objects, tuple(names), rows, provenance)
+    meet_of, constant_top = AttributeProvenance.meet_of, AttributeProvenance.constant_top()
+    provenance = context.provenance + tuple(meet_of(s) if s else constant_top for s, _ in new_columns)
+    return FuzzyContext(algebra, context.objects, names, rows, provenance)
 
 
 def _masks(algebra: Algebra, lines) -> tuple[tuple[int, ...], ...]:
@@ -254,22 +233,43 @@ def _masks(algebra: Algebra, lines) -> tuple[tuple[int, ...], ...]:
                  for line in lines)
 
 
-def _meet_of(columns, subset: tuple[int, ...], memo: dict) -> int:
+def _meet(columns, subset, top: int) -> int:
     """The pointwise meet of the encoded ``columns[s]`` for s in ``subset``
-    (see ``Algebra._code``): the longest prefix memoised in ``memo`` (which
-    holds the empty subset's all-top int) ``&`` each later source's column,
-    every prefix memoised, in a loop, so any size meets without recursion.
+    (see ``Algebra._code``); ``top``, the all-top int, is the empty meet."""
+    for s in subset:
+        top &= columns[s]
+    return top
+
+
+def _subset_meets(columns, top: int, arities, distinct: bool):
+    """Yield ``(subset, meet)`` for the index subsets of the encoded
+    ``columns`` with a size in ``arities`` (ascending), in lexicographic
+    order, arity ascending (the empty subset meets to ``top``). Each arity
+    extends the one below by a later index, one ``&`` each.
+
+    With ``distinct``, an arity keeps only the first subset of each meet,
+    so it holds at most as many subsets as there are distinct meets, and
+    each meet's first subset at each arity still comes: were it T + (j,)
+    with T dropped for an earlier R of T's meet, then R with j added (or,
+    if j is in R, R with an index of T that R lacks) would be an earlier
+    subset of that arity with that meet. Arities above len(columns) are
+    empty and not built.
     """
-    column = memo.get(subset)
-    if column is None:
-        last = k = len(subset) - 1
-        while (column := memo.get(subset[:k])) is None:
-            k -= 1
-        while k < last:
-            column = memo[subset[:k + 1]] = column & columns[subset[k]]
-            k += 1
-        column = memo[subset] = column & columns[subset[last]]
-    return column
+    level = [((), top)]
+    for arity in range(min(arities[-1], len(columns)) + 1):
+        if arity:
+            meets, grown = set(), []
+            for subset, meet in level:
+                for j in range(subset[-1] + 1 if subset else 0, len(columns)):
+                    column = meet & columns[j]
+                    if distinct:
+                        if column in meets:
+                            continue
+                        meets.add(column)
+                    grown.append((subset + (j,), column))
+            level = grown
+        if arity in arities:
+            yield from level
 
 
 def restrict_agrees(base: FuzzyContext, extended: FuzzyContext) -> bool:

@@ -25,21 +25,19 @@ class UnclassifiedColumnError(StructureError):
     """The fast extension path was asked to handle an unrecognised column."""
 
 
-class LoadError(ValueError):
+class _LineError(ValueError):
+    """Malformed input; carries the 1-based line number when known."""
+
+    def __init__(self, message: str, line: int | None = None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+        self.line = line
+
+
+class LoadError(_LineError):
     """Malformed table-algebra description."""
 
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
-
-class ParseError(ValueError):
-    """Malformed context text; carries the 1-based line number when known."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+class ParseError(_LineError):
+    """Malformed context text."""

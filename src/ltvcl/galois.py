@@ -447,10 +447,11 @@ def enumerate_concepts(
 def concept_meet(lattice: ConceptLattice, left: Concept, right: Concept) -> Concept:
     """Greatest common subconcept: extents are closed under pointwise
     meets, so its extent is the pointwise meet of the two (the ``&`` of
-    their codes) and its intent that extent's derivation."""
+    their codes) and its intent that extent's derivation. Exact over a
+    lattice implication algebra; over one that breaks lia-6 it can raise
+    StructureError where the concept order has a meet."""
     i, j = lattice.index_of(left), lattice.index_of(right)
-    context = lattice.context
-    algebra = context.algebra
+    context, algebra = lattice.context, lattice.context.algebra
     extent = _meet_vectors(algebra._code, lattice._extents[i], lattice._extents[j])
     intent = _derive(algebra, context.row_masks, len(context.attributes), extent)
     return lattice._computed(extent, intent)
@@ -458,10 +459,10 @@ def concept_meet(lattice: ConceptLattice, left: Concept, right: Concept) -> Conc
 
 def concept_join(lattice: ConceptLattice, left: Concept, right: Concept) -> Concept:
     """Least common superconcept: closure of the pointwise join of extents,
-    pointwise meet of intents (the ``&`` of their codes)."""
+    pointwise meet of intents (the ``&`` of their codes). Exact over a
+    lattice implication algebra; off lia-6 it can miss the least one."""
     i, j = lattice.index_of(left), lattice.index_of(right)
-    context = lattice.context
-    algebra = context.algebra
+    context, algebra = lattice.context, lattice.context.algebra
     join = algebra._join
     joined = [join[p][q] for p, q in zip(lattice._extents[i], lattice._extents[j])]
     closed = _derive(algebra, context.row_masks, len(context.attributes), joined)

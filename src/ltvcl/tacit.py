@@ -11,26 +11,28 @@ extent valued in one derives from an intent valued there, and the base
 lattice enumerated over it lists every such extent: membership in that
 lattice decides the question. Columns that are meets of existing columns,
 or constant top (the meet of no columns), are always extents; they are
-the tacit attributes this module hunts for. ``is_congener`` and ``mine``
-take that decision in one place, and enumerate the extension only where
+the tacit attributes this module hunts for. ``extend_context`` builds them
+and ``classify_columns`` names their sources from one fold over attribute
+subsets (``context._subset_meets``). ``is_congener`` and ``mine`` take
+the congener decision in one place, and enumerate the extension only where
 membership does not settle it: on an algebra not shown to be a lattice
 implication algebra (see ``Algebra._is_lia``), over an explicit domain,
 or for a non-congener extension, whose witnesses need both lattices. The
-fast extension path rewrites each base concept's intent directly
-instead of re-enumerating, and the mining pipeline checks it
-concept by concept against intents computed independently of it.
+fast extension rewrites each base concept's intent instead of
+re-enumerating, and ``mine`` checks it concept by concept against
+intents computed independently of it.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .context import (
     ORIGINAL,
     ExtensionConfig,
     FuzzyContext,
-    _meet_of,
+    _meet,
+    _subset_meets,
     extend_context,
     restrict_agrees,
 )
@@ -234,41 +236,41 @@ def classify_columns(
     A context's order is a lattice, so a matching subset lies inside the
     column's upper set, the originals pointwise at or above it, and then
     the whole upper set meets to the column too. So a column whose upper
-    set meets to anything else is unclassified without a search, and any
-    other column searches only the subsets of its upper set, in the same
-    order, which finds the same first match. Columns and memoised subset
-    meets are encoded ints (see ``context._meet_of``).
+    set meets to anything else, or (unless the column is top) holds fewer
+    than min_arity originals, is unclassified without a search; the rest
+    take their first matches from one ``context._subset_meets`` fold.
     """
     _require_restriction(base, extended)
-    code = base.algebra._code
-    n_orig = len(base.attributes)
-    arities = (0, *range(max(min_arity, 1), n_orig + 1))
+    code, n_orig, lowest = base.algebra._code, len(base.attributes), max(min_arity, 1)
+    arities = (0, *range(lowest, n_orig + 1))
     base_names = set(base.attributes)
     originals = [code.encode(column) for column in base.column_positions]
-    memo = {(): code.top(len(base.objects))}
+    top = code.top(len(base.objects))
 
-    checks: list[TheoremCheck] = []
+    # per new column its first matching subset, None until one is found;
+    # the encoded columns still searched for, with their names
+    matches: dict[str, tuple[int, ...] | None] = {}
+    pending: dict[int, list[str]] = {}
     for name, column in zip(extended.attributes, extended.column_positions):
         if name in base_names:
             continue
-        column = code.encode(column)
-        pool = tuple(s for s in range(n_orig) if not column & ~originals[s])
-        if _meet_of(originals, pool, memo) != column:
-            checks.append(TheoremCheck(name, None, False))
-            continue
-        subsets = itertools.chain.from_iterable(
-            itertools.combinations(pool, arity) for arity in arities
+        matches[name], column = None, code.encode(column)
+        pool = [s for s in range(n_orig) if not column & ~originals[s]]
+        if _meet(originals, pool, top) == column and (len(pool) >= lowest or column == top):
+            pending.setdefault(column, []).append(name)
+    for subset, meet in _subset_meets(originals, top, arities, True):
+        for name in pending.pop(meet, ()):
+            matches[name] = subset
+        if not pending:
+            break
+
+    rules = {0: RULE_ALL_TOP, 2: RULE_PAIR_MEET}
+    return [
+        TheoremCheck(name, None, False) if match is None else TheoremCheck(
+            name, rules.get(len(match), RULE_K_MEET), True, tuple(base.attributes[s] for s in match)
         )
-        match = next(
-            (subset for subset in subsets if _meet_of(originals, subset, memo) == column),
-            None,
-        )
-        if match is None:
-            checks.append(TheoremCheck(name, None, False))
-            continue
-        rule = {0: RULE_ALL_TOP, 2: RULE_PAIR_MEET}.get(len(match), RULE_K_MEET)
-        checks.append(TheoremCheck(name, rule, True, tuple(base.attributes[s] for s in match)))
-    return checks
+        for name, match in matches.items()
+    ]
 
 
 def extend_concepts_fast(
@@ -283,8 +285,8 @@ def extend_concepts_fast(
 
     Every concept keeps its extent; its intent gains, per new column, the
     meet of the intent components at the column's sources (the empty meet,
-    top, for the constant-top column). Those meets run on encoded columns
-    over all concepts (see ``context._meet_of``), each new one decoded
+    top, for the constant-top column). Each is one ``&`` per source of the
+    encoded columns over all concepts (see ``Algebra._code``), decoded
     once, and the intents are one transpose of the columns. Sound only when
     every new column is classified: an unsatisfied check, or a new column
     with no check, raises UnclassifiedColumnError, and the caller must fall
@@ -315,8 +317,7 @@ def extend_concepts_fast(
     # order, as a position column and encoded
     components = tuple(zip(*base_lattice._intents))
     encoded = [code.encode(column) for column in components]
-    memo = {(): code.top(n)}
-    new = {name: code.decode(_meet_of(encoded, s, memo), n) for name, s in sources.items()}
+    new = {name: code.decode(_meet(encoded, s, code.top(n)), n) for name, s in sources.items()}
     columns = [
         new[name] if name in new else components[base_index[name]] for name in extended.attributes
     ]

@@ -50,6 +50,9 @@ GOLDEN_RUNS = [
     ("mine_bool2_k3", "mine data/bool2.ctx --max-k 3", 0, REPORT),
     # a table algebra that fails the axioms, over the full domain
     ("mine_chain5_k3_full", "mine data/chain5.ctx --max-k 3 --domain full", 0, REPORT),
+    # a graded 7x12 context meeting subsets of every arity: 163 distinct
+    # meet columns out of 4,083 subsets
+    ("mine_graded7x12_every_arity", "mine data/graded7x12.ctx --max-k 12", 0, REPORT),
     ("check_congener_demo_extended", "check-congener data/demo.ctx data/demo_extended.ctx", 0, ()),
     # g2's m4 cell changed from O to a: four extents only in the extension
     ("check_congener_demo_flipped", "check-congener data/demo.ctx data/demo_flipped.ctx", 1, ()),

@@ -220,6 +220,14 @@ class TestExtend:
         ext = extend_context(ctx)
         assert ext.attributes == ("m1", "m3", "m4", "m5")
 
+    def test_an_arity_above_the_attribute_count(self, demo):
+        # no subset is larger than the attribute list, so a huge bound
+        # builds nothing beyond it
+        for novelty in (True, False):
+            every = ExtensionConfig(max_meet_arity=len(demo.attributes), novelty_filter=novelty)
+            huge = ExtensionConfig(max_meet_arity=10**9, novelty_filter=novelty)
+            assert extend_context(demo, huge) == extend_context(demo, every)
+
     def test_bad_arguments(self, demo):
         with pytest.raises(ValueError):
             extend_context(demo, ExtensionConfig(max_meet_arity=1))

@@ -149,6 +149,23 @@ class TestClassifyColumns:
         assert relaxed[0].rule == "k-meet"
         assert relaxed[0].sources == ("m1",)
 
+    def test_an_upper_set_below_min_arity_is_not_searched(self, demo, monkeypatch):
+        # m1's upper set is m1 alone: no subset of two or more originals can
+        # meet to a copy of it, so the fold is read no further than the
+        # empty subset
+        read = []
+        fold = tacit._subset_meets
+
+        def counting(*args):
+            for subset, meet in fold(*args):
+                read.append(subset)
+                yield subset, meet
+
+        monkeypatch.setattr(tacit, "_subset_meets", counting)
+        checks = classify_columns(demo, append_column(demo, "x", demo.columns[0]))
+        assert [c.rule for c in checks] == [None]
+        assert read == [()]
+
     def test_unexpressible_column_certified_by_exhaustion(self, demo):
         alg = demo.algebra
         adv = append_column(demo, "x", (alg.parse_value("AbT"), alg.parse_value("SlF")))
@@ -163,6 +180,22 @@ class TestClassifyColumns:
                 assert column != target
         checks = classify_columns(demo, adv, min_arity=1)
         assert not checks[0].satisfied
+
+    def test_a_min_arity_above_the_attribute_count(self, demo):
+        # only the empty subset is searched, as with min_arity = |M| + 1;
+        # m4 = meet(m1,m2) and x are the meet of all three originals too,
+        # which matches at min_arity = |M|
+        alg = demo.algebra
+        column = tuple(functools.reduce(alg.meet, row, alg.top) for row in demo.rows)
+        adv = append_column(extend_context(demo), "x", column)
+        n = len(demo.attributes)
+        huge = classify_columns(demo, adv, min_arity=10**9)
+        assert huge == classify_columns(demo, adv, min_arity=n + 1)
+        assert [c.rule for c in huge] == [None, None, "all-top", None]
+        every = classify_columns(demo, adv, min_arity=n)
+        assert [(c.rule, c.sources) for c in every] == [
+            ("k-meet", ("m1", "m2", "m3")), (None, ()), ("all-top", ()), ("k-meet", ("m1", "m2", "m3"))
+        ]
 
     def test_triple_meet_classified_as_k_meet(self, demo):
         alg = demo.algebra

@@ -20,6 +20,7 @@ import pytest
 
 from ltvcl import (
     ExtensionConfig,
+    FuzzyContext,
     ProductAlgebra,
     classify_columns,
     closure_extent,
@@ -33,7 +34,7 @@ from ltvcl import (
 )
 from ltvcl.errors import BudgetError, StructureError
 from ltvcl.galois import EXTENT_SCAN, FULL_DOMAIN, GENERATED_DOMAIN, INTENT_SCAN
-from conftest import append_column, random_context, table
+from conftest import ALGEBRAS, WIDE_ALGEBRAS, append_column, random_context, table
 from oracle import (
     reference_classify_columns,
     reference_extend_concepts_fast,
@@ -193,6 +194,35 @@ def test_mining_matches_the_oracle(name):
                         context, config, engine=engine, domain=domain, budget=BUDGET
                     )
                     assert report.congener.is_congener and report.fast_extension_verified
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS) + sorted(WIDE_ALGEBRAS))
+def test_extension_and_classification_at_every_arity_match_the_oracle(name):
+    # k = |M|: the subset fold keeps only the first subset of each meet at
+    # each arity, so this is where its deduplication could lose a first
+    # subset; graded and crisp contexts, with a foreign column classified too
+    algebra = {**ALGEBRAS, **WIDE_ALGEBRAS}[name]()
+    rng = random.Random(f"every arity/{name}")
+    crisp = (algebra.bottom, algebra.top)
+    for i in range(8):
+        n_objects, n_attrs = rng.randint(0, 5), rng.randint(2, 6)
+        context = random_context(rng, algebra, n_objects, n_attrs)
+        if i % 2:
+            rows = [[rng.choice(crisp) for _ in row] for row in context.rows]
+            context = FuzzyContext(algebra, context.objects, context.attributes, rows)
+        foreign = [rng.choice(algebra.elements) for _ in context.objects]
+        for top in (False, True):
+            for novelty in (False, True):
+                config = ExtensionConfig(
+                    max_meet_arity=n_attrs, include_top_column=top, novelty_filter=novelty
+                )
+                extended = extend_context(context, config)
+                assert extended == reference_extend_context(context, config)
+                extended = append_column(extended, "x", foreign)
+                for min_arity in (1, 2, 3):
+                    assert classify_columns(context, extended, min_arity=min_arity) == (
+                        reference_classify_columns(context, extended, min_arity=min_arity)
+                    )
 
 
 @pytest.mark.parametrize("name", ["product 3 2", "product 2 3 2"])
