@@ -17,19 +17,20 @@ Enumeration runs that fold over every candidate of one chosen side at
 once, on the set of distinct partial vectors, each one int (see
 ``enumerate_concepts``). It admits exactly the concepts of closing every
 candidate one by one (the exhaustive scan the test suite keeps as its
-oracle), while its work follows the number of concepts. Its closures call
-the public derivations, whose calls the benchmark counts: over a lattice
-implication algebra every image of the fold is an intent, so one
-back-derivation per concept gives its extent, and only off that path is
-each closed pair checked as a fixpoint. A ``ConceptLattice`` keeps every
-extent and intent as a tuple of positions: the order, the covers, the
-labels and the exports read those, and ``Concept``s are built only when a
-caller asks for them. The intent engine is the extent engine on the
-transposed grid, which keeps a dual-side check available: folding extents
-and folding intents must produce the same concept set. The concept order
-comes from per-object bitmasks of the concepts at or above each extent
-value, read from the algebra's order bitmasks, and its covers are walked
-one edge at a time where the order allows it (see ``lia._cover_pairs``).
+oracle), while its work follows the number of concepts. Each distinct
+image is closed by one public back-derivation, the one public derivation
+left, which the benchmark's tracer counts; over a lattice implication
+algebra that closure gives the image's extent, and only off that path is
+each closed set checked as a fixpoint, on the kernel. A ``ConceptLattice``
+keeps every extent and intent as a tuple of positions: the order, the
+covers, the labels and the exports read those, and ``Concept``s are built
+only when a caller asks for them. The intent engine is the extent engine
+on the transposed grid, which keeps a dual-side check available: folding
+extents and folding intents must produce the same concept set. The concept
+order comes from per-object bitmasks of the concepts at or above each
+extent value, read from the algebra's order bitmasks, and its covers are
+walked one edge at a time where the order allows it (see
+``lia._cover_pairs``).
 
 A scan needs a value domain. ``"generated"`` (the default) ranges over the
 subalgebra generated by the values actually present in the context, which
@@ -370,8 +371,8 @@ def enumerate_concepts(
     one ``&`` (see ``FuzzyContext.row_masks``). The last set is exactly the
     set of the candidates' derivations, each computed by the same meets as
     a derivation on its own; each is decoded to positions once and derived
-    back once. Those closures call the public derivations, whose calls the
-    benchmark's tracer counts as the closure rate. The lattice is built
+    back once by the public derivation, the one public derivation left,
+    kept for the benchmark tracer's ``COUNTED`` names. The lattice is built
     from the admitted position pairs, and its ``Concept``s are made only
     when a caller asks for them.
 
@@ -388,22 +389,21 @@ def enumerate_concepts(
     with its one back-derivation. Distinct images have distinct
     back-derivations, since each image is the forward derivation of its
     own, so that costs one derivation per concept and no check. On any
-    other algebra closures need not be fixpoints: each distinct closed set
-    is derived forward and admitted only as a mutual fixpoint, which keeps
-    the two engines in agreement even on table algebras that fail the
-    axioms. When a closed set derives forward to the image it was closed
-    from, it is a fixpoint with no third derivation, since that image's
-    closure is the set itself; so an image costs at most three derivations.
+    other algebra closures need not be fixpoints: each distinct closed set,
+    with its first image, is derived forward on the kernel and admitted only
+    as a mutual fixpoint, which keeps the two engines in agreement on tables
+    that fail the axioms. A closed set that derives to its image needs no
+    third derivation, since the image closes to it: at most three per image.
     A domain whose candidate count, |distinct domain values|^|side|,
     exceeds the budget raises BudgetError naming the count.
     """
     values = scan_domain(context, domain)
     if engine == EXTENT_SCAN:
-        image_side, forward, back = ATTRIBUTES, derive_intent, derive_extent
-        masks, width = context.row_masks, len(context.attributes)
+        image_side, back = ATTRIBUTES, derive_extent
+        masks, back_masks = context.row_masks, context.column_masks
     elif engine == INTENT_SCAN:
-        image_side, forward, back = OBJECTS, derive_extent, derive_intent
-        masks, width = context.column_masks, len(context.objects)
+        image_side, back = OBJECTS, derive_intent
+        masks, back_masks = context.column_masks, context.row_masks
     else:
         raise ValueError(f"unknown engine {engine!r}; use 'extent' or 'intent'")
     algebra = context.algebra
@@ -415,30 +415,24 @@ def enumerate_concepts(
         )
 
     code = algebra._code
+    width, back_width = len(back_masks), len(masks)
     images = {code.top(width)}  # S_0; after the loop, S_|masks|
     for line in masks:
         columns = [line[a] for a in positions]
         images = {partial & column for partial in images for column in columns}
     els, positions_of, decode = algebra.elements, algebra._positions, code.decode
-    closures = [
-        (back(context, FuzzySet(image_side, tuple([els[k] for k in image]))), image)
-        for image in [decode(vector, width) for vector in images]
-    ]
-    if algebra._is_lia:
-        pairs = [(positions_of(fset.values), image) for fset, image in closures]
-    else:
-        # each closed set by its positions, with the set and the first
-        # image that closes to it
-        closed: dict[tuple[int, ...], tuple[FuzzySet, tuple[int, ...]]] = {}
-        for fset, image in closures:
-            closed.setdefault(positions_of(fset.values), (fset, image))
-        pairs = []
-        for key, (fset, image) in closed.items():
-            other = forward(context, fset)
-            derived = positions_of(other.values)
-            # derived == image means back(other) is fset, derived above
-            if derived == image or positions_of(back(context, other).values) == key:
-                pairs.append((key, derived))
+    pairs = []
+    for image in [decode(vector, width) for vector in images]:
+        closed = back(context, FuzzySet(image_side, tuple([els[k] for k in image])))
+        pairs.append((positions_of(closed.values), image))
+    if not algebra._is_lia:
+        first = dict(reversed(pairs))  # each closed set with its first image
+        # derived == image means derived derives back to key, as image does
+        pairs = [
+            (key, derived) for key, image in first.items()
+            if (derived := _derive(algebra, masks, width, key)) == image
+            or _derive(algebra, back_masks, back_width, derived) == key
+        ]
     if engine == INTENT_SCAN:
         pairs = [(extent, intent) for intent, extent in pairs]
     return ConceptLattice._from_positions(context, pairs)

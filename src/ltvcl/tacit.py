@@ -291,8 +291,11 @@ def extend_concepts_fast(
     every new column is classified: an unsatisfied check, or a new column
     with no check, raises UnclassifiedColumnError, and the caller must fall
     back to enumerate_concepts on the extension. A satisfied check whose sources
-    name anything but a base attribute raises PreconditionError.
+    name anything but a base attribute raises PreconditionError, as does a
+    ``base_lattice`` whose context is not ``base``.
     """
+    if base_lattice.context != base:
+        raise PreconditionError("the base lattice is not the lattice of the base context")
     if checks is None:
         checks = classify_columns(base, extended)
     else:

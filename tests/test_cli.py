@@ -53,6 +53,9 @@ GOLDEN_RUNS = [
     # a graded 7x12 context meeting subsets of every arity: 163 distinct
     # meet columns out of 4,083 subsets
     ("mine_graded7x12_every_arity", "mine data/graded7x12.ctx --max-k 12", 0, REPORT),
+    # m7 duplicates m4; stdout prints its formula meet(m1,m2,m3), while the
+    # report's sources are classification's first subset, m1 and m2
+    ("mine_demo_no_novelty", "mine data/demo.ctx --max-k 3 --no-novelty", 0, REPORT),
     ("check_congener_demo_extended", "check-congener data/demo.ctx data/demo_extended.ctx", 0, ()),
     # g2's m4 cell changed from O to a: four extents only in the extension
     ("check_congener_demo_flipped", "check-congener data/demo.ctx data/demo_flipped.ctx", 1, ()),

@@ -11,6 +11,7 @@ from ltvcl import (
     ConceptLattice,
     DimensionError,
     FuzzyContext,
+    FuzzySet,
     MembershipError,
     StructureError,
     attribute_set,
@@ -55,6 +56,11 @@ def chain5_context():
         "algebra table chain5.lia\nattributes m1 m2 m3\ng1 O O I\ng2 a a b\n",
         base_dir=str(DATA_DIR),
     )
+
+
+def middle_only(demo) -> ConceptLattice:
+    """A hand-built lattice of one demo concept with neither side all-top."""
+    return ConceptLattice(demo, [Concept(oset(demo, "SlT SlT"), aset(demo, "SlF SlF AbT"))])
 
 
 class TestDerivations:
@@ -293,6 +299,17 @@ class TestLatticeStructure:
             lattice.leq(lattice[0], foreign)
         with pytest.raises(MembershipError):
             lattice.leq(foreign, lattice[0])
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda demo: FuzzySet("rows", ()), ValueError, "side must be 'objects' or 'attributes'"),
+        (lambda demo: Concept(aset(demo, "AbT AbT AbT"), oset(demo, "AbT AbT")),
+         ValueError, "pairs an object-side set with an attribute-side set"),
+        (lambda demo: middle_only(demo).top, StructureError, "no concept has an all-top extent"),
+        (lambda demo: middle_only(demo).bottom, StructureError, "no concept has an all-top intent"),
+    ], ids=["unknown-side", "swapped-sides", "no-top", "no-bottom"])
+    def test_malformed_sets_and_lattices_are_refused(self, demo, build, error, message):
+        with pytest.raises(error, match=message):
+            build(demo)
 
     def test_mis_sized_concepts_are_refused(self):
         # a two-value extent on a four-object context once built the

@@ -193,10 +193,19 @@ class TestLinguisticLabels:
             label_to_value(LinguisticLabel("Ab", "Tr"), ProductAlgebra([2, 2]))
 
     def test_bad_labels(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown modifier 'Xx'"):
             LinguisticLabel("Xx", "Tr")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown meta truth value 'Maybe'"):
+            LinguisticLabel("Ab", "Maybe")
+        with pytest.raises(ValueError, match="not a canonical label: 'Abt'"):
             LinguisticLabel.from_spelling("Abt")
+
+    @pytest.mark.parametrize("spelling", ["AbT", "VeT", "SlT", "SlF", "VeF", "AbF"])
+    def test_spelling_round_trip(self, spelling):
+        label = LinguisticLabel.from_spelling(spelling)
+        assert label.spelling == spelling
+        assert LinguisticLabel(label.modifier, label.meta) == label
+        assert label_from_value(label_to_value(label, L6), L6) == label
 
 
 BOOL2 = (DATA_DIR / "bool2.lia").read_text()

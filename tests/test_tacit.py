@@ -274,6 +274,15 @@ class TestFastExtension:
         with pytest.raises(error, match=re.escape(message)):
             extend_concepts_fast(base, demo, demo_extended, checks=checks)
 
+    def test_refuses_a_foreign_base_lattice(self, demo, demo_extended):
+        # same objects and attributes, other cells: its lattice is not demo's
+        foreign = random_context(
+            random.Random(3), demo.algebra, len(demo.objects), len(demo.attributes)
+        )
+        assert (foreign.objects, foreign.attributes) == (demo.objects, demo.attributes)
+        with pytest.raises(PreconditionError, match="not the lattice of the base context"):
+            extend_concepts_fast(enumerate_concepts(foreign), demo, demo_extended)
+
     def test_interleaved_attribute_order(self, demo):
         # fast extension must align with the extension's column order even
         # when a new column sits between original ones
