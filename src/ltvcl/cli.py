@@ -103,16 +103,17 @@ def cmd_concepts(args) -> int:
     if len(lattices) == 2 and positions[0] != positions[1]:
         print("engines disagree: extent and intent scans produced different concepts")
         return 1
-    labels = [concept_label(lattice, i) for i in range(len(lattice))]
-    print("\n".join([f"{len(lattice)} concepts", *labels]))
-    if len(lattices) == 2:
-        print("engines agree")
+    # files first, so that a path that cannot be written prints nothing
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(export_dot(lattice))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             handle.write(export_json(lattice))
+    labels = [concept_label(lattice, i) for i in range(len(lattice))]
+    print("\n".join([f"{len(lattice)} concepts", *labels]))
+    if len(lattices) == 2:
+        print("engines agree")
     return 0
 
 
@@ -138,6 +139,11 @@ def cmd_mine(args) -> int:
         )
         domain = args.domain or GENERATED_DOMAIN
     report = mine(context, config, engine=args.engine, domain=domain, budget=_budget())
+    # the report file first, so that a path that cannot be written prints nothing
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            json.dump(report.as_dict(context), handle, indent=2)
+            handle.write("\n")
 
     if report.tacit_attributes:
         print("tacit attributes:")
@@ -152,10 +158,6 @@ def cmd_mine(args) -> int:
         f"{report.congener.extended_extent_count} extended)"
     )
     print(f"fast extension verified: {'yes' if report.fast_extension_verified else 'no'}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(report.as_dict(context), handle, indent=2)
-            handle.write("\n")
     return 0 if report.congener.is_congener and report.fast_extension_verified else 1
 
 

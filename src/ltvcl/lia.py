@@ -166,9 +166,9 @@ class Algebra:
     @cached_property
     def _is_lia(self) -> bool:
         """Whether the algebra is shown to be a lattice implication algebra:
-        :func:`check_axioms` passes within its default budget,
-        ``DEFAULT_AXIOM_BUDGET`` (128 elements), the budget of the CLI
-        check too. An algebra over that budget counts as not shown.
+        :func:`check_axioms` passes within ``DEFAULT_AXIOM_BUDGET``
+        (128 elements), the budget of the CLI check too. An algebra over
+        that budget counts as not shown.
         Computed once, on first use; products are LIAs by construction and
         skip the check."""
         try:
@@ -681,7 +681,7 @@ class AxiomReport:
         return not self.violations
 
 
-def check_axioms(algebra: Algebra, element_budget: int = DEFAULT_AXIOM_BUDGET) -> AxiomReport:
+def check_axioms(algebra: Algebra) -> AxiomReport:
     """Exhaustively test the laws of a lattice implication algebra over
     every element tuple: bounded-top/-bottom, meet-/join-defined,
     neg-involutive, neg-antitone, lia-3, lia-5 and the cubic lia-1, lia-6,
@@ -707,11 +707,12 @@ def check_axioms(algebra: Algebra, element_budget: int = DEFAULT_AXIOM_BUDGET) -
     the exact per-(y, z) loop, so the violations and their order are those
     of the loop alone. Otherwise every row runs the loop. On a table that
     passes, the Python work is quadratic and the cubic work runs in C.
-    Algebras larger than ``element_budget`` raise BudgetError.
+    Algebras larger than ``DEFAULT_AXIOM_BUDGET``, read at call time,
+    raise BudgetError.
     """
     n = len(algebra.elements)
-    if n > element_budget:
-        raise BudgetError(f"{n} elements exceed the axiom-check budget of {element_budget}")
+    if n > DEFAULT_AXIOM_BUDGET:
+        raise BudgetError(f"{n} elements exceed the axiom-check budget of {DEFAULT_AXIOM_BUDGET}")
     name = algebra._spellings
     imp, neg, up, down = algebra._imp, algebra._neg, algebra._up, algebra._down
     els = range(n)

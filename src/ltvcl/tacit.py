@@ -217,18 +217,13 @@ def is_congener(
     return _congener_report(*_decide_congener(base, extended, engine, domain, budget))
 
 
-def classify_columns(
-    base: FuzzyContext,
-    extended: FuzzyContext,
-    *,
-    min_arity: int = 2,
-) -> list[TheoremCheck]:
+def classify_columns(base: FuzzyContext, extended: FuzzyContext) -> list[TheoremCheck]:
     """Match every new column against the sufficient conditions.
 
     The original-attribute subsets are searched for an exact column match
     (the algebra is finite and discrete, so equality is exact by
     construction): the empty subset first, whose meet is the all-top
-    column, then every subset of arity min_arity and up, in lexicographic
+    column, then every subset of two or more originals, in lexicographic
     order, arity ascending. An empty match is all-top, two sources are
     pair-meet, any other count is k-meet. Columns matching nothing come
     back unsatisfied with rule None.
@@ -237,12 +232,12 @@ def classify_columns(
     column's upper set, the originals pointwise at or above it, and then
     the whole upper set meets to the column too. So a column whose upper
     set meets to anything else, or (unless the column is top) holds fewer
-    than min_arity originals, is unclassified without a search; the rest
+    than two originals, is unclassified without a search; the rest
     take their first matches from one ``context._subset_meets`` fold.
     """
     _require_restriction(base, extended)
-    code, n_orig, lowest = base.algebra._code, len(base.attributes), max(min_arity, 1)
-    arities = (0, *range(lowest, n_orig + 1))
+    code, n_orig = base.algebra._code, len(base.attributes)
+    arities = (0, *range(2, n_orig + 1))
     base_names = set(base.attributes)
     originals = [code.encode(column) for column in base.column_positions]
     top = code.top(len(base.objects))
@@ -256,7 +251,7 @@ def classify_columns(
             continue
         matches[name], column = None, code.encode(column)
         pool = [s for s in range(n_orig) if not column & ~originals[s]]
-        if _meet(originals, pool, top) == column and (len(pool) >= lowest or column == top):
+        if _meet(originals, pool, top) == column and (len(pool) >= 2 or column == top):
             pending.setdefault(column, []).append(name)
     for subset, meet in _subset_meets(originals, top, arities, True):
         for name in pending.pop(meet, ()):
@@ -275,13 +270,12 @@ def classify_columns(
 
 def extend_concepts_fast(
     base_lattice: ConceptLattice,
-    base: FuzzyContext,
     extended: FuzzyContext,
     *,
     checks: list[TheoremCheck] | None = None,
 ) -> ConceptLattice:
     """Rewrite the base concepts into the extension's lattice without
-    re-enumerating.
+    re-enumerating. The base context is ``base_lattice.context``.
 
     Every concept keeps its extent; its intent gains, per new column, the
     meet of the intent components at the column's sources (the empty meet,
@@ -291,11 +285,9 @@ def extend_concepts_fast(
     every new column is classified: an unsatisfied check, or a new column
     with no check, raises UnclassifiedColumnError, and the caller must fall
     back to enumerate_concepts on the extension. A satisfied check whose sources
-    name anything but a base attribute raises PreconditionError, as does a
-    ``base_lattice`` whose context is not ``base``.
+    name anything but a base attribute raises PreconditionError.
     """
-    if base_lattice.context != base:
-        raise PreconditionError("the base lattice is not the lattice of the base context")
+    base = base_lattice.context
     if checks is None:
         checks = classify_columns(base, extended)
     else:
@@ -356,7 +348,7 @@ def mine(
 
     fast_verified = False
     if congener.is_congener and all(c.satisfied for c in checks):
-        fast_lattice = extend_concepts_fast(base_lattice, context, extended, checks=checks)
+        fast_lattice = extend_concepts_fast(base_lattice, extended, checks=checks)
         masks, width = extended.row_masks, len(extended.attributes)
         fast_verified = fast_lattice._intents == tuple(
             _derive(context.algebra, masks, width, extent) for extent in base_lattice._extents

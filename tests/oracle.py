@@ -665,7 +665,7 @@ def reference_mine(
 
     fast_verified = False
     if all(c.satisfied for c in checks):
-        fast_lattice = extend_concepts_fast(base_lattice, context, extended, checks=checks)
+        fast_lattice = extend_concepts_fast(base_lattice, extended, checks=checks)
         fast_verified = fast_lattice.pairs() == full_lattice.pairs()
 
     tacit = tuple(

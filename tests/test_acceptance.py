@@ -212,7 +212,7 @@ def test_c8_fast_extension_equals_full_enumeration(campaign):
     checked = 0
     for ctx, base, extensions in campaign:
         for _kind, ext in extensions:
-            fast = extend_concepts_fast(base, ctx, ext)
+            fast = extend_concepts_fast(base, ext)
             full = enumerate_concepts(ext)
             assert fast.pairs() == full.pairs(), (ctx, ext.attributes)
             checked += 1

@@ -6,8 +6,10 @@ import sys
 
 import pytest
 
+import ltvcl.cli
 from ltvcl import ConceptLattice, enumerate_concepts
 from ltvcl.cli import main
+from ltvcl.galois import INTENT_SCAN
 from conftest import DATA_DIR
 
 REPO = DATA_DIR.parent
@@ -186,6 +188,30 @@ class TestConceptsCommand:
         assert lattice.top == lattice.concepts[0]
         assert built == [lattice]
 
+    def test_an_unwritable_export_prints_nothing(self, capsys, tmp_path):
+        argv = ["concepts", DEMO, "--dot", str(tmp_path / "missing" / "x.dot")]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_engines_that_disagree_exit_1_and_write_nothing(
+        self, capsys, monkeypatch, tmp_path, demo_extended
+    ):
+        # the intent engine returns another context's lattice
+        def swapped(context, engine, **kwargs):
+            if engine == INTENT_SCAN:
+                context = demo_extended
+            return enumerate_concepts(context, engine, **kwargs)
+
+        monkeypatch.setattr(ltvcl.cli, "enumerate_concepts", swapped)
+        js = tmp_path / "lattice.json"
+        assert main(["concepts", DEMO, "--engine", "both", "--json", str(js)]) == 1
+        assert capsys.readouterr().out == (
+            "engines disagree: extent and intent scans produced different concepts\n"
+        )
+        assert not js.exists()
+
     def test_degenerate_context(self, capsys, tmp_path):
         empty = tmp_path / "empty.ctx"
         empty.write_text("algebra product 3 2\nattributes m1 m2\n")
@@ -241,6 +267,13 @@ class TestMineCommand:
         bad.write_text("algebra product 3 2\nattributes m1\ng1 wat\n")
         assert main(["mine", str(bad)]) == 2
         assert "line 3" in capsys.readouterr().err
+
+    def test_an_unwritable_report_prints_nothing(self, capsys, tmp_path):
+        argv = ["mine", DEMO, "--preset", "paper", "--out", str(tmp_path / "missing" / "r.json")]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:")
 
 
 class TestCheckCongenerCommand:

@@ -400,12 +400,14 @@ class TestAxiomChecker:
         report = check_axioms(ProductAlgebra(sizes))
         assert report.passed
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
         with pytest.raises(BudgetError, match="130 elements exceed the axiom-check budget of 128"):
             check_axioms(ProductAlgebra([5, 26]))
-        assert check_axioms(ProductAlgebra([3, 3]), element_budget=9).passed
         assert check_axioms(ProductAlgebra([4, 4, 4])).passed
         assert check_axioms(ProductAlgebra([2] * 7)).passed
+        # the budget is read at call time and is inclusive
+        monkeypatch.setattr(lia, "DEFAULT_AXIOM_BUDGET", 9)
+        assert check_axioms(ProductAlgebra([3, 3])).passed
 
     def test_matches_the_reference_check(self, monkeypatch):
         # shuffled table copies of products with a few corrupted entries:

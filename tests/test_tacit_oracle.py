@@ -116,10 +116,7 @@ def test_congener_and_classification_match_the_oracle(name):
     verdicts = set()
     for base, ext in cases(name, LIAS[name], 16):
         assert base.algebra._is_lia
-        for min_arity in (1, 2):
-            assert outcome(classify_columns, base, ext, min_arity=min_arity) == outcome(
-                reference_classify_columns, base, ext, min_arity=min_arity
-            )
+        assert outcome(classify_columns, base, ext) == outcome(reference_classify_columns, base, ext)
         for domain in DOMAINS:
             for engine in ENGINES:
                 got = outcome(is_congener, base, ext, engine=engine, domain=domain, budget=BUDGET)
@@ -130,7 +127,7 @@ def test_congener_and_classification_match_the_oracle(name):
         checks = classify_columns(base, ext)
         if all(c.satisfied for c in checks):
             base_lattice = enumerate_concepts(base)
-            fast = extend_concepts_fast(base_lattice, base, ext, checks=checks)
+            fast = extend_concepts_fast(base_lattice, ext, checks=checks)
             assert fast.pairs() == enumerate_concepts(ext).pairs()
     assert verdicts == {True, False}
 
@@ -143,7 +140,7 @@ def test_fast_extension_matches_the_oracle(name):
     built = set()
     for base, ext in cases(name, factory, 16):
         base_lattice = enumerate_concepts(base)
-        got = outcome(extend_concepts_fast, base_lattice, base, ext)
+        got = outcome(extend_concepts_fast, base_lattice, ext)
         want = outcome(reference_extend_concepts_fast, base_lattice, base, ext)
         built.add(got[0])
         if got[0] == want[0] == "ok":
@@ -219,10 +216,9 @@ def test_extension_and_classification_at_every_arity_match_the_oracle(name):
                 extended = extend_context(context, config)
                 assert extended == reference_extend_context(context, config)
                 extended = append_column(extended, "x", foreign)
-                for min_arity in (1, 2, 3):
-                    assert classify_columns(context, extended, min_arity=min_arity) == (
-                        reference_classify_columns(context, extended, min_arity=min_arity)
-                    )
+                assert classify_columns(context, extended) == (
+                    reference_classify_columns(context, extended)
+                )
 
 
 @pytest.mark.parametrize("name", ["product 3 2", "product 2 3 2"])
@@ -288,10 +284,7 @@ def test_gated_off_on_algebras_that_fail_the_axioms(name, monkeypatch):
     for base, ext in cases(name, NON_LIAS[name], 16):
         assert not base.algebra._is_lia
         # a lattice, so classification searches the upper set here too
-        for min_arity in (1, 2):
-            assert outcome(classify_columns, base, ext, min_arity=min_arity) == outcome(
-                reference_classify_columns, base, ext, min_arity=min_arity
-            )
+        assert outcome(classify_columns, base, ext) == outcome(reference_classify_columns, base, ext)
         for domain in DOMAINS:
             for engine in ENGINES:
                 enumerated.clear()
