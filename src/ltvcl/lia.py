@@ -15,7 +15,10 @@ the tables:
 - ``TableAlgebra`` (usually via :func:`load_table_algebra`) takes explicit
   implication and negation tables. Nothing is assumed about a loaded table,
   so run :func:`check_axioms` to find out whether it actually is a lattice
-  implication algebra.
+  implication algebra. The check first tries to prove it by isomorphism:
+  every finite lattice implication algebra is a product of Lukasiewicz
+  chains, and a table that is one under a renaming of its elements passes
+  after O(n^2) lookups. Any other table gets the exhaustive law check.
 
 From the implication the algebra derives the rest once, at construction:
 top is the common value of the diagonal, x <= y iff imp(x, y) = top, and
@@ -167,8 +170,10 @@ class Algebra:
     def _is_lia(self) -> bool:
         """Whether the algebra is shown to be a lattice implication algebra:
         :func:`check_axioms` passes within ``DEFAULT_AXIOM_BUDGET``
-        (128 elements), the budget of the CLI check too. An algebra over
-        that budget counts as not shown.
+        (128 elements), the budget of the CLI check too, either by
+        certifying it as a renamed product of Lukasiewicz chains or by the
+        exhaustive law check. An algebra over that budget counts as not
+        shown.
         Computed once, on first use; products are LIAs by construction and
         skip the check."""
         try:
@@ -368,18 +373,19 @@ def _meet_table(below: list[int]) -> list[list[int | None]]:
 
     The meet of (i, j) is the common element whose own mask holds every
     other common element. Antisymmetry makes it unique when it exists; a
-    pair without one gets None. Only the common elements are visited, never
-    all n per pair.
+    pair without one gets None. On a lattice the down-set of the meet is
+    exactly the common mask ``below[i] & below[j]``, so each cell is one
+    lookup of that mask among the elements' own masks. Only a cell that
+    misses, which a non-transitive order can have, searches its common
+    elements for one whose mask holds them all.
     """
-    n = len(below)
-    table: list[list[int | None]] = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            common = below[i] & below[j]
-            for k in _bits(common):
-                if not common & ~below[k]:
-                    table[i][j] = table[j][i] = k
-                    break
+    of_mask = {mask: k for k, mask in enumerate(below)}.get
+    table = [list(map(of_mask, map(mask.__and__, below))) for mask in below]
+    for i, row in enumerate(table):
+        if None in row:
+            for j in [j for j, k in enumerate(row) if k is None]:
+                common = below[i] & below[j]
+                row[j] = next((k for k in _bits(common) if not common & ~below[k]), None)
     return table
 
 
@@ -461,21 +467,17 @@ class ProductAlgebra(Algebra):
                 f"over the limit of {PRODUCT_ELEMENT_LIMIT}"
             )
         self.chain_sizes = sizes
-        # display order runs top-down, later factors first; on the default
-        # algebra this yields AbT VeT SlT SlF VeF AbF
-        coords = sorted(
-            itertools.product(*[range(1, n + 1) for n in sizes]),
-            key=lambda c: c[::-1],
-            reverse=True,
-        )
-        index = {c: i for i, c in enumerate(coords)}
+        # display order runs top-down, later factors first (see
+        # _lukasiewicz); on the default algebra this yields AbT VeT SlT SlF
+        # VeF AbF
+        coords = [()]
+        for n in sizes:
+            coords = [c + (n - r,) for r in range(n) for c in coords]
         super().__init__(
             [TruthValue(c) for c in coords],
             [_label_of(c).spelling if self.is_linguistic else ",".join(map(str, c))
              for c in coords],
-            [[index[tuple(min(n - a + b, n) for a, b, n in zip(x, y, sizes))] for y in coords]
-             for x in coords],
-            [index[tuple(n + 1 - a for a, n in zip(c, sizes))] for c in coords],
+            *_lukasiewicz(sizes),
         )
 
     def __repr__(self) -> str:
@@ -500,6 +502,22 @@ class ProductAlgebra(Algebra):
             return self.value(*token.split(","))
         except ValueError:  # also DimensionError, a ValueError
             raise ValueError(f"unknown value {token!r} for algebra '{self.describe()}'") from None
+
+
+def _lukasiewicz(sizes: Sequence[int]) -> tuple[list[list[int]], list[int]]:
+    """The implication and negation position tables of the product of
+    Lukasiewicz chains of the given sizes. A coordinate c on a chain of size
+    n has rank n - c, and the display position is the mixed-radix number of
+    the ranks, the first factor lowest. On ranks a chain's implication is
+    ``max(rb - ra, 0)`` and its negation ``n - 1 - r``, so the tables grow
+    one factor at a time, by one addition per entry."""
+    imp, neg = [[0]], [0]
+    for n in sizes:
+        m = len(neg)
+        offsets = [[m * max(s - r, 0) for s in range(n)] for r in range(n)]
+        imp = [[v + o for o in offsets[r] for v in row] for r in range(n) for row in imp]
+        neg = [v + m * (n - 1 - r) for r in range(n) for v in neg]
+    return imp, neg
 
 
 def default_algebra() -> ProductAlgebra:
@@ -682,16 +700,19 @@ class AxiomReport:
 
 
 def check_axioms(algebra: Algebra) -> AxiomReport:
-    """Exhaustively test the laws of a lattice implication algebra over
-    every element tuple: bounded-top/-bottom, meet-/join-defined,
-    neg-involutive, neg-antitone, lia-3, lia-5 and the cubic lia-1, lia-6,
-    lia-7, meet-assoc and join-assoc. Eight more laws hold on every
-    ``Algebra`` by construction and are not tested: lia-2 (top is the
-    diagonal's single value), lia-4 (antisymmetry, which construction
-    enforces), and meet-/join-idem, meet-/join-comm and both absorption
-    laws (``_meet_table`` fills (x, y) and (y, x) together and, on a
-    reflexive antisymmetric order, gives x for (x, x) and for any (x, y)
-    with y above x).
+    """Test the laws of a lattice implication algebra. Algebras larger than
+    ``DEFAULT_AXIOM_BUDGET``, read at call time, raise BudgetError. One that
+    :func:`_is_lukasiewicz_product` certifies is isomorphic to a lattice
+    implication algebra and passes untested; every other, one with a
+    missing bound too, gets the exhaustive check over every element tuple:
+    bounded-top/-bottom, meet-/join-defined, neg-involutive, neg-antitone,
+    lia-3, lia-5 and the cubic lia-1, lia-6, lia-7, meet-assoc and
+    join-assoc. Eight more laws hold on every ``Algebra`` by construction
+    and are not tested: lia-2 (top is the diagonal's single value), lia-4
+    (antisymmetry, which construction enforces), and meet-/join-idem,
+    meet-/join-comm and both absorption laws (``_meet_table`` derives (x, y)
+    and (y, x) from the same common mask and, on a reflexive antisymmetric
+    order, gives x for (x, x) and for any (x, y) with y above x).
 
     The laws are read straight from the algebra's position tables, over
     positions in display order, so witnesses come in that order. A pair
@@ -707,12 +728,12 @@ def check_axioms(algebra: Algebra) -> AxiomReport:
     the exact per-(y, z) loop, so the violations and their order are those
     of the loop alone. Otherwise every row runs the loop. On a table that
     passes, the Python work is quadratic and the cubic work runs in C.
-    Algebras larger than ``DEFAULT_AXIOM_BUDGET``, read at call time,
-    raise BudgetError.
     """
     n = len(algebra.elements)
     if n > DEFAULT_AXIOM_BUDGET:
         raise BudgetError(f"{n} elements exceed the axiom-check budget of {DEFAULT_AXIOM_BUDGET}")
+    if _is_lukasiewicz_product(algebra):
+        return AxiomReport()
     name = algebra._spellings
     imp, neg, up, down = algebra._imp, algebra._neg, algebra._up, algebra._down
     els = range(n)
@@ -759,6 +780,45 @@ def check_axioms(algebra: Algebra) -> AxiomReport:
         _cubic_row(x, imp, meet, join, name, bad)
 
     return report
+
+
+def _is_lukasiewicz_product(algebra: Algebra) -> bool:
+    """Whether the algebra's implication and negation tables are those of a
+    product of Lukasiewicz chains under a renaming of its elements: a proof,
+    by isomorphism and in O(n^2) lookups, that it is a lattice implication
+    algebra. Every finite one is such a product (Cignoli, D'Ottaviano and
+    Mundici, 2000, ch. 3), whose factors are the down-sets of the atoms of
+    its Boolean elements (x v neg x = top). The renaming sends x to the
+    ranks of its meets with those atoms, numbered as ``_lukasiewicz`` does;
+    the verdict rests only on the last step, that it is a bijection carrying
+    every ``_imp`` and ``_neg`` entry onto the product's."""
+    n, top, neg, down = len(algebra.elements), algebra._top, algebra._neg, algebra._down
+    meet, join = algebra._meet, algebra._join
+    if any(None in row for row in meet):
+        return False
+    boolean = sum(1 << x for x in range(n) if join[x][neg[x]] == top)
+    bottom = 1 << neg[top]
+    factors, sizes, stride = [], [], 1  # (atom, stride, rank of each element below it)
+    for b in _bits(boolean & ~bottom):
+        chain = down[b]
+        if boolean & chain != bottom | 1 << b:
+            continue  # a Boolean element, but not an atom
+        k = chain.bit_count()
+        rank = {y: k - (down[y] & chain).bit_count() for y in _bits(chain)}
+        if sorted(rank.values()) != list(range(k)):  # not a chain
+            return False
+        factors.append((b, stride, rank))
+        sizes.append(k)
+        stride *= k
+    perm = [sum(s * rank[row[b]] for b, s, rank in factors) for row in meet]
+    if stride != n or len(set(perm)) != n:
+        return False
+    product_imp, product_neg = _lukasiewicz(sizes)
+    at = perm.__getitem__
+    return list(map(at, neg)) == list(map(product_neg.__getitem__, perm)) and all(
+        list(map(at, row)) == list(map(product_imp[p].__getitem__, perm))
+        for row, p in zip(algebra._imp, perm)
+    )
 
 
 def _flagged_rows(imp, meet, join) -> Iterator[int]:

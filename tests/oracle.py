@@ -8,9 +8,14 @@ before it folded on element positions; ``reference_derive_intent`` and
 one by one, with the body ``galois.enumerate_concepts`` had before it
 became a deduplicated fold. ``reference_check_axioms`` is the law check
 ``lia.check_axioms`` ran through the public operations before it read the
-position tables directly; it still tests the eight laws that
-``check_axioms`` leaves out because every ``Algebra`` satisfies them by
-construction. ``reference_generated_subalgebra`` is
+position tables directly and before it certified Lukasiewicz products;
+it still tests the eight laws that ``check_axioms`` leaves out because
+every ``Algebra`` satisfies them by construction. It reads the library's
+own meet and join tables, through ``meet`` and ``join``, so
+``reference_bound_table`` checks those tables against the definition: the
+greatest common lower (or least common upper) bound of each pair, by
+brute force over ``leq``.
+``reference_generated_subalgebra`` is
 ``Algebra.generated_subalgebra`` as it closed a set of truth values
 through the public operations, before it closed positions over the
 operation tables. ``reference_extend_context``,
@@ -387,6 +392,23 @@ def reference_check_axioms(algebra: Algebra, element_budget: int = DEFAULT_AXIOM
                 bad.append(("join-assoc", witness))
 
     return report
+
+
+def reference_bound_table(algebra: Algebra, upper: bool = False):
+    """For each pair (x, y) of elements in display order, the common lower
+    bound of x and y above every other common lower bound, or None when no
+    such bound exists; with ``upper``, the common upper bound below every
+    other one. Found by brute force over ``leq``, assuming no transitivity."""
+    els = algebra.elements
+
+    def below(a, b):
+        return algebra.leq(b, a) if upper else algebra.leq(a, b)
+
+    def bound(x, y):
+        common = [z for z in els if below(z, x) and below(z, y)]
+        return next((z for z in common if all(below(w, z) for w in common)), None)
+
+    return [[bound(x, y) for y in els] for x in els]
 
 
 def reference_generated_subalgebra(algebra: Algebra, values) -> tuple[TruthValue, ...]:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -35,7 +36,7 @@ from conftest import (
     shuffled_table,
     shuffled_tables,
 )
-from oracle import reference_check_axioms, reference_generated_subalgebra
+from oracle import reference_bound_table, reference_check_axioms, reference_generated_subalgebra
 
 L6 = default_algebra()
 
@@ -523,6 +524,124 @@ class TestAxiomChecker:
             assert list(lia._flagged_rows(imp, meet, join)) == flagged
 
 
+def assert_bounds_by_definition(alg):
+    """``alg``'s meet and join tables are the greatest common lower and
+    least common upper bounds that brute force over ``leq`` finds."""
+    els = alg.elements
+    for table, upper in ((alg._meet, False), (alg._join, True)):
+        values = [[None if k is None else els[k] for k in row] for row in table]
+        assert values == reference_bound_table(alg, upper=upper)
+
+
+def random_tables(rng, count, sizes):
+    """``count`` random tables, each over a number of elements drawn from
+    ``sizes``, with a constant diagonal so that most of them load."""
+    for _ in range(count):
+        names = [f"e{i}" for i in range(rng.choice(sizes))]
+        top = rng.choice(names)
+        imp = {(x, y): top if x == y else rng.choice(names) for x in names for y in names}
+        yield names, imp, {x: rng.choice(names) for x in names}
+
+
+class TestBoundTables:
+    @pytest.mark.parametrize("name", sorted(path.name for path in DATA_DIR.glob("*.lia")))
+    def test_every_data_table(self, name):
+        assert_bounds_by_definition(load_table_algebra((DATA_DIR / name).read_text()))
+
+    @pytest.mark.parametrize("sizes", [[3, 2], [5], [2, 2, 2], [3, 3, 2], [4, 4]])
+    def test_products_and_their_shuffled_copies(self, sizes):
+        alg = ProductAlgebra(sizes)
+        assert_bounds_by_definition(alg)
+        assert_bounds_by_definition(shuffled_table(alg, seed=len(alg.elements))[0])
+
+    def test_random_tables_through_the_lookup_and_the_fallback(self):
+        # a cell whose common down-set is some element's down-set is a hit
+        # of the lookup; any other cell is searched, and on a non-transitive
+        # order that search can still find a bound
+        seen = Counter()
+        for names, imp, neg in random_tables(random.Random(25), 300, range(3, 7)):
+            try:
+                alg = TableAlgebra(names, imp, neg)
+            except LoadError:
+                continue
+            assert_bounds_by_definition(alg)
+            masks = set(alg._down)
+            for i, j in itertools.product(range(len(names)), repeat=2):
+                if alg._down[i] & alg._down[j] in masks:
+                    seen["hit"] += 1
+                else:
+                    seen["no bound" if alg._meet[i][j] is None else "searched bound"] += 1
+        assert seen["hit"] and seen["searched bound"] and seen["no bound"], seen
+
+
+class TestLukasiewiczCertificate:
+    def test_products_and_their_shuffled_copies_are_certified(self):
+        rng = random.Random(128)
+        listed = [[2], [7], [128], [3, 2], [2, 3], [2, 2, 2], [3, 3, 3], [4, 4, 4],
+                  [2] * 7, [5, 5, 5], [8, 16], [2, 4, 2, 8]]
+        for _ in range(12):
+            sizes = [rng.randint(2, 6)]
+            while math.prod(sizes) * 2 <= 128 and rng.random() < 0.7:
+                sizes.append(rng.randint(2, 128 // math.prod(sizes)))
+            listed.append(sizes)
+        for sizes in listed:
+            alg = ProductAlgebra(sizes)
+            assert lia._is_lukasiewicz_product(alg), sizes
+            names, imp, neg, _ = shuffled_tables(alg, rng)
+            assert lia._is_lukasiewicz_product(TableAlgebra(names, imp, neg)), sizes
+
+    @pytest.mark.parametrize("sizes", [[3, 2], [2, 2], [4], [2, 2, 2], [3, 3]])
+    def test_no_table_with_one_changed_entry_is_certified(self, sizes):
+        # every single change of one implication or one negation entry of a
+        # shuffled product that still loads: none is certified, and the law
+        # check behind the certificate fails each one
+        names, imp, neg, _ = shuffled_tables(ProductAlgebra(sizes), random.Random(len(sizes)))
+        variants = [({**imp, key: v}, neg) for key in imp for v in names if v != imp[key]]
+        variants += [(imp, {**neg, x: v}) for x in names for v in names if v != neg[x]]
+        seen = Counter()
+        for bad_imp, bad_neg in variants:
+            try:
+                table = TableAlgebra(names, bad_imp, bad_neg)
+            except LoadError:
+                seen["load-error"] += 1
+                continue
+            assert not lia._is_lukasiewicz_product(table)
+            assert not check_axioms(table).passed
+            seen["imp" if bad_neg is neg else "neg"] += 1
+        assert seen["imp"] and seen["neg"], seen
+
+    def test_the_one_element_table_is_certified(self):
+        one = TableAlgebra(["o"], {("o", "o"): "o"}, {"o": "o"})
+        assert lia._is_lukasiewicz_product(one)
+        assert check_axioms(one).violations == reference_check_axioms(one).violations == []
+
+    def test_small_tables_match_the_reference_check(self):
+        # all 64 two-element tables, a seeded sample of three-element ones
+        # and the six orders of the three-element chain: the certificate
+        # holds exactly on the tables that pass, and the violations are
+        # those of the exhaustive check
+        two = ["a", "b"]
+        cases = [
+            (two, dict(zip(itertools.product(two, repeat=2), imp)), dict(zip(two, neg)))
+            for imp in itertools.product(two, repeat=4) for neg in itertools.product(two, repeat=2)
+        ]
+        assert len(cases) == 64
+        rng = random.Random(3)
+        cases += random_tables(rng, 1500, [3])
+        cases += [shuffled_tables(ProductAlgebra([3]), rng)[:3] for _ in range(6)]
+        seen = Counter()
+        for names, imp, neg in cases:
+            try:
+                table = TableAlgebra(names, imp, neg)
+            except LoadError:
+                continue
+            violations = check_axioms(table).violations
+            assert violations == reference_check_axioms(table).violations, (names, imp, neg)
+            assert lia._is_lukasiewicz_product(table) == (not violations), (names, imp, neg)
+            seen[len(names), not violations] += 1
+        assert all(seen[k] for k in ((2, True), (2, False), (3, True), (3, False))), seen
+
+
 # Reference Lukasiewicz operations on coordinate tuples, written out here so
 # the tables are checked against the formulas, not against themselves.
 def ref_leq(x, y):
@@ -563,6 +682,21 @@ class TestTableBackedOps:
                 assert alg.meet(x, y).coords == ref_meet(x.coords, y.coords)
                 assert alg.join(x, y).coords == ref_join(x.coords, y.coords)
                 assert alg.imp(x, y).coords == ref_imp(sizes, x.coords, y.coords)
+
+    @pytest.mark.parametrize("sizes", [[2] * 9, [8, 8, 8], [4, 4, 4, 2]])
+    def test_factor_fold_matches_the_formulas_up_to_the_limit(self, sizes):
+        # the position tables themselves, on products up to 512 elements;
+        # display order runs top-down, later factors first
+        alg = ProductAlgebra(sizes)
+        coords = [x.coords for x in alg.elements]
+        assert coords == sorted(itertools.product(*[range(1, n + 1) for n in sizes]),
+                                key=lambda c: c[::-1], reverse=True)
+        at = {c: i for i, c in enumerate(coords)}
+        assert list(alg._neg) == [at[ref_neg(sizes, x)] for x in coords]
+        for x, imp, meet, join in zip(coords, alg._imp, alg._meet, alg._join):
+            assert list(imp) == [at[ref_imp(sizes, x, y)] for y in coords]
+            assert meet == [at[ref_meet(x, y)] for y in coords]
+            assert join == [at[ref_join(x, y)] for y in coords]
 
     @pytest.mark.parametrize("sizes", OP_SIZES)
     def test_shuffled_table_copy_agrees_under_renaming(self, sizes):
