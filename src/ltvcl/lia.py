@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -48,6 +49,8 @@ DEFAULT_AXIOM_BUDGET = 128
 # Products build every table eagerly, about n^2 entries each; larger
 # products raise BudgetError instead of exhausting time and memory.
 PRODUCT_ELEMENT_LIMIT = 512
+# a byte other than zero: where the XOR of two byte strings marks a difference
+_NONZERO_BYTE = re.compile(rb"[^\x00]")
 
 MODIFIERS = ("Sl", "Ve", "Ab")
 META_TRUE = "Tr"
@@ -720,14 +723,17 @@ def check_axioms(algebra: Algebra) -> AxiomReport:
     ``join-defined`` and is skipped for both operations by every later law.
     Every violating instance is reported with a witness tuple of spellings.
 
-    The five cubic laws (lia-1, lia-6, lia-7, meet-assoc, join-assoc) run
-    row by row over x. When every pair has both bounds and there are at
-    most 256 elements, a screen tests each row over all (y, z) at once with
-    ``bytes.translate`` kernels (see :func:`_flagged_rows`); a row that
-    passes holds no violation and is skipped, and a row that fails replays
-    the exact per-(y, z) loop, so the violations and their order are those
-    of the loop alone. Otherwise every row runs the loop. On a table that
-    passes, the Python work is quadratic and the cubic work runs in C.
+    The five cubic laws (lia-1, lia-6, lia-7, meet-assoc, join-assoc) take
+    one path, on every table. A screen compares the two sides of each law
+    row by row over x, over all (y, z) at once, with ``bytes.translate``
+    kernels in which a missing bound is a sentinel position (see
+    :func:`_flagged_cells`). It returns the cells (y, z) where both sides
+    of some law are defined and differ, which are exactly the cells that
+    hold a violation. Only those cells replay the exact per-cell checks, in
+    (y, z) order and with the laws in the order above, so the violations
+    and their order are those of a loop over every (x, y, z). The Python
+    work is quadratic plus one replay per violating cell, and the cubic
+    work runs in C.
     """
     n = len(algebra.elements)
     if n > DEFAULT_AXIOM_BUDGET:
@@ -773,11 +779,10 @@ def check_axioms(algebra: Algebra) -> AxiomReport:
         if imp[imp[x][y]][y] != imp[imp[y][x]][x]:
             bad.append(("lia-5", (name[x], name[y])))
 
-    # the cubic laws: a table with every bound and byte-sized positions is
-    # screened row by row, and only the rows the screen flags are replayed
-    screen = n <= 256 and all(None not in row for row in meet)
-    for x in _flagged_rows(imp, meet, join) if screen else els:
-        _cubic_row(x, imp, meet, join, name, bad)
+    # the cubic laws: the screen flags the cells (x, y, z) where some law
+    # fails, and only those are replayed, for their witnesses in order
+    for x, cells in _flagged_cells(imp, meet, join):
+        _cubic_cells(x, cells, imp, meet, join, name, bad)
 
     return report
 
@@ -821,68 +826,102 @@ def _is_lukasiewicz_product(algebra: Algebra) -> bool:
     )
 
 
-def _flagged_rows(imp, meet, join) -> Iterator[int]:
-    """The rows x, ascending, on which lia-1, lia-6, lia-7, meet-assoc or
-    join-assoc fails for some (y, z), given total meet and join position
-    tables over at most 256 elements.
+def _flagged_cells(imp, meet, join) -> Iterator[tuple[int, list[int]]]:
+    """Per row x, ascending, the cells y * n + z, ascending, at which lia-1,
+    lia-6, lia-7, meet-assoc or join-assoc has two defined sides that
+    differ, given the position tables of n elements, with None where a pair
+    has no bound. Rows without such a cell are left out.
 
-    Every row of the three tables and every implication column is built
-    once as ``bytes`` (``rows_i``, ``rows_m``, ``rows_j``, ``cols``), and
-    once more padded to 256 bytes as a ``bytes.translate`` table (``ti``,
-    ``tm``, ``tj``, ``tc``), so ``b.translate(tm[a])`` is the meet of a with
-    each position in b, computed in C. Per x the screen compares, over all
-    (y, z) at once:
+    None is encoded as the sentinel position n, so n < 256 is needed for a
+    position to fit a byte; :func:`check_axioms` holds n to
+    ``DEFAULT_AXIOM_BUDGET`` (128) before the screen runs. Every row of the
+    three tables and every implication column is built once as ``bytes``
+    (``rows_i``, ``rows_m``, ``rows_j``, ``cols``), and once more padded
+    with the sentinel to 256 bytes as a ``bytes.translate`` table (``ti``,
+    ``tm``, ``tj``, ``tc``). So ``b.translate(tm[a])`` is the meet of a with
+    each position in b, computed in C, and a sentinel in b yields the
+    sentinel. Per x the screen compares, over all (y, z) at once:
 
-    - lia-1, x -> (y -> z) against y -> (x -> z), column by column:
-      ``cols[z].translate(ti[x])`` with ``cols[imp[x][z]]``;
+    - lia-1, x -> (y -> z) against y -> (x -> z), row by row:
+      ``all_i.translate(ti[x])`` with ``ix.translate(ti[y])`` over y;
     - meet-assoc, x ^ (y ^ z) against (x ^ y) ^ z, row by row:
-      ``rows_m[y].translate(tm[x])`` with ``rows_m[meet[x][y]]``, and
-      join-assoc the same on the join tables;
-    - lia-6, (x -> z) ^ (y -> z) against (x v y) -> z, per z:
+      ``all_m.translate(tm[x])`` with ``rows_m[meet[x][y]]`` over y, a row
+      of sentinels where meet[x][y] is missing, and join-assoc the same on
+      the join tables;
+    - lia-6, (x -> z) ^ (y -> z) against (x v y) -> z, column by column:
       ``cols[z].translate(tm[imp[x][z]])`` with
-      ``rows_j[x].translate(tc[z])``, and lia-7 the same with meet and join
-      swapped.
+      ``rows_j[x].translate(tc[z])`` over z, and lia-7 the same with meet
+      and join swapped. Their cells z * n + y are mapped to y * n + z.
 
-    Each comparison is the law itself, so a row passes exactly when it
-    holds no violation.
+    A side is the sentinel exactly when it reads a missing bound, which is
+    where the exact check skips the law, so a cell is flagged only where
+    both sides of a law are defined and differ: exactly the cells that
+    hold a violation, on every table.
     """
-    pad = bytes(256 - len(imp))
-    rows_i, rows_m, rows_j = ([bytes(row) for row in table] for table in (imp, meet, join))
+    n = len(imp)
+    rows_i = [bytes(row) for row in imp]
+    rows_m, rows_j = (
+        [bytes(n if v is None else v for v in row) for row in table] for table in (meet, join)
+    )
     cols = [bytes(col) for col in zip(*imp)]
+    pad = bytes([n]) * (256 - n)
+    defined = bytes([255]) * n + bytes(256 - n)  # 0xFF at a position, 0 at the sentinel
     ti, tm, tj, tc = ([b + pad for b in table] for table in (rows_i, rows_m, rows_j, cols))
-    all_cols, all_m, all_j = b"".join(cols), b"".join(rows_m), b"".join(rows_j)
+    all_i, all_m, all_j = map(b"".join, (rows_i, rows_m, rows_j))
+    # row lookups that read the sentinel row where x ^ y or x v y is missing
+    meet_row, join_row = ((rows + [bytes([n]) * n]).__getitem__ for rows in (rows_m, rows_j))
     for x, (ix, mx, jx) in enumerate(zip(rows_i, rows_m, rows_j)):
-        if (
-            all_cols.translate(ti[x]) != b"".join(map(cols.__getitem__, ix))
-            or all_m.translate(tm[x]) != b"".join(map(rows_m.__getitem__, mx))
-            or all_j.translate(tj[x]) != b"".join(map(rows_j.__getitem__, jx))
-            or list(map(bytes.translate, cols, map(tm.__getitem__, ix))) != list(map(jx.translate, tc))
-            or list(map(bytes.translate, cols, map(tj.__getitem__, ix))) != list(map(mx.translate, tc))
-        ):
-            yield x
+        by_row = (
+            (all_i.translate(ti[x]), b"".join(map(ix.translate, ti))),
+            (all_m.translate(tm[x]), b"".join(map(meet_row, mx))),
+            (all_j.translate(tj[x]), b"".join(map(join_row, jx))),
+        )
+        by_column = (
+            (b"".join(map(bytes.translate, cols, map(tm.__getitem__, ix))),
+             b"".join(map(jx.translate, tc))),
+            (b"".join(map(bytes.translate, cols, map(tj.__getitem__, ix))),
+             b"".join(map(mx.translate, tc))),
+        )
+        cells = {i for a, b in by_row if a != b for i in _differences(a, b, defined)}
+        cells.update(
+            i % n * n + i // n for a, b in by_column if a != b for i in _differences(a, b, defined)
+        )
+        if cells:
+            yield x, sorted(cells)
 
 
-def _cubic_row(x: int, imp, meet, join, name, bad: list) -> None:
-    """Append the violations of the cubic laws at every (x, y, z), in (y, z)
-    order, to ``bad``; pairs without a bound are skipped."""
+def _differences(a: bytes, b: bytes, defined: bytes) -> Iterator[int]:
+    """The indexes, ascending, at which two byte strings of equal length
+    hold different bytes that the translate table ``defined`` maps to 0xFF
+    in both: the nonzero bytes of their XOR, masked by both translations."""
+    word = int.from_bytes
+    diff = word(a, "little") ^ word(b, "little")
+    diff &= word(a.translate(defined), "little") & word(b.translate(defined), "little")
+    return (match.start() for match in _NONZERO_BYTE.finditer(diff.to_bytes(len(a), "little")))
+
+
+def _cubic_cells(x: int, cells: Iterable[int], imp, meet, join, name, bad: list) -> None:
+    """Append the violations of the cubic laws at (x, y, z) for each cell
+    y * n + z, in the order given, to ``bad``; pairs without a bound are
+    skipped."""
+    n = len(imp)
     imp_x, meet_x, join_x = imp[x], meet[x], join[x]
-    for y in range(len(imp)):
+    for y, z in (divmod(cell, n) for cell in cells):
         imp_y, meet_y, join_y = imp[y], meet[y], join[y]
         mxy, jxy = meet_x[y], join_x[y]
-        for z in range(len(imp)):
-            xz, yz = imp_x[z], imp_y[z]
-            if imp_x[yz] != imp_y[xz]:
-                bad.append(("lia-1", (name[x], name[y], name[z])))
-            if jxy is not None and meet[xz][yz] is not None and imp[jxy][z] != meet[xz][yz]:
-                bad.append(("lia-6", (name[x], name[y], name[z])))
-            if mxy is not None and join[xz][yz] is not None and imp[mxy][z] != join[xz][yz]:
-                bad.append(("lia-7", (name[x], name[y], name[z])))
-            myz, jyz = meet_y[z], join_y[z]
-            if mxy is not None and myz is not None:
-                left, right = meet_x[myz], meet[mxy][z]
-                if left is not None and right is not None and left != right:
-                    bad.append(("meet-assoc", (name[x], name[y], name[z])))
-            if jxy is not None and jyz is not None:
-                left, right = join_x[jyz], join[jxy][z]
-                if left is not None and right is not None and left != right:
-                    bad.append(("join-assoc", (name[x], name[y], name[z])))
+        xz, yz = imp_x[z], imp_y[z]
+        if imp_x[yz] != imp_y[xz]:
+            bad.append(("lia-1", (name[x], name[y], name[z])))
+        if jxy is not None and meet[xz][yz] is not None and imp[jxy][z] != meet[xz][yz]:
+            bad.append(("lia-6", (name[x], name[y], name[z])))
+        if mxy is not None and join[xz][yz] is not None and imp[mxy][z] != join[xz][yz]:
+            bad.append(("lia-7", (name[x], name[y], name[z])))
+        myz, jyz = meet_y[z], join_y[z]
+        if mxy is not None and myz is not None:
+            left, right = meet_x[myz], meet[mxy][z]
+            if left is not None and right is not None and left != right:
+                bad.append(("meet-assoc", (name[x], name[y], name[z])))
+        if jxy is not None and jyz is not None:
+            left, right = join_x[jyz], join[jxy][z]
+            if left is not None and right is not None and left != right:
+                bad.append(("join-assoc", (name[x], name[y], name[z])))
