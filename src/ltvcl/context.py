@@ -133,7 +133,9 @@ class FuzzyContext:
     def row_masks(self) -> tuple[tuple[int, ...], ...]:
         """Per object g and element position b, the implication column
         imp(b, I(g, m)) over the attributes m, encoded as one int (see
-        ``Algebra._code``): an intent is the ``&`` of one mask per object."""
+        ``Algebra._code``): an intent is the ``&`` of one mask per object.
+        Built on first use, each mask one ``bytes.translate`` of the row
+        where the code's blocks are one byte (see ``_masks``)."""
         return _masks(self.algebra, self.row_positions)
 
     @cached_property
@@ -227,10 +229,16 @@ def extend_context(context: FuzzyContext, config: ExtensionConfig | None = None)
 
 def _masks(algebra: Algebra, lines) -> tuple[tuple[int, ...], ...]:
     """Per line and element position b, the encoded vector of imp(b, v)
-    over the positions v of the line."""
-    encode = algebra._code.encode
-    return tuple(tuple([encode([imp_b[v] for v in line]) for imp_b in algebra._imp])
-                 for line in lines)
+    over the positions v of the line. With one-byte blocks that is one
+    ``bytes.translate`` of the line through b's table in
+    ``Algebra._imp_codes``; wider codes ``encode`` each vector."""
+    tables = algebra._imp_codes
+    if tables is None:
+        encode = algebra._code.encode
+        return tuple(tuple([encode([imp_b[v] for v in line]) for imp_b in algebra._imp])
+                     for line in lines)
+    return tuple(tuple([int.from_bytes(line.translate(t), "little") for t in tables])
+                 for line in map(bytes, lines))
 
 
 def _meet(columns, subset, top: int) -> int:
@@ -304,6 +312,14 @@ def parse_context(text: str, base_dir: str = ".") -> FuzzyContext:
     attribute list, then one row per object. Table paths resolve relative to
     ``base_dir``. All parsed attributes carry original provenance.
     """
+    return _parse_context(text, base_dir, {})
+
+
+def _parse_context(text: str, base_dir: str, algebras: dict) -> FuzzyContext:
+    """``parse_context`` with the algebras built so far, keyed by
+    ``base_dir`` and the algebra line's words: a line met before takes its
+    algebra from ``algebras`` rather than building it again, so contexts
+    parsed with one dict share one ``Algebra``."""
     algebra: Algebra | None = None
     aliases: dict[str, TruthValue] = {}
     attributes: list[str] | None = None
@@ -320,7 +336,10 @@ def parse_context(text: str, base_dir: str = ".") -> FuzzyContext:
         if head == "algebra":
             if algebra is not None:
                 raise ParseError("duplicate 'algebra' line", lineno)
-            if len(parts) >= 2 and parts[1] == "product":
+            key = (base_dir, tuple(parts))
+            if key in algebras:
+                algebra = algebras[key]
+            elif len(parts) >= 2 and parts[1] == "product":
                 try:
                     sizes = [int(p) for p in parts[2:]]
                 except ValueError:
@@ -341,6 +360,7 @@ def parse_context(text: str, base_dir: str = ".") -> FuzzyContext:
                     raise ParseError(f"cannot read table file {path!r}: {exc}", lineno) from None
             else:
                 raise ParseError("expected 'algebra product <sizes>' or 'algebra table <path>'", lineno)
+            algebras[key] = algebra
             continue
 
         if algebra is None:

@@ -351,6 +351,37 @@ class ConceptLattice:
         return tuple(_cover_pairs(self._order_masks, True))
 
 
+def _images(context: FuzzyContext, engine: str, values, budget: int) -> set[int]:
+    """The fold of ``enumerate_concepts``: the set of the distinct encoded
+    derivations of every candidate of the engine's side valued in
+    ``values``, one ``&`` per distinct partial vector and domain value.
+
+    An unknown engine raises ValueError, and a candidate count,
+    |distinct values|^|side|, over the budget raises BudgetError naming it.
+    Over a lattice implication algebra each image is the intent (extent,
+    for the intent engine) of exactly one concept, so the set's size is
+    the number of concepts.
+    """
+    if engine == EXTENT_SCAN:
+        masks, width = context.row_masks, len(context.attributes)
+    elif engine == INTENT_SCAN:
+        masks, width = context.column_masks, len(context.objects)
+    else:
+        raise ValueError(f"unknown engine {engine!r}; use 'extent' or 'intent'")
+    algebra = context.algebra
+    positions = set(algebra._positions(values))
+    count = len(positions) ** len(masks)
+    if count > budget:
+        raise BudgetError(
+            f"{engine} scan needs {count} candidates, over the budget of {budget}"
+        )
+    images = {algebra._code.top(width)}  # S_0; after the loop, S_|masks|
+    for line in masks:
+        columns = [line[a] for a in positions]
+        images = {partial & column for partial in images for column in columns}
+    return images
+
+
 def enumerate_concepts(
     context: FuzzyContext,
     engine: str = EXTENT_SCAN,
@@ -368,13 +399,13 @@ def enumerate_concepts(
     S_k every step of an S_(k-1) vector with a domain value a at position
     k, which meets the vector with the implication column imp(a, I(k, m)).
     Vectors are ints and columns the context's cached masks, so a step is
-    one ``&`` (see ``FuzzyContext.row_masks``). The last set is exactly the
-    set of the candidates' derivations, each computed by the same meets as
-    a derivation on its own; each is decoded to positions once and derived
-    back once by the public derivation, the one public derivation left,
-    kept for the benchmark tracer's ``COUNTED`` names. The lattice is built
-    from the admitted position pairs, and its ``Concept``s are made only
-    when a caller asks for them.
+    one ``&`` (see ``FuzzyContext.row_masks``); ``_images`` runs that fold.
+    The last set is exactly the set of the candidates' derivations, each
+    computed by the same meets as a derivation on its own; each is decoded
+    to positions once and derived back once by the public derivation, the
+    one public derivation left, kept for the benchmark tracer's ``COUNTED``
+    names. The lattice is built from the admitted position pairs, and its
+    ``Concept``s are made only when a caller asks for them.
 
     When the domain holds bottom (``"generated"`` and ``"full"`` always do),
     imp(bottom, x) is top, so over a valid implication algebra each S_k
@@ -398,29 +429,16 @@ def enumerate_concepts(
     exceeds the budget raises BudgetError naming the count.
     """
     values = scan_domain(context, domain)
+    images = _images(context, engine, values, budget)
     if engine == EXTENT_SCAN:
         image_side, back = ATTRIBUTES, derive_extent
         masks, back_masks = context.row_masks, context.column_masks
-    elif engine == INTENT_SCAN:
+    else:
         image_side, back = OBJECTS, derive_intent
         masks, back_masks = context.column_masks, context.row_masks
-    else:
-        raise ValueError(f"unknown engine {engine!r}; use 'extent' or 'intent'")
     algebra = context.algebra
-    positions = set(algebra._positions(values))
-    count = len(positions) ** len(masks)
-    if count > budget:
-        raise BudgetError(
-            f"{engine} scan needs {count} candidates, over the budget of {budget}"
-        )
-
-    code = algebra._code
     width, back_width = len(back_masks), len(masks)
-    images = {code.top(width)}  # S_0; after the loop, S_|masks|
-    for line in masks:
-        columns = [line[a] for a in positions]
-        images = {partial & column for partial in images for column in columns}
-    els, positions_of, decode = algebra.elements, algebra._positions, code.decode
+    els, positions_of, decode = algebra.elements, algebra._positions, algebra._code.decode
     pairs = []
     for image in [decode(vector, width) for vector in images]:
         closed = back(context, FuzzySet(image_side, tuple([els[k] for k in image])))

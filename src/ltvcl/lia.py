@@ -114,7 +114,8 @@ class Algebra:
     first use. So is ``_lattice_fault``, which a ``FuzzyContext`` reads to
     refuse an order that is not a lattice and ``hasse_covers`` reads to
     walk a lattice's covers, and so is ``_code``, the encoding of position
-    vectors as ints on which every pointwise meet runs.
+    vectors as ints on which every pointwise meet runs, with
+    ``_imp_codes``, its implication rows as translate tables.
 
     Algebras are immutable after construction and every operation is a pure
     function (the cached verdicts are too), so instances may be shared freely
@@ -212,6 +213,17 @@ class Algebra:
         meet is one ``&`` (see ``VectorCode``). Built once, on first use;
         it needs a lattice order, as every context's algebra has."""
         return VectorCode(self._down, self._top)
+
+    @cached_property
+    def _imp_codes(self) -> tuple[bytes, ...] | None:
+        """Per element b, the ``bytes.translate`` table taking a position v
+        to the one-byte block of imp(b, v) in ``_code``, or None where the
+        code's blocks are wider than a byte. Built once, on first use."""
+        code = self._code
+        if code.block != 1:
+            return None
+        pad = bytes(256 - len(self.elements))
+        return tuple(bytes([code.code[k] for k in row]) + pad for row in self._imp)
 
     def __eq__(self, other) -> bool:
         return self is other or (

@@ -6,21 +6,26 @@ extents unchanged. Over a lattice implication algebra, scanned over the
 read as an object-side set, is an extent of the base context: base extents
 are closed under meets and under shifts a -> A, and the extents of an
 extension by a column c are the sets E meet (b -> c) for a base extent E
-and a value b. Both domains are subalgebras holding every cell, so an
-extent valued in one derives from an intent valued there, and the base
-lattice enumerated over it lists every such extent: membership in that
-lattice decides the question. Columns that are meets of existing columns,
-or constant top (the meet of no columns), are always extents; they are
-the tacit attributes this module hunts for. ``extend_context`` builds them
-and ``classify_columns`` names their sources from one fold over attribute
-subsets (``context._subset_meets``). ``is_congener`` and ``mine`` take
-the congener decision in one place, and enumerate the extension only where
-membership does not settle it: on an algebra not shown to be a lattice
-implication algebra (see ``Algebra._is_lia``), over an explicit domain,
-or for a non-congener extension, whose witnesses need both lattices. The
-fast extension rewrites each base concept's intent instead of
-re-enumerating, and ``mine`` checks it concept by concept against
-intents computed independently of it.
+and a value b. A column c is an extent exactly when it is its own
+closure, closure_extent(base, c) == c, and both domains are subalgebras
+holding every cell, so that closed column is also an extent of the base
+lattice enumerated over the domain. The rule costs two derivations per
+new column, on the encoded kernel (``galois._derive``), and no lattice.
+Columns that are meets of existing columns, or constant top (the meet of
+no columns), are always extents; they are the tacit attributes this
+module hunts for. ``extend_context`` builds them and ``classify_columns``
+names their sources from one fold over attribute subsets
+(``context._subset_meets``). ``is_congener`` and ``mine`` take the
+congener decision by that one rule, and enumerate the extension only
+where it does not settle the question: on an algebra not shown to be a
+lattice implication algebra (see ``Algebra._is_lia``), over an explicit
+domain, or for a non-congener extension, whose witnesses need both
+lattices. Where the rule shows an extension congener, ``is_congener``
+builds no lattice at all: it counts the base concepts as the distinct
+images of the base scan's fold (``galois._images``), one per concept over
+a lattice implication algebra. The fast extension rewrites each base
+concept's intent instead of re-enumerating, and ``mine`` checks it
+concept by concept against intents computed independently of it.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from .galois import (
     ConceptLattice,
     FuzzySet,
     _derive,
+    _images,
     enumerate_concepts,
     scan_domain,
 )
@@ -138,16 +144,11 @@ def _require_restriction(base: FuzzyContext, extended: FuzzyContext) -> None:
 
 
 def _congener_report(
-    base_lattice: ConceptLattice, extended_lattice: ConceptLattice | None
+    base_lattice: ConceptLattice, extended_lattice: ConceptLattice
 ) -> CongenerReport:
     """Compare the extent families of the two lattices, as sets of position
     tuples; only the witnesses become ``FuzzySet``s, sorted by side, then
-    by their values' coordinates. No extended lattice means membership in
-    the base lattice showed the extension congener: equal counts, no
-    witnesses."""
-    if extended_lattice is None:
-        count = len(base_lattice)
-        return CongenerReport(base_extent_count=count, extended_extent_count=count, witnesses=())
+    by their values' coordinates."""
     base_extents = set(base_lattice._extents)
     ext_extents = set(extended_lattice._extents)
     els = base_lattice.context.algebra.elements
@@ -166,33 +167,22 @@ def _congener_report(
     )
 
 
-def _decide_congener(
-    base: FuzzyContext, extended: FuzzyContext, engine: str, domain, budget: int
-) -> tuple[ConceptLattice, ConceptLattice | None]:
-    """The base lattice, and the extension's lattice or None when the base
-    lattice shows the extension congener.
-
-    The test applies over a lattice implication algebra and the "generated"
-    or "full" domain (both subalgebras holding every value of the
-    extension), and asks whether every new column, read as an object-side
-    set of element positions, is one of the base lattice's extents. Over
-    such a domain the lattice lists every extent valued in it, so that is
-    closure_extent(base, c) == c with no derivation. When the test does
-    not apply, or says no, the extension is enumerated.
-    """
-    # Both lattices are scanned over one domain. "generated" resolves on the
-    # extension, a superset of the base's; the contexts share one algebra
-    # (the callers check restriction), so "full" and explicit values resolve
-    # the same.
-    values = scan_domain(extended, domain)
-    base_lattice = enumerate_concepts(base, engine, domain=values, budget=budget)
-    if domain in (GENERATED_DOMAIN, FULL_DOMAIN) and base.algebra._is_lia:
-        base_names, extents = set(base.attributes), set(base_lattice._extents)
-        new = [c for name, c in zip(extended.attributes, extended.column_positions)
-               if name not in base_names]
-        if all(c in extents for c in new):
-            return base_lattice, None
-    return base_lattice, enumerate_concepts(extended, engine, domain=values, budget=budget)
+def _closed_extension(base: FuzzyContext, extended: FuzzyContext, domain) -> bool:
+    """Whether the closure rule shows the extension congener: over a
+    lattice implication algebra and the "generated" or "full" domain, every
+    new column c, read as an object-side set of element positions, is its
+    own closure in the base context, two derivations on the kernel (see the
+    module docstring). False where the rule does not apply, or says no."""
+    if domain not in (GENERATED_DOMAIN, FULL_DOMAIN) or not base.algebra._is_lia:
+        return False
+    algebra, base_names = base.algebra, set(base.attributes)
+    objects, attributes = len(base.objects), len(base.attributes)
+    row_masks, column_masks = base.row_masks, base.column_masks
+    return all(
+        _derive(algebra, column_masks, objects, _derive(algebra, row_masks, attributes, c)) == c
+        for name, c in zip(extended.attributes, extended.column_positions)
+        if name not in base_names
+    )
 
 
 def is_congener(
@@ -205,16 +195,27 @@ def is_congener(
 ) -> CongenerReport:
     """Compare the extent families of a context and its extension.
 
-    The decision is the one ``mine`` takes. The base lattice is always
-    enumerated. Over a lattice implication algebra and the "generated" or
-    "full" domain, an extension whose new columns are all extents of that
-    lattice is congener (see the module docstring), and the report follows
-    from the base alone: equal counts, no witnesses. Otherwise the
-    extension is enumerated too and the two extent families are compared,
-    which yields the witnesses.
+    The decision is the one ``mine`` takes. Over a lattice implication
+    algebra and the "generated" or "full" domain, an extension whose new
+    columns are all closed in the base context is congener (see the module
+    docstring), and the report needs no lattice: equal counts, no
+    witnesses, the count being the number of distinct images of the base
+    scan's fold, one per concept there. Otherwise both lattices are
+    enumerated and their extent families compared, which yields the
+    witnesses. Both are scanned over one domain, resolved on the extension.
     """
     _require_restriction(base, extended)
-    return _congener_report(*_decide_congener(base, extended, engine, domain, budget))
+    # "generated" resolves on the extension, a superset of the base's; the
+    # contexts share one algebra, so "full" and explicit values resolve the
+    # same
+    values = scan_domain(extended, domain)
+    if _closed_extension(base, extended, domain):
+        count = len(_images(base, engine, values, budget))
+        return CongenerReport(base_extent_count=count, extended_extent_count=count, witnesses=())
+    base_lattice = enumerate_concepts(base, engine, domain=values, budget=budget)
+    return _congener_report(
+        base_lattice, enumerate_concepts(extended, engine, domain=values, budget=budget)
+    )
 
 
 def classify_columns(base: FuzzyContext, extended: FuzzyContext) -> list[TheoremCheck]:
@@ -330,8 +331,11 @@ def mine(
 ) -> MiningReport:
     """Full pipeline: extend, classify, fast-extend, verify, report.
 
-    The congener verdict is the one is_congener takes, from the same
-    decision. A congener extension's concepts are the base extents, in the
+    The congener verdict is the one is_congener takes, by the same closure
+    rule. The base lattice is enumerated here, since the fast extension
+    rewrites its intents, and the base count is its size; the extension is
+    enumerated only where the rule does not show it congener, as in
+    is_congener. A congener extension's concepts are the base extents, in the
     base lattice's order (the order reads extents only), so the fast
     extension is verified concept by concept against intents computed
     independently of it, rather than trusted: each base extent's intent
@@ -343,8 +347,14 @@ def mine(
     """
     extended = extend_context(context, config)
     checks = classify_columns(context, extended)
-    base_lattice, full_lattice = _decide_congener(context, extended, engine, domain, budget)
-    congener = _congener_report(base_lattice, full_lattice)
+    values = scan_domain(extended, domain)
+    base_lattice = enumerate_concepts(context, engine, domain=values, budget=budget)
+    if _closed_extension(context, extended, domain):
+        count = len(base_lattice)
+        congener = CongenerReport(base_extent_count=count, extended_extent_count=count, witnesses=())
+    else:
+        extended_lattice = enumerate_concepts(extended, engine, domain=values, budget=budget)
+        congener = _congener_report(base_lattice, extended_lattice)
 
     fast_verified = False
     if congener.is_congener and all(c.satisfied for c in checks):

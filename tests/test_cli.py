@@ -7,7 +7,8 @@ import sys
 import pytest
 
 import ltvcl.cli
-from ltvcl import ConceptLattice, enumerate_concepts
+import ltvcl.context
+from ltvcl import ConceptLattice, ProductAlgebra, enumerate_concepts
 from ltvcl.cli import main
 from ltvcl.galois import INTENT_SCAN
 from conftest import DATA_DIR
@@ -64,6 +65,13 @@ GOLDEN_RUNS = [
     # report's sources are classification's first subset, m1 and m2
     ("mine_demo_no_novelty", "mine data/demo.ctx --max-k 3 --no-novelty", 0, REPORT),
     ("check_congener_demo_extended", "check-congener data/demo.ctx data/demo_extended.ctx", 0, ()),
+    # a congener extension over an LIA: the 27 base concepts are counted
+    # by the intent fold, with no lattice built
+    ("check_congener_demo_intent_full",
+     "check-congener data/demo.ctx data/demo_extended.ctx --engine intent --domain full", 0, ()),
+    # off an LIA the fold's images outnumber the 9 concepts, so the count
+    # comes from the enumerated lattice
+    ("check_congener_chain5_full", "check-congener data/chain5.ctx data/chain5.ctx --domain full", 0, ()),
     # g2's m4 cell changed from O to a: four extents only in the extension
     ("check_congener_demo_flipped", "check-congener data/demo.ctx data/demo_flipped.ctx", 1, ()),
     # contexts over different algebras are refused: exit 2, nothing on stdout
@@ -290,6 +298,21 @@ class TestCheckCongenerCommand:
 
     def test_context_against_itself(self, capsys):
         assert main(["check-congener", DEMO, DEMO]) == 0
+
+    def test_both_files_share_one_algebra_per_call(self, capsys, monkeypatch):
+        # the two files name the same algebra line, which is built once per
+        # call and never kept across calls
+        built = []
+
+        def counting(sizes):
+            built.append(ProductAlgebra(sizes))
+            return built[-1]
+
+        monkeypatch.setattr(ltvcl.context, "ProductAlgebra", counting)
+        assert main(["check-congener", DEMO, DEMO_EXT]) == 0
+        assert len(built) == 1
+        assert main(["check-congener", DEMO, DEMO_EXT]) == 0
+        assert len(built) == 2
 
     def test_non_congener_extension(self, capsys, tmp_path):
         adv = tmp_path / "adv.ctx"

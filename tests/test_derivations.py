@@ -72,6 +72,27 @@ def test_derivations_match_the_value_level_oracle(name):
     assert seen == {"value"}
 
 
+@pytest.mark.parametrize("name", sorted(ALGEBRAS) + sorted(WIDE_ALGEBRAS))
+def test_masks_encode_the_implication_columns(name):
+    # one-byte codes build each mask by one bytes.translate; the wide
+    # algebras' two-byte codes take encode, the reference here
+    algebra = {**ALGEBRAS, **WIDE_ALGEBRAS}[name]()
+    assert (algebra._imp_codes is None) == (name in WIDE_ALGEBRAS)
+    encode, imp = algebra._code.encode, algebra._imp
+    rng = random.Random(f"masks/{name}")
+    shapes = [(0, 2), (2, 0), (0, 0)] + [(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(20)]
+    for n_objects, n_attributes in shapes:
+        context = random_context(rng, algebra, n_objects, n_attributes)
+        for masks, lines in ((context.row_masks, context.row_positions),
+                             (context.column_masks, context.column_positions)):
+            assert masks == tuple(
+                tuple(encode([imp_b[v] for v in line]) for imp_b in imp) for line in lines
+            )
+            for line, line_masks in zip(lines, masks):
+                if not line:
+                    assert line_masks == (0,) * len(imp)
+
+
 def test_first_missing_meet_is_named():
     # c and d have no meet. Folding these rows would miss it as (d, c)
     # first; the context is refused before any derivation runs, naming the

@@ -334,9 +334,9 @@ def _crisp_context(seed: int, n_objects: int, n_attrs: int) -> FuzzyContext:
 
 class TestClosureTest:
     """Over a lattice implication algebra, is_congener and mine decide the
-    congener question by membership of every new column in the base
-    lattice, which is the closure test with no derivation, and enumerate
-    only the base."""
+    congener question by the closure of every new column in the base
+    context, two kernel derivations per column. is_congener then
+    enumerates nothing, and mine only the base."""
 
     @pytest.fixture
     def enumerations(self, monkeypatch):
@@ -350,9 +350,9 @@ class TestClosureTest:
         return calls
 
     def test_congener_extension_enumerates_the_base_only(self, demo, demo_extended, enumerations):
+        # is_congener counts the base concepts from the fold, no lattice
         assert is_congener(demo, demo_extended).is_congener
-        assert enumerations == [demo]
-        enumerations.clear()
+        assert enumerations == []
         report = mine(demo, PAPER_PRESET)
         assert report.congener.is_congener and report.fast_extension_verified
         assert enumerations == [demo]
@@ -367,14 +367,17 @@ class TestClosureTest:
             return derive(*args)
 
         monkeypatch.setattr(tacit, "_derive", counted)
+        new_columns = len(demo_extended.attributes) - len(demo.attributes)
         report = is_congener(demo, demo_extended, domain=domain)
         assert report.is_congener
-        assert calls == []
-        # the one derivation left in tacit: mine's check of the fast
-        # extension, one intent per base concept
+        # the closure of each new column: an intent, then its extent
+        assert len(calls) == 2 * new_columns
+        calls.clear()
+        # mine: the same closures, then its check of the fast extension,
+        # one intent per base concept
         mined = mine(demo, PAPER_PRESET, domain=domain)
         assert mined.fast_extension_verified
-        assert len(calls) == mined.congener.base_extent_count
+        assert len(calls) == 2 * len(mined.tacit_attributes) + mined.congener.base_extent_count
 
     def test_non_congener_extension_enumerates_both(self, demo, enumerations):
         alg = demo.algebra
