@@ -413,13 +413,13 @@ def enumerate_concepts(
     algebra the fold makes no more meets than deriving every candidate on
     its own, since every partial vector is the prefix of some candidate.
 
-    Over a lattice implication algebra (``Algebra._is_lia``; on a table
-    algebra that runs ``check_axioms`` once, cached) the derivations form a
-    Galois connection, so an image derived back and then forward again is
-    itself: every image is already an intent, over any domain, and pairs
-    with its one back-derivation. Distinct images have distinct
-    back-derivations, since each image is the forward derivation of its
-    own, so that costs one derivation per concept and no check. On any
+    Over a lattice implication algebra (``Algebra._is_lia``: on a table
+    algebra the Lukasiewicz certificate, run once and cached) the
+    derivations form a Galois connection, so an image derived back and then
+    forward again is itself: every image is already an intent, over any
+    domain, and pairs with its one back-derivation. Distinct images have
+    distinct back-derivations, since each image is the forward derivation
+    of its own, so that costs one derivation per concept and no check. On any
     other algebra closures need not be fixpoints: each distinct closed set,
     with its first image, is derived forward on the kernel and admitted only
     as a mutual fixpoint, which keeps the two engines in agreement on tables

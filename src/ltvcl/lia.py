@@ -13,12 +13,13 @@ the tables:
   ``PRODUCT_ELEMENT_LIMIT`` (512) elements; a larger one raises
   :class:`BudgetError` before any table is built.
 - ``TableAlgebra`` (usually via :func:`load_table_algebra`) takes explicit
-  implication and negation tables. Nothing is assumed about a loaded table,
-  so run :func:`check_axioms` to find out whether it actually is a lattice
-  implication algebra. The check first tries to prove it by isomorphism:
-  every finite lattice implication algebra is a product of Lukasiewicz
-  chains, and a table that is one under a renaming of its elements passes
-  after O(n^2) lookups. Any other table gets the exhaustive law check.
+  implication and negation tables. Nothing is assumed about a loaded table.
+  Whether it is a lattice implication algebra is decided, at any size, by
+  one certificate in O(n^2) lookups: every finite lattice implication
+  algebra is a product of Lukasiewicz chains, so a table is one exactly
+  when it is such a product under a renaming of its elements.
+  :func:`check_axioms` passes what the certificate proves and runs the
+  exhaustive law check, within a budget, only to name what fails.
 
 From the implication the algebra derives the rest once, at construction:
 top is the common value of the diagonal, x <= y iff imp(x, y) = top, and
@@ -42,9 +43,9 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetError, DimensionError, LoadError, StructureError
 
-# the element budget of check_axioms, for the CLI check and for the check
-# behind Algebra._is_lia, which gates the one-closure enumeration and the
-# congener test
+# the element budget of check_axioms' exhaustive law check, which runs only
+# on an algebra the Lukasiewicz certificate does not prove; it also keeps
+# every position and the screen's sentinel in one byte
 DEFAULT_AXIOM_BUDGET = 128
 # Products build every table eagerly, about n^2 entries each; larger
 # products raise BudgetError instead of exhausting time and memory.
@@ -109,13 +110,13 @@ class Algebra:
     hashes through its dataclass ``__hash__``: ``_position`` maps one value
     and ``_positions`` a vector, and only a value of type ``TruthValue``
     itself is looked up there. It rejects a non-constant diagonal or a
-    non-antisymmetric order with LoadError; every law that can still fail
-    is left to :func:`check_axioms`, whose verdict ``_is_lia`` caches on
-    first use. So is ``_lattice_fault``, which a ``FuzzyContext`` reads to
-    refuse an order that is not a lattice and ``hasse_covers`` reads to
-    walk a lattice's covers, and so is ``_code``, the encoding of position
-    vectors as ints on which every pointwise meet runs, with
-    ``_imp_codes``, its implication rows as translate tables.
+    non-antisymmetric order with LoadError; whether every other law holds
+    is decided by :func:`_is_lukasiewicz_product`, whose verdict
+    ``_is_lia`` caches on first use. So is ``_lattice_fault``, which a
+    ``FuzzyContext`` reads to refuse an order that is not a lattice and
+    ``hasse_covers`` reads to walk a lattice's covers, and so is ``_code``,
+    the encoding of position vectors as ints on which every pointwise meet
+    runs, with ``_imp_codes``, its implication rows as translate tables.
 
     Algebras are immutable after construction and every operation is a pure
     function (the cached verdicts are too), so instances may be shared freely
@@ -172,18 +173,12 @@ class Algebra:
 
     @cached_property
     def _is_lia(self) -> bool:
-        """Whether the algebra is shown to be a lattice implication algebra:
-        :func:`check_axioms` passes within ``DEFAULT_AXIOM_BUDGET``
-        (128 elements), the budget of the CLI check too, either by
-        certifying it as a renamed product of Lukasiewicz chains or by the
-        exhaustive law check. An algebra over that budget counts as not
-        shown.
+        """Whether the algebra is a lattice implication algebra, at any
+        size: :func:`_is_lukasiewicz_product` certifies it, which it does
+        exactly when :func:`check_axioms` passes.
         Computed once, on first use; products are LIAs by construction and
-        skip the check."""
-        try:
-            return check_axioms(self).passed
-        except BudgetError:
-            return False
+        skip the certificate."""
+        return _is_lukasiewicz_product(self)
 
     @cached_property
     def _lattice_fault(self) -> str | None:
@@ -700,11 +695,11 @@ def load_table_algebra(text: str, source: str | None = None) -> TableAlgebra:
 
 @dataclass
 class AxiomReport:
-    """Outcome of the exhaustive law check.
+    """Outcome of :func:`check_axioms`.
 
-    Each violation is a (law, witness) pair where the witness lists the
-    offending elements in display spelling. ``passed`` holds exactly when no
-    violation was found.
+    A certified algebra has no violations. Each violation is a (law,
+    witness) pair where the witness lists the offending elements in display
+    spelling. ``passed`` holds exactly when no violation was found.
     """
 
     violations: list[tuple[str, tuple[str, ...]]] = field(default_factory=list)
@@ -715,11 +710,13 @@ class AxiomReport:
 
 
 def check_axioms(algebra: Algebra) -> AxiomReport:
-    """Test the laws of a lattice implication algebra. Algebras larger than
-    ``DEFAULT_AXIOM_BUDGET``, read at call time, raise BudgetError. One that
+    """Test the laws of a lattice implication algebra. One that
     :func:`_is_lukasiewicz_product` certifies is isomorphic to a lattice
-    implication algebra and passes untested; every other, one with a
-    missing bound too, gets the exhaustive check over every element tuple:
+    implication algebra and passes untested, at any size. Every other, one
+    with a missing bound too, is not one; larger than
+    ``DEFAULT_AXIOM_BUDGET``, read at call time, it raises BudgetError, and
+    otherwise the exhaustive check over every element tuple names its
+    violations:
     bounded-top/-bottom, meet-/join-defined, neg-involutive, neg-antitone,
     lia-3, lia-5 and the cubic lia-1, lia-6, lia-7, meet-assoc and
     join-assoc. Eight more laws hold on every ``Algebra`` by construction
@@ -747,11 +744,11 @@ def check_axioms(algebra: Algebra) -> AxiomReport:
     work is quadratic plus one replay per violating cell, and the cubic
     work runs in C.
     """
+    if _is_lukasiewicz_product(algebra):
+        return AxiomReport()
     n = len(algebra.elements)
     if n > DEFAULT_AXIOM_BUDGET:
         raise BudgetError(f"{n} elements exceed the axiom-check budget of {DEFAULT_AXIOM_BUDGET}")
-    if _is_lukasiewicz_product(algebra):
-        return AxiomReport()
     name = algebra._spellings
     imp, neg, up, down = algebra._imp, algebra._neg, algebra._up, algebra._down
     els = range(n)
@@ -804,11 +801,13 @@ def _is_lukasiewicz_product(algebra: Algebra) -> bool:
     product of Lukasiewicz chains under a renaming of its elements: a proof,
     by isomorphism and in O(n^2) lookups, that it is a lattice implication
     algebra. Every finite one is such a product (Cignoli, D'Ottaviano and
-    Mundici, 2000, ch. 3), whose factors are the down-sets of the atoms of
-    its Boolean elements (x v neg x = top). The renaming sends x to the
-    ranks of its meets with those atoms, numbered as ``_lukasiewicz`` does;
-    the verdict rests only on the last step, that it is a bijection carrying
-    every ``_imp`` and ``_neg`` entry onto the product's."""
+    Mundici, 2000, ch. 3), so the verdict is exact at any size and is the
+    one ``Algebra._is_lia`` caches. Its factors are the down-sets of the
+    atoms of its Boolean elements (x v neg x = top). The renaming sends x
+    to the ranks of its meets with those atoms, numbered as
+    ``_lukasiewicz`` does; the verdict rests only on the last step, that it
+    is a bijection carrying every ``_imp`` and ``_neg`` entry onto the
+    product's."""
     n, top, neg, down = len(algebra.elements), algebra._top, algebra._neg, algebra._down
     meet, join = algebra._meet, algebra._join
     if any(None in row for row in meet):

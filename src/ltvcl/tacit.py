@@ -17,7 +17,7 @@ module hunts for. ``extend_context`` builds them and ``classify_columns``
 names their sources from one fold over attribute subsets
 (``context._subset_meets``). ``is_congener`` and ``mine`` take the
 congener decision by that one rule, and enumerate the extension only
-where it does not settle the question: on an algebra not shown to be a
+where it does not settle the question: on an algebra that is not a
 lattice implication algebra (see ``Algebra._is_lia``), over an explicit
 domain, or for a non-congener extension, whose witnesses need both
 lattices. Where the rule shows an extension congener, ``is_congener``
@@ -100,7 +100,7 @@ class TheoremCheck:
 class MiningReport:
     """End-to-end mining outcome: the tacit columns and their formulas, the
     per-column checks, the congener verdict, and whether the fast extension
-    agreed with the recomputed lattice concept for concept."""
+    agreed with intents derived independently, concept for concept."""
 
     tacit_attributes: tuple[tuple[str, str], ...]
     theorem_checks: tuple[TheoremCheck, ...]

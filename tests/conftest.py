@@ -109,10 +109,19 @@ def break_contraposition(names, imp, neg, rng):
     return bad
 
 
+def corrupted_tables(alg, seed):
+    """The names and tables of a shuffled copy of ``alg`` with one entry
+    changed by ``break_contraposition``: its order is ``alg``'s, but it is
+    not a lattice implication algebra."""
+    rng = random.Random(seed)
+    names, imp, neg, _ = shuffled_tables(alg, rng)
+    return names, break_contraposition(names, imp, neg, rng), neg
+
+
 # Every algebra but chain5 is a lattice implication algebra, on which
 # enumeration closes each image of the fold once and checks no fixpoint;
 # chain5 fails the axioms and keeps the check. The seeded-order table is a
-# shuffled copy of a product, so its gate runs check_axioms.
+# shuffled copy of a product, so its gate runs the certificate.
 ALGEBRAS = {
     "product 3 2": lambda: ProductAlgebra([3, 2]),
     "product 2 2": lambda: ProductAlgebra([2, 2]),

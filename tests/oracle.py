@@ -22,10 +22,10 @@ operation tables. ``reference_extend_context``,
 ``reference_classify_columns``, ``reference_extend_concepts_fast``,
 ``reference_is_congener`` and ``reference_mine`` are the tacit layer as
 it ran on truth values, before it built columns and intents on element
-positions, searched a column's upper set and decided congener by
-membership of every new column in the base lattice: extension, classification and the fast extension
-fold ``Algebra.meet`` row by row from top, and congener verdicts always
-come from enumerating the extension.
+positions, searched a column's upper set and decided congener by the
+closure rule on every new column: extension, classification and the
+fast extension fold ``Algebra.meet`` row by row from top, and congener
+verdicts always come from enumerating the extension.
 ``reference_export_json`` is ``galois.export_json`` as it built the
 document and handed it to ``json.dumps(doc, indent=2)``, before it wrote
 that layout itself.

@@ -11,7 +11,7 @@ import ltvcl.context
 from ltvcl import ConceptLattice, ProductAlgebra, enumerate_concepts
 from ltvcl.cli import main
 from ltvcl.galois import INTENT_SCAN
-from conftest import DATA_DIR
+from conftest import DATA_DIR, corrupted_tables
 
 REPO = DATA_DIR.parent
 GOLDENS = REPO / "tests" / "goldens"
@@ -44,6 +44,8 @@ GOLDEN_RUNS = [
     ("algebra_product_3_3_3", "algebra --product 3 3 3 --check-axioms --show-tables", 0, ()),
     # 72 elements, over the former axiom budget of 64
     ("algebra_product_3_3_2_2_2", "algebra --product 3 3 2 2 2 --check-axioms", 0, ()),
+    # 162 elements, over the axiom budget: certified, so it passes
+    ("algebra_product_3_3_3_3_2", "algebra --product 3 3 3 3 2 --check-axioms", 0, ()),
     ("algebra_chain5", "algebra --table data/chain5.lia --check-axioms", 1, ()),
     # a corrupted 16-element table: its 311 violations overflow the printed
     # ten into the "... and N more" line
@@ -135,9 +137,18 @@ class TestAlgebraCommand:
         assert main(["algebra", "--product", "30", "30", "30"]) == 2
         assert "over the limit of 512" in capsys.readouterr().err
 
-    def test_product_over_the_axiom_budget(self, capsys):
-        # the check runs before anything is printed
-        assert main(["algebra", "--product", "3", "3", "3", "3", "2", "--check-axioms"]) == 2
+    def test_product_over_the_axiom_budget(self, capsys, tmp_path):
+        # a one-entry corruption of a shuffled 162-element product: the
+        # certificate refuses it and the law check is over the budget,
+        # which is found before anything is printed
+        names, imp, neg = corrupted_tables(ProductAlgebra([3, 3, 3, 3, 2]), 162)
+        path = tmp_path / "corrupted.lia"
+        path.write_text("\n".join([
+            "elements " + " ".join(names),
+            *(f"imp {x} " + " ".join(imp[x, y] for y in names) for x in names),
+            *(f"neg {x} {neg[x]}" for x in names),
+        ]) + "\n", encoding="utf-8")
+        assert main(["algebra", "--table", str(path), "--check-axioms"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert "162 elements exceed the axiom-check budget of 128" in err

@@ -26,6 +26,7 @@ from conftest import (
     WIDE_ALGEBRAS,
     append_column,
     break_contraposition,
+    corrupted_tables,
     load_context,
     random_context,
     shuffled_table,
@@ -205,7 +206,7 @@ def test_gate_checks_tables_between_64_elements_and_the_axiom_budget(monkeypatch
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_gate_rejects_a_corrupted_table_over_the_cli_axiom_budget(monkeypatch, engine):
+def test_gate_rejects_a_corrupted_table_within_the_axiom_budget(monkeypatch, engine):
     rng = random.Random(72)
     names, imp, neg, _ = shuffled_tables(ProductAlgebra([3, 3, 2, 2, 2]), rng)
     table = TableAlgebra(names, break_contraposition(names, imp, neg, rng), neg)
@@ -216,18 +217,18 @@ def test_gate_rejects_a_corrupted_table_over_the_cli_axiom_budget(monkeypatch, e
     assert len(lattice) < calls()
 
 
-def test_gate_is_off_for_tables_over_the_axiom_budget(monkeypatch):
-    # a shuffled copy of a 162-element LIA: check_axioms refuses it, so it
-    # is not shown to be one; enumeration keeps its fixpoint check and
-    # is_congener enumerates a congener extension, and both agree with the
-    # product, on which the gate is on
+def test_gate_certifies_tables_over_the_axiom_budget(monkeypatch):
+    # a shuffled copy of a 162-element LIA, over the axiom-check budget: the
+    # certificate shows it is one, so enumeration closes one image per
+    # concept and is_congener enumerates nothing, and both agree with the
+    # product; its one-entry corruption is refused, keeps the fixpoint
+    # check and enumerates the extension
     product = ProductAlgebra([3, 3, 3, 3, 2])
     table, rename = shuffled_table(product, 162)
+    corrupted = TableAlgebra(*corrupted_tables(product, 162))
     assert len(table.elements) > lia.DEFAULT_AXIOM_BUDGET
-    assert table._is_lia is False
-    base = random_context(random.Random(162), table, 2, 2)
-    meet = tuple(table.meet(*row) for row in base.rows)
-    ext = append_column(base, "x", meet)
+    assert table._is_lia is True
+    assert corrupted._is_lia is False
     back = {y: x for x, y in rename.items()}
 
     def over_product(context):
@@ -242,35 +243,48 @@ def test_gate_is_off_for_tables_over_the_axiom_budget(monkeypatch):
 
     monkeypatch.setattr(tacit, "enumerate_concepts", counting)
     calls = count_derivations(monkeypatch)
-    for engine in ENGINES:
-        before = calls()
-        lattice = enumerate_concepts(base, engine, domain=FULL_DOMAIN)
-        assert len(lattice) < calls() - before
-        product_lattice = enumerate_concepts(over_product(base), engine, domain=FULL_DOMAIN)
-        assert len(product_lattice) == len(lattice)
-        enumerated.clear()
-        report = is_congener(base, ext, engine=engine, domain=FULL_DOMAIN, budget=10**7)
-        assert enumerated == [base, ext]
-        assert report.is_congener
-        assert report == is_congener(
-            over_product(base), over_product(ext), engine=engine, domain=FULL_DOMAIN, budget=10**7
-        )
+    for algebra in (table, corrupted):
+        base = random_context(random.Random(162), algebra, 2, 2)
+        ext = append_column(base, "x", tuple(algebra.meet(*row) for row in base.rows))
+        for engine in ENGINES:
+            before = calls()
+            lattice = enumerate_concepts(base, engine, domain=FULL_DOMAIN)
+            derivations = calls() - before
+            enumerated.clear()
+            report = is_congener(base, ext, engine=engine, domain=FULL_DOMAIN, budget=10**7)
+            if algebra is corrupted:
+                assert len(lattice) < derivations
+                assert enumerated == [base, ext]
+                continue
+            assert derivations == len(lattice)
+            assert enumerated == []
+            product_lattice = enumerate_concepts(over_product(base), engine, domain=FULL_DOMAIN)
+            renamed = {tuple(back[v] for v in c.extent.values + c.intent.values) for c in lattice}
+            assert renamed == {c.extent.values + c.intent.values for c in product_lattice}
+            assert report.is_congener
+            assert report == is_congener(
+                over_product(base), over_product(ext), engine=engine, domain=FULL_DOMAIN,
+                budget=10**7,
+            )
 
 
 @pytest.mark.parametrize("name", ["bool2", "seeded-order"])
 def test_table_gate_checks_the_axioms_once(name, monkeypatch):
+    # the gate runs the certificate once and never the law check
     algebra = ALGEBRAS[name]()
     assert "_is_lia" not in vars(algebra)
-    checked = []
-    check_axioms = lia.check_axioms
+    calls = {"_is_lukasiewicz_product": [], "check_axioms": []}
 
-    def counted(*args, **kwargs):
-        checked.append(args[0])
-        return check_axioms(*args, **kwargs)
+    def counted(function):
+        def wrapper(*args, **kwargs):
+            calls[function.__name__].append(args[0])
+            return function(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(lia, "check_axioms", counted)
+    for function in calls:
+        monkeypatch.setattr(lia, function, counted(getattr(lia, function)))
     context = random_context(random.Random(name), algebra, 2, 2)
     for engine in ENGINES:
         enumerate_concepts(context, engine, domain=FULL_DOMAIN)
-    assert checked == [algebra]
+    assert calls == {"_is_lukasiewicz_product": [algebra], "check_axioms": []}
     assert vars(algebra)["_is_lia"] is True

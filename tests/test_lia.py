@@ -33,6 +33,7 @@ from conftest import (
     NON_LATTICE,
     WIDE_ALGEBRAS,
     break_contraposition,
+    corrupted_tables,
     shuffled_table,
     shuffled_tables,
 )
@@ -402,13 +403,20 @@ class TestAxiomChecker:
         assert report.passed
 
     def test_budget_guard(self, monkeypatch):
+        # the budget bounds the law check alone: a certified algebra passes
+        # at any size, and one the certificate refuses raises over it
+        assert check_axioms(ProductAlgebra([5, 26])).passed
         with pytest.raises(BudgetError, match="130 elements exceed the axiom-check budget of 128"):
-            check_axioms(ProductAlgebra([5, 26]))
+            check_axioms(TableAlgebra(*corrupted_tables(ProductAlgebra([5, 26]), 130)))
         assert check_axioms(ProductAlgebra([4, 4, 4])).passed
         assert check_axioms(ProductAlgebra([2] * 7)).passed
         # the budget is read at call time and is inclusive
+        corrupted = TableAlgebra(*corrupted_tables(ProductAlgebra([3, 3]), 9))
         monkeypatch.setattr(lia, "DEFAULT_AXIOM_BUDGET", 9)
-        assert check_axioms(ProductAlgebra([3, 3])).passed
+        assert not check_axioms(corrupted).passed
+        monkeypatch.setattr(lia, "DEFAULT_AXIOM_BUDGET", 8)
+        with pytest.raises(BudgetError, match="9 elements exceed the axiom-check budget of 8"):
+            check_axioms(corrupted)
 
     def test_matches_the_reference_check(self, monkeypatch):
         # shuffled table copies of products with a few corrupted entries:
@@ -631,6 +639,29 @@ class TestLukasiewiczCertificate:
             assert not check_axioms(table).passed
             seen["imp" if bad_neg is neg else "neg"] += 1
         assert seen["imp"] and seen["neg"], seen
+
+    @pytest.mark.parametrize("name", [*sorted(ALGEBRAS), *sorted(WIDE_ALGEBRAS),
+                                      *sorted(p.name for p in DATA_DIR.glob("*.lia"))])
+    def test_the_gate_agrees_with_the_checker(self, name):
+        build = {**ALGEBRAS, **WIDE_ALGEBRAS}.get(
+            name, lambda: load_table_algebra((DATA_DIR / name).read_text(encoding="utf-8")))
+        assert build()._is_lia is check_axioms(build()).passed
+
+    @pytest.mark.parametrize("sizes", [[3, 3, 3, 3, 2], [4, 4, 4, 4]])
+    def test_tables_over_the_budget_are_decided(self, sizes):
+        # 162 and 256 elements: a shuffled copy is certified and passes;
+        # its one-entry corruption is refused, and the law check it would
+        # need is over the budget
+        product = ProductAlgebra(sizes)
+        n = len(product.elements)
+        assert n > lia.DEFAULT_AXIOM_BUDGET
+        copy = shuffled_table(product, n)[0]
+        assert copy._is_lia is True
+        assert check_axioms(copy).passed
+        corrupted = TableAlgebra(*corrupted_tables(product, n))
+        assert corrupted._is_lia is False
+        with pytest.raises(BudgetError, match=f"{n} elements exceed the axiom-check budget"):
+            check_axioms(corrupted)
 
     def test_the_one_element_table_is_certified(self):
         one = TableAlgebra(["o"], {("o", "o"): "o"}, {"o": "o"})

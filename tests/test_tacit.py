@@ -393,7 +393,7 @@ class TestClosureTest:
     def test_a_wrong_fast_extension_is_caught(self, demo, enumerations, monkeypatch, explicit):
         # one flipped intent component in one concept of the fast extension
         # fails the concept-by-concept check, on the closure path and on the
-        # enumeration path (an explicit domain gates the membership test off)
+        # enumeration path (an explicit domain gates the closure rule off)
         real = tacit.extend_concepts_fast
 
         def flipped(base_lattice, extended, **kwargs):
@@ -420,8 +420,8 @@ class TestClosureTest:
 
     def test_congener_answer_needs_no_extension_budget(self):
         # deliberate change: enumerating the extension raised BudgetError
-        # ("intent scan needs 134217728 candidates"); membership in the base
-        # lattice answers from the 2^10-candidate base scan
+        # ("intent scan needs 134217728 candidates"); the closure rule
+        # answers from the 2^10-candidate base scan
         base = _crisp_context(self.BUDGET_SEED, 7, 10)
         ext = extend_context(base, ExtensionConfig(max_meet_arity=4))
         assert len(ext.attributes) == 27

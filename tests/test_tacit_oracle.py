@@ -192,7 +192,7 @@ def test_mining_matches_the_oracle(name):
         for config in case_configs:
             extended = extend_context(context, config)
             assert extended == reference_extend_context(context, config)
-            # an explicit domain gates the membership test off: mine enumerates
+            # an explicit domain gates the closure rule off: mine enumerates
             # the extension and checks the fast path against its intents
             for domain in (*DOMAINS, algebra.elements):
                 for engine in ENGINES:
@@ -303,7 +303,7 @@ def test_gated_off_on_algebras_that_fail_the_axioms(name, monkeypatch):
                     reference_is_congener, base, ext, engine=engine, domain=domain, budget=BUDGET
                 )
                 if got[0] == "ok":
-                    # the extension was enumerated: the membership test is off
+                    # the extension was enumerated: the closure rule is off
                     assert enumerated[:2] == [base, ext]
         for config in configs(rng):
             assert outcome(extend_context, base, config) == outcome(
