@@ -19,7 +19,9 @@ the tables:
   algebra is a product of Lukasiewicz chains, so a table is one exactly
   when it is such a product under a renaming of its elements.
   :func:`check_axioms` passes what the certificate proves and runs the
-  exhaustive law check, within a budget, only to name what fails.
+  exhaustive law check, within a budget, only to name what fails: each
+  law is evaluated once, the cubic ones in one pass of ``bytes.translate``
+  kernels whose differing cells are the violations.
 
 From the implication the algebra derives the rest once, at construction:
 top is the common value of the diagonal, x <= y iff imp(x, y) = top, and
@@ -45,7 +47,7 @@ from .errors import BudgetError, DimensionError, LoadError, StructureError
 
 # the element budget of check_axioms' exhaustive law check, which runs only
 # on an algebra the Lukasiewicz certificate does not prove; it also keeps
-# every position and the screen's sentinel in one byte
+# every position and the cubic pass's missing-bound sentinel in one byte
 DEFAULT_AXIOM_BUDGET = 128
 # Products build every table eagerly, about n^2 entries each; larger
 # products raise BudgetError instead of exhausting time and memory.
@@ -732,17 +734,15 @@ def check_axioms(algebra: Algebra) -> AxiomReport:
     ``join-defined`` and is skipped for both operations by every later law.
     Every violating instance is reported with a witness tuple of spellings.
 
-    The five cubic laws (lia-1, lia-6, lia-7, meet-assoc, join-assoc) take
-    one path, on every table. A screen compares the two sides of each law
-    row by row over x, over all (y, z) at once, with ``bytes.translate``
-    kernels in which a missing bound is a sentinel position (see
-    :func:`_flagged_cells`). It returns the cells (y, z) where both sides
-    of some law are defined and differ, which are exactly the cells that
-    hold a violation. Only those cells replay the exact per-cell checks, in
-    (y, z) order and with the laws in the order above, so the violations
-    and their order are those of a loop over every (x, y, z). The Python
-    work is quadratic plus one replay per violating cell, and the cubic
-    work runs in C.
+    The five cubic laws (lia-1, lia-6, lia-7, meet-assoc, join-assoc) are
+    evaluated once, on every table, by :func:`_cubic_violations`: per x it
+    compares the two sides of each law over all (y, z) at once with
+    ``bytes.translate`` kernels in which a missing bound is a sentinel
+    position, and hands back each cell where both sides are defined and
+    differ, with the law. Those are exactly the violations, in (y, z) order
+    and with the laws in the order above, as a loop over every (x, y, z)
+    finds them. The Python work is quadratic plus one append per
+    violation, and the cubic work runs in C.
     """
     if _is_lukasiewicz_product(algebra):
         return AxiomReport()
@@ -788,10 +788,8 @@ def check_axioms(algebra: Algebra) -> AxiomReport:
         if imp[imp[x][y]][y] != imp[imp[y][x]][x]:
             bad.append(("lia-5", (name[x], name[y])))
 
-    # the cubic laws: the screen flags the cells (x, y, z) where some law
-    # fails, and only those are replayed, for their witnesses in order
-    for x, cells in _flagged_cells(imp, meet, join):
-        _cubic_cells(x, cells, imp, meet, join, name, bad)
+    for law, x, y, z in _cubic_violations(imp, meet, join):
+        bad.append((law, (name[x], name[y], name[z])))
 
     return report
 
@@ -837,37 +835,37 @@ def _is_lukasiewicz_product(algebra: Algebra) -> bool:
     )
 
 
-def _flagged_cells(imp, meet, join) -> Iterator[tuple[int, list[int]]]:
-    """Per row x, ascending, the cells y * n + z, ascending, at which lia-1,
-    lia-6, lia-7, meet-assoc or join-assoc has two defined sides that
-    differ, given the position tables of n elements, with None where a pair
-    has no bound. Rows without such a cell are left out.
+def _cubic_violations(imp, meet, join) -> Iterator[tuple[str, int, int, int]]:
+    """Each (law, x, y, z) at which lia-1, lia-6, lia-7, meet-assoc or
+    join-assoc has two defined sides that differ, given the position tables
+    of n elements, with None where a pair has no bound: x ascending, then
+    y * n + z ascending, then the laws in that order.
 
     None is encoded as the sentinel position n, so n < 256 is needed for a
     position to fit a byte; :func:`check_axioms` holds n to
-    ``DEFAULT_AXIOM_BUDGET`` (128) before the screen runs. Every row of the
+    ``DEFAULT_AXIOM_BUDGET`` (128) before this runs. Every row of the
     three tables and every implication column is built once as ``bytes``
     (``rows_i``, ``rows_m``, ``rows_j``, ``cols``), and once more padded
     with the sentinel to 256 bytes as a ``bytes.translate`` table (``ti``,
     ``tm``, ``tj``, ``tc``). So ``b.translate(tm[a])`` is the meet of a with
     each position in b, computed in C, and a sentinel in b yields the
-    sentinel. Per x the screen compares, over all (y, z) at once:
+    sentinel. Per x each law's two sides are compared over all (y, z) at
+    once:
 
     - lia-1, x -> (y -> z) against y -> (x -> z), row by row:
       ``all_i.translate(ti[x])`` with ``ix.translate(ti[y])`` over y;
-    - meet-assoc, x ^ (y ^ z) against (x ^ y) ^ z, row by row:
-      ``all_m.translate(tm[x])`` with ``rows_m[meet[x][y]]`` over y, a row
-      of sentinels where meet[x][y] is missing, and join-assoc the same on
-      the join tables;
     - lia-6, (x -> z) ^ (y -> z) against (x v y) -> z, column by column:
       ``cols[z].translate(tm[imp[x][z]])`` with
       ``rows_j[x].translate(tc[z])`` over z, and lia-7 the same with meet
-      and join swapped. Their cells z * n + y are mapped to y * n + z.
+      and join swapped. Their cells z * n + y are mapped to y * n + z;
+    - meet-assoc, x ^ (y ^ z) against (x ^ y) ^ z, row by row:
+      ``all_m.translate(tm[x])`` with ``rows_m[meet[x][y]]`` over y, a row
+      of sentinels where meet[x][y] is missing, and join-assoc the same on
+      the join tables.
 
-    A side is the sentinel exactly when it reads a missing bound, which is
-    where the exact check skips the law, so a cell is flagged only where
-    both sides of a law are defined and differ: exactly the cells that
-    hold a violation, on every table.
+    A side is the sentinel exactly when it reads a missing bound, where the
+    law does not apply, so a cell is reported only where both sides of a
+    law are defined and differ: exactly the violations, on every table.
     """
     n = len(imp)
     rows_i = [bytes(row) for row in imp]
@@ -882,23 +880,23 @@ def _flagged_cells(imp, meet, join) -> Iterator[tuple[int, list[int]]]:
     # row lookups that read the sentinel row where x ^ y or x v y is missing
     meet_row, join_row = ((rows + [bytes([n]) * n]).__getitem__ for rows in (rows_m, rows_j))
     for x, (ix, mx, jx) in enumerate(zip(rows_i, rows_m, rows_j)):
-        by_row = (
-            (all_i.translate(ti[x]), b"".join(map(ix.translate, ti))),
-            (all_m.translate(tm[x]), b"".join(map(meet_row, mx))),
-            (all_j.translate(tj[x]), b"".join(map(join_row, jx))),
-        )
-        by_column = (
-            (b"".join(map(bytes.translate, cols, map(tm.__getitem__, ix))),
+        laws = (  # (law, cells in z * n + y order, one side, the other)
+            ("lia-1", False, all_i.translate(ti[x]), b"".join(map(ix.translate, ti))),
+            ("lia-6", True, b"".join(map(bytes.translate, cols, map(tm.__getitem__, ix))),
              b"".join(map(jx.translate, tc))),
-            (b"".join(map(bytes.translate, cols, map(tj.__getitem__, ix))),
+            ("lia-7", True, b"".join(map(bytes.translate, cols, map(tj.__getitem__, ix))),
              b"".join(map(mx.translate, tc))),
+            ("meet-assoc", False, all_m.translate(tm[x]), b"".join(map(meet_row, mx))),
+            ("join-assoc", False, all_j.translate(tj[x]), b"".join(map(join_row, jx))),
         )
-        cells = {i for a, b in by_row if a != b for i in _differences(a, b, defined)}
-        cells.update(
-            i % n * n + i // n for a, b in by_column if a != b for i in _differences(a, b, defined)
+        found = sorted(
+            (i % n * n + i // n if z_major else i, k, law)
+            for k, (law, z_major, a, b) in enumerate(laws)
+            if a != b
+            for i in _differences(a, b, defined)
         )
-        if cells:
-            yield x, sorted(cells)
+        for cell, _, law in found:
+            yield law, x, *divmod(cell, n)
 
 
 def _differences(a: bytes, b: bytes, defined: bytes) -> Iterator[int]:
@@ -909,30 +907,3 @@ def _differences(a: bytes, b: bytes, defined: bytes) -> Iterator[int]:
     diff = word(a, "little") ^ word(b, "little")
     diff &= word(a.translate(defined), "little") & word(b.translate(defined), "little")
     return (match.start() for match in _NONZERO_BYTE.finditer(diff.to_bytes(len(a), "little")))
-
-
-def _cubic_cells(x: int, cells: Iterable[int], imp, meet, join, name, bad: list) -> None:
-    """Append the violations of the cubic laws at (x, y, z) for each cell
-    y * n + z, in the order given, to ``bad``; pairs without a bound are
-    skipped."""
-    n = len(imp)
-    imp_x, meet_x, join_x = imp[x], meet[x], join[x]
-    for y, z in (divmod(cell, n) for cell in cells):
-        imp_y, meet_y, join_y = imp[y], meet[y], join[y]
-        mxy, jxy = meet_x[y], join_x[y]
-        xz, yz = imp_x[z], imp_y[z]
-        if imp_x[yz] != imp_y[xz]:
-            bad.append(("lia-1", (name[x], name[y], name[z])))
-        if jxy is not None and meet[xz][yz] is not None and imp[jxy][z] != meet[xz][yz]:
-            bad.append(("lia-6", (name[x], name[y], name[z])))
-        if mxy is not None and join[xz][yz] is not None and imp[mxy][z] != join[xz][yz]:
-            bad.append(("lia-7", (name[x], name[y], name[z])))
-        myz, jyz = meet_y[z], join_y[z]
-        if mxy is not None and myz is not None:
-            left, right = meet_x[myz], meet[mxy][z]
-            if left is not None and right is not None and left != right:
-                bad.append(("meet-assoc", (name[x], name[y], name[z])))
-        if jxy is not None and jyz is not None:
-            left, right = join_x[jyz], join[jxy][z]
-            if left is not None and right is not None and left != right:
-                bad.append(("join-assoc", (name[x], name[y], name[z])))

@@ -10,7 +10,11 @@ became a deduplicated fold. ``reference_check_axioms`` is the law check
 ``lia.check_axioms`` ran through the public operations before it read the
 position tables directly and before it certified Lukasiewicz products;
 it still tests the eight laws that ``check_axioms`` leaves out because
-every ``Algebra`` satisfies them by construction. It reads the library's
+every ``Algebra`` satisfies them by construction.
+``reference_cubic_violations`` is the exact per-cell check of the five
+cubic laws that ``check_axioms`` ran on position tables, replaying the
+cells its screen flagged, before the screen itself named the violations.
+``reference_check_axioms`` reads the library's
 own meet and join tables, through ``meet`` and ``join``, so
 ``reference_bound_table`` checks those tables against the definition: the
 greatest common lower (or least common upper) bound of each pair, by
@@ -392,6 +396,36 @@ def reference_check_axioms(algebra: Algebra, element_budget: int = DEFAULT_AXIOM
                 bad.append(("join-assoc", witness))
 
     return report
+
+
+def reference_cubic_violations(imp, meet, join, names) -> list[tuple[str, tuple[str, ...]]]:
+    """The violations of lia-1, lia-6, lia-7, meet-assoc and join-assoc,
+    cell by cell over every (x, y, z) of the position tables ``imp``,
+    ``meet`` and ``join`` (None where a pair has no bound, and the law is
+    skipped), with witnesses spelled by ``names``, in the order that loop
+    finds them."""
+    n = len(imp)
+    bad = []
+    for x, y, z in itertools.product(range(n), repeat=3):
+        witness = (names[x], names[y], names[z])
+        mxy, jxy = meet[x][y], join[x][y]
+        xz, yz = imp[x][z], imp[y][z]
+        if imp[x][yz] != imp[y][xz]:
+            bad.append(("lia-1", witness))
+        if jxy is not None and meet[xz][yz] is not None and imp[jxy][z] != meet[xz][yz]:
+            bad.append(("lia-6", witness))
+        if mxy is not None and join[xz][yz] is not None and imp[mxy][z] != join[xz][yz]:
+            bad.append(("lia-7", witness))
+        myz, jyz = meet[y][z], join[y][z]
+        if mxy is not None and myz is not None:
+            left, right = meet[x][myz], meet[mxy][z]
+            if left is not None and right is not None and left != right:
+                bad.append(("meet-assoc", witness))
+        if jxy is not None and jyz is not None:
+            left, right = join[x][jyz], join[jxy][z]
+            if left is not None and right is not None and left != right:
+                bad.append(("join-assoc", witness))
+    return bad
 
 
 def reference_bound_table(algebra: Algebra, upper: bool = False):

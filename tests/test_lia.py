@@ -37,7 +37,12 @@ from conftest import (
     shuffled_table,
     shuffled_tables,
 )
-from oracle import reference_bound_table, reference_check_axioms, reference_generated_subalgebra
+from oracle import (
+    reference_bound_table,
+    reference_check_axioms,
+    reference_cubic_violations,
+    reference_generated_subalgebra,
+)
 
 L6 = default_algebra()
 
@@ -418,18 +423,10 @@ class TestAxiomChecker:
         with pytest.raises(BudgetError, match="9 elements exceed the axiom-check budget of 8"):
             check_axioms(corrupted)
 
-    def test_matches_the_reference_check(self, monkeypatch):
+    def test_matches_the_reference_check(self):
         # shuffled table copies of products with a few corrupted entries:
         # the violation lists, witnesses and their order included, must be
         # those of the check that ran through the public operations
-        replayed = []
-        cubic_cells = lia._cubic_cells
-
-        def recorded(x, cells, *args):
-            replayed.append((x, cells))
-            return cubic_cells(x, cells, *args)
-
-        monkeypatch.setattr(lia, "_cubic_cells", recorded)
         rng = random.Random(2012)
         cases = []
         for _ in range(200):
@@ -447,7 +444,6 @@ class TestAxiomChecker:
             cases.append((names, break_contraposition(names, imp, neg, rng), neg))
         outcomes = Counter()
         for case, (names, imp, neg) in enumerate(cases):
-            replayed.clear()
             try:
                 table = TableAlgebra(names, imp, neg)
             except LoadError:
@@ -459,22 +455,14 @@ class TestAxiomChecker:
             outcomes["fail" if violations else "pass"] += 1
             outcomes["undefined-bound"] += bool(laws & {"meet-defined", "join-defined"})
             outcomes["unbounded"] += bool(laws & {"bounded-top", "bounded-bottom"})
-            # the screen flags, and the replay visits in order, exactly the
-            # cells (x, y * n + z) that hold a cubic violation, on tables
-            # with a missing bound too
-            n = len(names)
-            cells = [(x, cell) for x, row in replayed for cell in row]
-            cubic = sorted({
-                (names.index(x), names.index(y) * n + names.index(z))
-                for _, (x, y, z) in (v for v in violations if len(v[1]) == 3)
-            })
-            assert cells == cubic, case
-            outcomes["replayed"] += len(cells)
-            outcomes["skipped"] += n ** 3 - len(cells)
+            # cubic violations, on tables with a missing bound too, where
+            # the sentinel masks the cells that read it
+            cubic = sum(len(witness) == 3 for _, witness in violations)
+            outcomes["cubic"] += cubic
             if laws & {"meet-defined", "join-defined"}:
-                outcomes["replayed-with-undefined-bound"] += len(cells)
-        kinds = ("pass", "fail", "undefined-bound", "unbounded", "replayed", "skipped",
-                 "replayed-with-undefined-bound")
+                outcomes["cubic-with-undefined-bound"] += cubic
+        kinds = ("pass", "fail", "undefined-bound", "unbounded", "cubic",
+                 "cubic-with-undefined-bound")
         assert all(outcomes[k] for k in kinds), outcomes
 
 
@@ -521,36 +509,34 @@ class TestAxiomChecker:
     def test_screen_flags_exactly_the_cells_with_cubic_violations(self, sizes):
         # one entry of the implication, meet or join table of a product
         # changed at random, so that each law in turn is the only one to
-        # fail on some cell: the screen must flag the cells (x, y, z) where
-        # the exact check finds a violation, and no other. Every other
-        # trial also puts None, a missing bound, into a meet or join cell,
-        # which the exact check skips and the screen must not flag
+        # fail on some cell: the cubic pass must name the violations the
+        # exact per-cell check finds, laws, witnesses and order included,
+        # and no other. Every other trial also puts None, a missing bound,
+        # into a meet or join cell, which the exact check skips and the
+        # pass must not report
         alg = ProductAlgebra(sizes)
         n = len(alg.elements)
         rng = random.Random(n)
-        position = {spelling: i for i, spelling in enumerate(alg._spellings)}
+        names = alg._spellings
         for trial in range(100):
             tables = [[list(row) for row in table] for table in (alg._imp, alg._meet, alg._join)]
             rng.choice(tables)[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
             if trial % 2:
                 rng.choice(tables[1:])[rng.randrange(n)][rng.randrange(n)] = None
             imp, meet, join = tables
-            bad = []
-            for x in range(n):
-                lia._cubic_cells(x, range(n * n), imp, meet, join, alg._spellings, bad)
-            violating = sorted({
-                (position[x], position[y] * n + position[z]) for _, (x, y, z) in bad
-            })
-            flagged = [(x, cell) for x, cells in lia._flagged_cells(imp, meet, join) for cell in cells]
-            assert flagged == violating, trial
+            found = [
+                (law, (names[x], names[y], names[z]))
+                for law, x, y, z in lia._cubic_violations(imp, meet, join)
+            ]
+            assert found == reference_cubic_violations(imp, meet, join, names), trial
 
     def test_the_budget_keeps_every_position_in_a_byte(self):
-        # the screen encodes positions and the missing-bound sentinel n as
-        # single bytes, and check_axioms applies the budget before it runs
+        # the cubic pass encodes positions and the missing-bound sentinel n
+        # as single bytes, and check_axioms applies the budget before it runs
         assert lia.DEFAULT_AXIOM_BUDGET < 256, (
-            "a budget of 256 elements or more breaks check_axioms' screen, "
-            "lia._flagged_cells, which holds every position and the sentinel "
-            "n in one byte: widen the screen before lifting the budget"
+            "a budget of 256 elements or more breaks check_axioms' cubic pass, "
+            "lia._cubic_violations, which holds every position and the sentinel "
+            "n in one byte: widen its kernels before lifting the budget"
         )
 
 
