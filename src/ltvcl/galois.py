@@ -32,6 +32,17 @@ extent value, read from the algebra's order bitmasks, and its covers are
 walked one edge at a time where the order allows it (see
 ``lia._cover_pairs``).
 
+Every finite lattice implication algebra is a product of Lukasiewicz
+chains. Over one of two or more chains and at most 256 elements, a scan of
+the whole algebra is factored: implication and meet act coordinatewise, so
+the concept lattice is the product of the lattices of the context's
+projections onto the chains. Each projection is enumerated as above, over
+its chain, and the product's concepts are assembled from theirs by adding
+position vectors, its covers from theirs by index arithmetic (see
+``enumerate_concepts`` and ``ConceptLattice.covers``). One chain, a domain
+missing an element, a larger algebra and an algebra that is not a lattice
+implication algebra are scanned unfactored.
+
 A scan needs a value domain. ``"generated"`` (the default) ranges over the
 subalgebra generated by the values actually present in the context, which
 is where a context's arithmetic lives; ``"full"`` ranges over every element
@@ -43,13 +54,14 @@ fold stands for, each distinct value counted once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator
 
 from .context import FuzzyContext
 from .errors import BudgetError, DimensionError, MembershipError, StructureError
-from .lia import TruthValue, _bits, _cover_pairs
+from .lia import ProductAlgebra, TruthValue, _bits, _cover_pairs
 
 OBJECTS = "objects"
 ATTRIBUTES = "attributes"
@@ -195,8 +207,12 @@ class ConceptLattice:
     position tuples when it is built, so a value outside the algebra, or a
     set of the wrong side or length, raises DimensionError there. Both
     constructors sort the tuples the same way (``_arrange``), and either
-    lattice builds its ``Concept``s on first use.
+    lattice builds its ``Concept``s on first use. A factored enumeration
+    assembles its lattice from the lattices of its factors
+    (``_from_factors``) in the same order, and keeps them for ``covers``.
     """
+
+    _factors = None  # a factored lattice's factors, see _from_factors
 
     def __init__(self, context: FuzzyContext, concepts: Iterable[Concept]):
         positions = context.algebra._positions
@@ -218,20 +234,65 @@ class ConceptLattice:
         lattice._arrange(context, pairs)
         return lattice
 
+    @classmethod
+    def _from_factors(
+        cls, context: FuzzyContext, factors: list["ConceptLattice"]
+    ) -> "ConceptLattice":
+        """The lattice of a context over a product of chains of at most 256
+        elements, from the lattices of its factor contexts, one per chain of
+        ``Algebra._chains`` and in that order (see ``_factored``).
+
+        Derivations act coordinatewise, so a pair is a concept exactly when
+        its projection onto every chain is a concept of that chain's factor
+        context: the concepts are the combinations of one concept per
+        factor, numbered with the first factor's index varying fastest. A
+        combination's vectors are the sums of its factor concepts' position
+        vectors scaled by the chains' mixed-radix strides, added as ints of
+        one-byte blocks; a sum is a position in ``ProductAlgebra(sizes)``,
+        below 256, so no block carries into the next. One
+        ``bytes.translate`` takes a sum to element positions, and one more
+        to the ranks ``_arrange`` sorts by, compared in C. The lattice keeps
+        its factors and where each combination landed in canonical order,
+        from which ``covers`` reads its edges."""
+        sizes, perm = context.algebra._chains
+        rank = _ranks(context.algebra)
+        to_element, to_rank = bytearray(256), bytearray(256)
+        for p, q in enumerate(perm):
+            to_element[q], to_rank[q] = p, rank[p]
+        extents, intents, stride = [0], [0], 1
+        for k, factor in zip(sizes, factors):
+            scaled = [
+                [int.from_bytes(bytes([stride * d for d in vector]), "little") for vector in side]
+                for side in (factor._extents, factor._intents)
+            ]
+            extents = [e + f for f in scaled[0] for e in extents]
+            intents = [i + f for f in scaled[1] for i in intents]
+            stride *= k
+        g, m = len(context.objects), len(context.attributes)
+        extents = [e.to_bytes(g, "little") for e in extents]
+        keys = [e.translate(to_rank) for e in extents]
+        order = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
+        where = [0] * len(order)
+        for new, old in enumerate(order):
+            where[old] = new
+        lattice = cls.__new__(cls)
+        lattice.context = context
+        lattice._extents = tuple([tuple(extents[i].translate(to_element)) for i in order])
+        lattice._intents = tuple(
+            [tuple(intents[i].to_bytes(m, "little").translate(to_element)) for i in order]
+        )
+        lattice._factors = (tuple(factors), where)
+        return lattice
+
     def _arrange(self, context: FuzzyContext, pairs: Iterable) -> None:
         """Store the context and the (extent, intent) position pairs in
         canonical order.
 
         The order sorts extents descending lexicographically on their
-        elements' coordinates, read as one integer rank per position:
-        ``rank[p]`` is the place of element p when the elements are sorted
-        by coordinates. Sorting is stable, so equal extents keep their
-        order in ``pairs``."""
-        els = context.algebra.elements
-        rank = [0] * len(els)
-        for r, p in enumerate(sorted(range(len(els)), key=lambda p: els[p].coords)):
-            rank[p] = r
-        at = rank.__getitem__
+        elements' coordinates, read as one integer rank per position (see
+        ``_ranks``). Sorting is stable, so equal extents keep their order in
+        ``pairs``."""
+        at = _ranks(context.algebra).__getitem__
         pairs = sorted(pairs, key=lambda pair: tuple(map(at, pair[0])), reverse=True)
         self.context = context
         self._extents = tuple([extent for extent, _ in pairs])
@@ -343,38 +404,79 @@ class ConceptLattice:
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """Transitive reduction of the order: the Hasse edges, sorted. The
-        pointwise order is transitive, as a context's element order is, and
-        the canonical order lists upper concepts first on products and on
-        tables declared bottom first; then the covers are walked in
-        O(covers) mask operations, otherwise tested pair by pair."""
-        return tuple(_cover_pairs(self._order_masks, True))
+        """Transitive reduction of the order: the Hasse edges, sorted.
+
+        A lattice assembled from factor lattices (``_from_factors``) is
+        ordered as their product, whose covers change one factor's concept
+        along one of that factor's covers and keep the others (Davey and
+        Priestley, *Introduction to Lattices and Order*, 2002, ch. 1): the
+        sum over factors i of e_i times the product of the other factors'
+        sizes, each edge found by index arithmetic and renumbered into
+        canonical order, with no c x c mask built. Otherwise the pointwise
+        order is transitive, as a context's element order is, and the
+        canonical order lists upper concepts first on products and on tables
+        declared bottom first; then the covers are walked in O(covers) mask
+        operations, otherwise tested pair by pair."""
+        if self._factors is None:
+            return tuple(_cover_pairs(self._order_masks, True))
+        factors, where = self._factors
+        n, low, edges = len(where), 1, []
+        scaled = [w * n for w in where]
+        for factor in factors:
+            size = len(factor)
+            # the combinations whose index in this factor is 0
+            offsets = [h + i for h in range(0, n, low * size) for i in range(low)]
+            for a, b in _cover_pairs(factor._order_masks, True):
+                a, b = a * low, b * low
+                edges += [scaled[o + a] + where[o + b] for o in offsets]
+            low *= size
+        edges.sort()
+        return tuple(map(divmod, edges, repeat(n)))
+
+
+def _ranks(algebra) -> list[int]:
+    """Per element position p, the place of element p when the elements
+    are sorted by coordinates: the integer rank the canonical order reads."""
+    els = algebra.elements
+    rank = [0] * len(els)
+    for r, p in enumerate(sorted(range(len(els)), key=lambda p: els[p].coords)):
+        rank[p] = r
+    return rank
+
+
+def _budgeted(context: FuzzyContext, engine: str, values, budget: int) -> set[int]:
+    """The distinct positions of ``values``, once the engine is known and
+    its candidate count is within the budget: an unknown engine raises
+    ValueError, and a count, |distinct values|^|side|, over the budget
+    raises BudgetError naming it."""
+    if engine not in (EXTENT_SCAN, INTENT_SCAN):
+        raise ValueError(f"unknown engine {engine!r}; use 'extent' or 'intent'")
+    side = context.objects if engine == EXTENT_SCAN else context.attributes
+    positions = set(context.algebra._positions(values))
+    count = len(positions) ** len(side)
+    if count > budget:
+        raise BudgetError(
+            f"{engine} scan needs {count} candidates, over the budget of {budget}"
+        )
+    return positions
 
 
 def _images(context: FuzzyContext, engine: str, values, budget: int) -> set[int]:
     """The fold of ``enumerate_concepts``: the set of the distinct encoded
     derivations of every candidate of the engine's side valued in
-    ``values``, one ``&`` per distinct partial vector and domain value.
+    ``values``, one ``&`` per distinct partial vector and domain value,
+    after ``_budgeted``'s checks.
 
-    An unknown engine raises ValueError, and a candidate count,
-    |distinct values|^|side|, over the budget raises BudgetError naming it.
     Over a lattice implication algebra each image is the intent (extent,
     for the intent engine) of exactly one concept, so the set's size is
     the number of concepts.
     """
+    positions = _budgeted(context, engine, values, budget)
     if engine == EXTENT_SCAN:
         masks, width = context.row_masks, len(context.attributes)
-    elif engine == INTENT_SCAN:
-        masks, width = context.column_masks, len(context.objects)
     else:
-        raise ValueError(f"unknown engine {engine!r}; use 'extent' or 'intent'")
+        masks, width = context.column_masks, len(context.objects)
     algebra = context.algebra
-    positions = set(algebra._positions(values))
-    count = len(positions) ** len(masks)
-    if count > budget:
-        raise BudgetError(
-            f"{engine} scan needs {count} candidates, over the budget of {budget}"
-        )
     images = {algebra._code.top(width)}  # S_0; after the loop, S_|masks|
     for line in masks:
         columns = [line[a] for a in positions]
@@ -427,8 +529,57 @@ def enumerate_concepts(
     third derivation, since the image closes to it: at most three per image.
     A domain whose candidate count, |distinct domain values|^|side|,
     exceeds the budget raises BudgetError naming the count.
+
+    Over a lattice implication algebra that is a product of two or more
+    chains (``Algebra._chains``) with at most 256 elements, a domain holding
+    every element is factored (see ``_factored``): the context is projected
+    onto each chain, each projection enumerated as above over its chain,
+    and the product's concepts assembled from theirs, so the fold and the
+    back-derivations run once per factor concept, not per concept, and the
+    covers come from the factors' (see ``ConceptLattice.covers``). The
+    budget is checked first, on the product. One chain, a domain missing an
+    element and an algebra the certificate refuses take the path above.
     """
     values = scan_domain(context, domain)
+    algebra = context.algebra
+    n = len(algebra.elements)
+    if (len(_budgeted(context, engine, values, budget)) == n <= 256
+            and algebra._is_lia and len(algebra._chains[0]) > 1):
+        return _factored(context, engine, budget)
+    return _enumerate(context, engine, values, budget)
+
+
+@cache
+def _chain(size: int) -> ProductAlgebra:
+    """The Lukasiewicz chain of ``size`` elements, built once per size."""
+    return ProductAlgebra([size])
+
+
+def _factored(context: FuzzyContext, engine: str, budget: int) -> ConceptLattice:
+    """The lattice of a context over the whole of a product of chains
+    (``Algebra._chains``) from one enumeration per chain. The factor context
+    of chain i holds, in each cell, digit i of the cell's position in
+    ``ProductAlgebra(sizes)`` in mixed radix, the first chain lowest, as an
+    element of the chain alone; it is enumerated over that chain's every
+    element by the same fold and back-derivation as any context
+    (``_enumerate``), and ``ConceptLattice._from_factors`` assembles the
+    product."""
+    sizes, perm = context.algebra._chains
+    factors, stride = [], 1
+    for k in sizes:
+        chain = _chain(k)
+        value = [chain.elements[q // stride % k] for q in perm]
+        rows = [[value[p] for p in row] for row in context.row_positions]
+        factor = FuzzyContext(chain, context.objects, context.attributes, rows)
+        factors.append(_enumerate(factor, engine, chain.elements, budget))
+        stride *= k
+    return ConceptLattice._from_factors(context, factors)
+
+
+def _enumerate(context: FuzzyContext, engine: str, values, budget: int) -> ConceptLattice:
+    """``enumerate_concepts`` over the resolved domain ``values``, unfactored:
+    the fold, one back-derivation per image and, off a lattice implication
+    algebra, the fixpoint check."""
     images = _images(context, engine, values, budget)
     if engine == EXTENT_SCAN:
         image_side, back = ATTRIBUTES, derive_extent

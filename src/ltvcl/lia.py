@@ -113,8 +113,8 @@ class Algebra:
     and ``_positions`` a vector, and only a value of type ``TruthValue``
     itself is looked up there. It rejects a non-constant diagonal or a
     non-antisymmetric order with LoadError; whether every other law holds
-    is decided by :func:`_is_lukasiewicz_product`, whose verdict
-    ``_is_lia`` caches on first use. So is ``_lattice_fault``, which a
+    is decided by the Lukasiewicz certificate, whose proof ``_chains`` and
+    verdict ``_is_lia`` cache on first use. So is ``_lattice_fault``, which a
     ``FuzzyContext`` reads to refuse an order that is not a lattice and
     ``hasse_covers`` reads to walk a lattice's covers, and so is ``_code``,
     the encoding of position vectors as ints on which every pointwise meet
@@ -172,6 +172,15 @@ class Algebra:
         if self._bottom is None:
             raise StructureError("the derived order has no least element")
         return self._bottom
+
+    @cached_property
+    def _chains(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        """The certificate's proof (see :func:`_lukasiewicz_factors`): the
+        chain sizes of the product of Lukasiewicz chains the algebra is, and
+        per element its position in ``ProductAlgebra(sizes)``; None when the
+        algebra is no such product. Computed once, on first use; a product
+        holds its own sizes and the identity, with no certificate run."""
+        return _lukasiewicz_factors(self)
 
     @cached_property
     def _is_lia(self) -> bool:
@@ -479,6 +488,7 @@ class ProductAlgebra(Algebra):
                 f"over the limit of {PRODUCT_ELEMENT_LIMIT}"
             )
         self.chain_sizes = sizes
+        self._chains = (sizes, tuple(range(math.prod(sizes))))
         # display order runs top-down, later factors first (see
         # _lukasiewicz); on the default algebra this yields AbT VeT SlT SlF
         # VeF AbF
@@ -795,21 +805,30 @@ def check_axioms(algebra: Algebra) -> AxiomReport:
 
 
 def _is_lukasiewicz_product(algebra: Algebra) -> bool:
-    """Whether the algebra's implication and negation tables are those of a
-    product of Lukasiewicz chains under a renaming of its elements: a proof,
-    by isomorphism and in O(n^2) lookups, that it is a lattice implication
-    algebra. Every finite one is such a product (Cignoli, D'Ottaviano and
-    Mundici, 2000, ch. 3), so the verdict is exact at any size and is the
-    one ``Algebra._is_lia`` caches. Its factors are the down-sets of the
-    atoms of its Boolean elements (x v neg x = top). The renaming sends x
-    to the ranks of its meets with those atoms, numbered as
-    ``_lukasiewicz`` does; the verdict rests only on the last step, that it
-    is a bijection carrying every ``_imp`` and ``_neg`` entry onto the
-    product's."""
+    """Whether the algebra is a lattice implication algebra: whether the
+    certificate found its proof, ``Algebra._chains``. Every finite one is a
+    product of Lukasiewicz chains (Cignoli, D'Ottaviano and Mundici, 2000,
+    ch. 3), so the verdict is exact at any size and is the one
+    ``Algebra._is_lia`` caches."""
+    return algebra._chains is not None
+
+
+def _lukasiewicz_factors(algebra: Algebra) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The chain sizes of a product of Lukasiewicz chains whose implication
+    and negation tables are the algebra's under a renaming of its elements,
+    with that renaming: per element, its position in
+    ``ProductAlgebra(sizes)``. That is a proof, by isomorphism and in
+    O(n^2) lookups, that the algebra is a lattice implication algebra; None
+    when there is none. Its factors are the down-sets of the atoms of its
+    Boolean elements (x v neg x = top), in the display order of the atoms.
+    The renaming sends x to the ranks of its meets with those atoms,
+    numbered as ``_lukasiewicz`` does; the proof rests only on the last
+    step, that it is a bijection carrying every ``_imp`` and ``_neg`` entry
+    onto the product's."""
     n, top, neg, down = len(algebra.elements), algebra._top, algebra._neg, algebra._down
     meet, join = algebra._meet, algebra._join
     if any(None in row for row in meet):
-        return False
+        return None
     boolean = sum(1 << x for x in range(n) if join[x][neg[x]] == top)
     bottom = 1 << neg[top]
     factors, sizes, stride = [], [], 1  # (atom, stride, rank of each element below it)
@@ -820,19 +839,21 @@ def _is_lukasiewicz_product(algebra: Algebra) -> bool:
         k = chain.bit_count()
         rank = {y: k - (down[y] & chain).bit_count() for y in _bits(chain)}
         if sorted(rank.values()) != list(range(k)):  # not a chain
-            return False
+            return None
         factors.append((b, stride, rank))
         sizes.append(k)
         stride *= k
     perm = [sum(s * rank[row[b]] for b, s, rank in factors) for row in meet]
     if stride != n or len(set(perm)) != n:
-        return False
+        return None
     product_imp, product_neg = _lukasiewicz(sizes)
     at = perm.__getitem__
-    return list(map(at, neg)) == list(map(product_neg.__getitem__, perm)) and all(
+    if list(map(at, neg)) == list(map(product_neg.__getitem__, perm)) and all(
         list(map(at, row)) == list(map(product_imp[p].__getitem__, perm))
         for row, p in zip(algebra._imp, perm)
-    )
+    ):
+        return tuple(sizes), tuple(perm)
+    return None
 
 
 def _cubic_violations(imp, meet, join) -> Iterator[tuple[str, int, int, int]]:

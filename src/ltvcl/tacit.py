@@ -10,12 +10,13 @@ and a value b. A column c is an extent exactly when it is its own
 closure, closure_extent(base, c) == c, and both domains are subalgebras
 holding every cell, so that closed column is also an extent of the base
 lattice enumerated over the domain. The rule costs two derivations per
-new column, on the encoded kernel (``galois._derive``), and no lattice.
-Columns that are meets of existing columns, or constant top (the meet of
-no columns), are always extents; they are the tacit attributes this
-module hunts for. ``extend_context`` builds them and ``classify_columns``
-names their sources from one fold over attribute subsets
-(``context._subset_meets``). ``is_congener`` and ``mine`` take the
+new column, on the encoded kernel (``galois._derive``), and no lattice;
+``mine``, which holds that base lattice, looks each column up among its
+extents instead. Columns that are meets of existing columns, or constant
+top (the meet of no columns), are always extents; they are the tacit
+attributes this module hunts for. ``extend_context`` builds them and
+``classify_columns`` names their sources from one fold over attribute
+subsets (``context._subset_meets``). ``is_congener`` and ``mine`` take the
 congener decision by that one rule, and enumerate the extension only
 where it does not settle the question: on an algebra that is not a
 lattice implication algebra (see ``Algebra._is_lia``), over an explicit
@@ -167,21 +168,30 @@ def _congener_report(
     )
 
 
-def _closed_extension(base: FuzzyContext, extended: FuzzyContext, domain) -> bool:
+def _closed_extension(
+    base: FuzzyContext, extended: FuzzyContext, domain, lattice: ConceptLattice | None = None
+) -> bool:
     """Whether the closure rule shows the extension congener: over a
     lattice implication algebra and the "generated" or "full" domain, every
     new column c, read as an object-side set of element positions, is its
     own closure in the base context, two derivations on the kernel (see the
-    module docstring). False where the rule does not apply, or says no."""
+    module docstring). Given ``lattice``, the base lattice enumerated over
+    the domain resolved on the extension, a column is closed exactly when
+    it is one of its extents, one lookup instead. False where the rule
+    does not apply, or says no."""
     if domain not in (GENERATED_DOMAIN, FULL_DOMAIN) or not base.algebra._is_lia:
         return False
-    algebra, base_names = base.algebra, set(base.attributes)
-    objects, attributes = len(base.objects), len(base.attributes)
+    base_names = set(base.attributes)
+    columns = [c for name, c in zip(extended.attributes, extended.column_positions)
+               if name not in base_names]
+    if lattice is not None:
+        extents = set(lattice._extents)
+        return all(c in extents for c in columns)
+    algebra, objects, attributes = base.algebra, len(base.objects), len(base.attributes)
     row_masks, column_masks = base.row_masks, base.column_masks
     return all(
         _derive(algebra, column_masks, objects, _derive(algebra, row_masks, attributes, c)) == c
-        for name, c in zip(extended.attributes, extended.column_positions)
-        if name not in base_names
+        for c in columns
     )
 
 
@@ -332,14 +342,15 @@ def mine(
     """Full pipeline: extend, classify, fast-extend, verify, report.
 
     The congener verdict is the one is_congener takes, by the same closure
-    rule. The base lattice is enumerated here, since the fast extension
-    rewrites its intents, and the base count is its size; the extension is
-    enumerated only where the rule does not show it congener, as in
-    is_congener. A congener extension's concepts are the base extents, in the
-    base lattice's order (the order reads extents only), so the fast
-    extension is verified concept by concept against intents computed
-    independently of it, rather than trusted: each base extent's intent
-    derived in the extension. Where the extension was enumerated, that is
+    rule, read off the base lattice: a new column is closed exactly when it
+    is one of its extents. The base lattice is enumerated here, since the
+    fast extension rewrites its intents, and the base count is its size;
+    the extension is enumerated only where the rule does not show it
+    congener, as in is_congener. A congener extension's concepts are the
+    base extents, in the base lattice's order (the order reads extents
+    only), so the fast extension is verified concept by concept against
+    intents computed independently of it, rather than trusted: each base
+    extent's intent derived in the extension. Where the extension was enumerated, that is
     the intent its lattice pairs with the extent, since enumeration pairs
     every extent with its forward derivation. Both sides are compared as
     tuples of element positions. A non-congener extension builds no fast
@@ -349,7 +360,7 @@ def mine(
     checks = classify_columns(context, extended)
     values = scan_domain(extended, domain)
     base_lattice = enumerate_concepts(context, engine, domain=values, budget=budget)
-    if _closed_extension(context, extended, domain):
+    if _closed_extension(context, extended, domain, base_lattice):
         count = len(base_lattice)
         congener = CongenerReport(base_extent_count=count, extended_extent_count=count, witnesses=())
     else:

@@ -6,6 +6,7 @@ by one. Both must admit the same concepts and give the same order.
 """
 
 import itertools
+import math
 import random
 
 import pytest
@@ -153,13 +154,35 @@ def test_fold_makes_at_most_three_derivations_per_concept(monkeypatch):
     assert 0 < calls() <= 3 * len(lattice)
 
 
+def factor_lattices(context, engine=EXTENT_SCAN) -> list[ConceptLattice]:
+    """The lattices of the projections of a context over a
+    ``ProductAlgebra`` onto its chains, one coordinate each, each
+    enumerated over its chain's every element."""
+    lattices = []
+    for i, k in enumerate(context.algebra.chain_sizes):
+        chain = ProductAlgebra([k])
+        rows = [[chain.value(v.coords[i]) for v in row] for row in context.rows]
+        factor = FuzzyContext(chain, context.objects, context.attributes, rows)
+        lattices.append(enumerate_concepts(factor, engine, domain=FULL_DOMAIN))
+    return lattices
+
+
+def factor_sizes(context, engine) -> list[int]:
+    return [len(lattice) for lattice in factor_lattices(context, engine)]
+
+
 @pytest.mark.parametrize("engine", ENGINES)
 def test_one_derivation_per_concept_over_an_lia(monkeypatch, engine):
+    # the full domain of a product of two chains is factored: one
+    # derivation per concept of each chain's projection
     calls = count_derivations(monkeypatch)
     context = random_context(random.Random(GUARD_SEED), ProductAlgebra([3, 2]), 7, 7)
     lattice = enumerate_concepts(context, engine, domain=FULL_DOMAIN)
     assert len(lattice) == GUARD_CONCEPTS
-    assert calls() == len(lattice)
+    derivations = calls()
+    factors = factor_sizes(context, engine)
+    assert derivations == sum(factors)
+    assert len(lattice) == math.prod(factors)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -190,18 +213,20 @@ def test_fixpoint_check_runs_off_an_lia(monkeypatch, engine):
 def test_gate_checks_tables_between_64_elements_and_the_axiom_budget(monkeypatch, engine):
     # 72 elements, over the former budget of 64 and within the budget of
     # 128: the shuffled copy of an LIA is shown to be one, and closes one
-    # image per concept, as many concepts as over the product
+    # image per concept of each chain's projection, with as many concepts
+    # as over the product
     product = ProductAlgebra([3, 3, 2, 2, 2])
     table, rename = shuffled_table(product, 72)
     context = random_context(random.Random(72), table, 3, 3)
     calls = count_derivations(monkeypatch)
     lattice = enumerate_concepts(context, engine, domain=FULL_DOMAIN)
+    derivations = calls()
     assert 64 < len(table.elements) <= lia.DEFAULT_AXIOM_BUDGET
     assert table._is_lia is True
-    assert calls() == len(lattice)
     back = {y: x for x, y in rename.items()}
     rows = tuple(tuple(back[v] for v in row) for row in context.rows)
     original = FuzzyContext(product, context.objects, context.attributes, rows)
+    assert derivations == sum(factor_sizes(original, engine))
     assert len(enumerate_concepts(original, engine, domain=FULL_DOMAIN)) == len(lattice)
 
 
@@ -220,7 +245,8 @@ def test_gate_rejects_a_corrupted_table_within_the_axiom_budget(monkeypatch, eng
 def test_gate_certifies_tables_over_the_axiom_budget(monkeypatch):
     # a shuffled copy of a 162-element LIA, over the axiom-check budget: the
     # certificate shows it is one, so enumeration closes one image per
-    # concept and is_congener enumerates nothing, and both agree with the
+    # concept of each chain's projection and is_congener enumerates
+    # nothing, and both agree with the
     # product; its one-entry corruption is refused, keeps the fixpoint
     # check and enumerates the extension
     product = ProductAlgebra([3, 3, 3, 3, 2])
@@ -256,7 +282,7 @@ def test_gate_certifies_tables_over_the_axiom_budget(monkeypatch):
                 assert len(lattice) < derivations
                 assert enumerated == [base, ext]
                 continue
-            assert derivations == len(lattice)
+            assert derivations == sum(factor_sizes(over_product(base), engine))
             assert enumerated == []
             product_lattice = enumerate_concepts(over_product(base), engine, domain=FULL_DOMAIN)
             renamed = {tuple(back[v] for v in c.extent.values + c.intent.values) for c in lattice}
@@ -288,3 +314,91 @@ def test_table_gate_checks_the_axioms_once(name, monkeypatch):
         enumerate_concepts(context, engine, domain=FULL_DOMAIN)
     assert calls == {"_is_lukasiewicz_product": [algebra], "check_axioms": []}
     assert vars(algebra)["_is_lia"] is True
+
+
+# the algebras that are products of two or more chains; bool2, product 4,
+# product 12 and chain5 are not
+MULTI_CHAIN = ["product 2 2", "product 2 3 2", "product 3 2", "product 3 3",
+               "product 4 4 4", "seeded-order"]
+
+
+@pytest.mark.parametrize("name", MULTI_CHAIN)
+@pytest.mark.parametrize("engine", ENGINES)
+def test_factored_lattices_match_the_scan(name, engine):
+    # every domain holding the whole of a product of chains is factored:
+    # the full one, a generated one that is the whole algebra, and an
+    # explicit one listing every element, shuffled and with a repeat; the
+    # concepts are the scan's and the covers the reduction of the order
+    algebra = {**ALGEBRAS, **WIDE_ALGEBRAS}[name]()
+    assert len(algebra._chains[0]) > 1
+    rng = random.Random(f"factored/{name}/{engine}")
+    everything = list(algebra.elements)
+    generated = 0
+    for n_objects, n_attributes in shapes(rng, 2 if name in WIDE_ALGEBRAS else 3):
+        context = random_context(rng, algebra, n_objects, n_attributes)
+        rng.shuffle(everything)
+        domains = [FULL_DOMAIN, everything + everything[:1]]
+        if len(galois.scan_domain(context, GENERATED_DOMAIN)) == len(everything):
+            domains.append(GENERATED_DOMAIN)
+            generated += 1
+        for domain in domains:
+            lattice = enumerate_concepts(context, engine, domain=domain)
+            assert lattice._factors is not None
+            assert lattice.concepts == scan_concepts(context, engine, domain=domain).concepts
+            assert lattice.covers == brute_covers(brute_order_pairs(lattice))
+            assert lattice.order_pairs == brute_order_pairs(lattice)
+    assert generated
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_partial_domains_take_the_unfactored_path(engine):
+    # a generated subalgebra of product 2 3 2 that is itself a product of
+    # two chains but not the whole algebra, an explicit domain missing one
+    # element, one chain (bool2 and product 4), chain5, which fails the
+    # axioms, and two chains of 258 elements, whose positions overflow a
+    # byte: none is factored, and each still matches the scan
+    rng = random.Random(f"unfactored/{engine}")
+    product = ProductAlgebra([2, 3, 2])
+    diagonal = [v for v in product.elements if v.coords[0] == v.coords[2]]
+    cases = []
+    for _ in range(4):
+        rows = [[rng.choice(diagonal) for _ in range(3)] for _ in range(3)]
+        context = FuzzyContext(product, ("g1", "g2", "g3"), ("m1", "m2", "m3"), rows)
+        if set(galois.scan_domain(context, GENERATED_DOMAIN)) == set(diagonal):
+            cases.append((context, GENERATED_DOMAIN))
+        missing = rng.choice(product.elements)
+        cases.append((context, [v for v in product.elements if v != missing]))
+    assert any(domain == GENERATED_DOMAIN for _, domain in cases)
+    for name in ("bool2", "product 4", "chain5"):
+        algebra = ALGEBRAS[name]()
+        cases += [(random_context(rng, algebra, 3, 3), FULL_DOMAIN) for _ in range(3)]
+    cases.append((random_context(rng, ProductAlgebra([2, 129]), 1, 2), FULL_DOMAIN))
+    for context, domain in cases:
+        lattice = enumerate_concepts(context, engine, domain=domain)
+        assert lattice._factors is None
+        assert lattice.concepts == scan_concepts(context, engine, domain=domain).concepts
+
+
+def test_factored_lattice_at_10x10():
+    # 20,577 concepts: as many as the fold has images, each pair a fixpoint
+    # of the kernel, and sum_i e_i * prod_(j != i) c_j covers, each a strict
+    # pointwise order pair, sorted
+    algebra = ProductAlgebra([3, 2])
+    context = random_context(random.Random(10), algebra, 10, 10)
+    lattice = enumerate_concepts(context, domain=FULL_DOMAIN, budget=10**100)
+    assert lattice._factors is not None
+    assert len(lattice) == len(galois._images(context, EXTENT_SCAN, algebra.elements, 10**100))
+    g, m = len(context.objects), len(context.attributes)
+    for extent, intent in zip(lattice._extents, lattice._intents):
+        assert galois._derive(algebra, context.row_masks, m, extent) == intent
+        assert galois._derive(algebra, context.column_masks, g, intent) == extent
+    factors = factor_lattices(context)
+    sizes = [len(factor) for factor in factors]
+    assert len(lattice) == math.prod(sizes)
+    assert len(lattice.covers) == sum(
+        len(factor.covers) * math.prod(sizes) // size for factor, size in zip(factors, sizes)
+    )
+    assert list(lattice.covers) == sorted(set(lattice.covers))
+    up, extents = algebra._up, lattice._extents
+    for i, j in lattice.covers:
+        assert i != j and all(up[a] >> b & 1 for a, b in zip(extents[i], extents[j]))

@@ -649,6 +649,32 @@ class TestLukasiewiczCertificate:
         with pytest.raises(BudgetError, match=f"{n} elements exceed the axiom-check budget"):
             check_axioms(corrupted)
 
+    @pytest.mark.parametrize("sizes", [[3, 2], [2, 2], [3, 3, 2, 2, 2], [3, 3, 3, 3, 2]])
+    def test_the_proof_is_the_renaming(self, sizes):
+        # a shuffled copy's proof takes each element to the position in
+        # ProductAlgebra(found sizes) of the product value it renames, up to
+        # an order of the chains: chains of one size may change places,
+        # which are the only automorphisms of a product of chains; a
+        # one-entry corruption has no proof, and a product holds its own
+        product = ProductAlgebra(sizes)
+        n = len(product.elements)
+        assert product._chains == (tuple(sizes), tuple(range(n)))
+        copy, rename = shuffled_table(product, n)
+        found, perm = proof = lia._lukasiewicz_factors(copy)
+        assert copy._chains == proof
+        target = ProductAlgebra(found).elements
+        coords = [target[q].coords for q in perm]
+        assert any(
+            all(coords[copy._position(y)] == tuple(x.coords[i] for i in order)
+                for x, y in rename.items())
+            for order in itertools.permutations(range(len(sizes)))
+        )
+        rng = random.Random(n)
+        names, imp, neg, _ = shuffled_tables(product, rng)
+        broken = TableAlgebra(names, break_contraposition(names, imp, neg, rng), neg)
+        assert lia._lukasiewicz_factors(broken) is None
+        assert broken._chains is None and broken._is_lia is False
+
     def test_the_one_element_table_is_certified(self):
         one = TableAlgebra(["o"], {("o", "o"): "o"}, {"o": "o"})
         assert lia._is_lukasiewicz_product(one)

@@ -370,6 +370,32 @@ def test_membership_decides_as_the_closure_rule(name, monkeypatch):
     assert sum(seen.values()) == 400 and seen[True] and seen[False], seen
 
 
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_mine_reads_the_closure_rule_off_the_base_lattice(name):
+    # mine's gate, a lookup of every new column among the extents of the
+    # base lattice enumerated over the domain resolved on the extension,
+    # decides as is_congener's, two derivations per column: on 60 seeded
+    # extensions per algebra, both named domains and an explicit one, and
+    # both engines; chain5 and the explicit domain are gated off
+    algebra = ALGEBRAS[name]()
+    rng = random.Random(f"gate {name}")
+    seen = Counter()
+    for _ in range(60):
+        base = random_context(rng, algebra, rng.randint(1, 3), rng.randint(1, 3))
+        ext = base
+        for label in ("x", "y")[: rng.randint(1, 2)]:
+            kind = rng.choice(("random", "extent", "shifted", "meet"))
+            ext = append_column(ext, label, membership_column(rng, base, kind))
+        for domain in (*DOMAINS, algebra.elements):
+            values = scan_domain(ext, domain)
+            rule = tacit._closed_extension(base, ext, domain)
+            for engine in ENGINES:
+                lattice = enumerate_concepts(base, engine, domain=values, budget=BUDGET)
+                assert tacit._closed_extension(base, ext, domain, lattice) == rule
+            seen[rule] += 1
+    assert seen[True] == 0 if name == "chain5" else seen[True] and seen[False], seen
+
+
 @pytest.mark.parametrize("name", sorted(LIAS) + sorted(set(WIDE_ALGEBRAS) - set(LIAS)))
 def test_fold_counts_the_concepts_over_an_lia(name):
     # is_congener's count on a congener extension: the distinct images of
