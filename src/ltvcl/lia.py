@@ -113,10 +113,11 @@ class Algebra:
     and ``_positions`` a vector, and only a value of type ``TruthValue``
     itself is looked up there. It rejects a non-constant diagonal or a
     non-antisymmetric order with LoadError; whether every other law holds
-    is decided by the Lukasiewicz certificate, whose proof ``_chains`` and
-    verdict ``_is_lia`` cache on first use. So is ``_lattice_fault``, which a
+    is decided by the Lukasiewicz certificate, whose proof ``_chains``
+    caches on first use, and ``_is_lia``, the one verdict, is whether it
+    found one. Also cached on first use are ``_lattice_fault``, which a
     ``FuzzyContext`` reads to refuse an order that is not a lattice and
-    ``hasse_covers`` reads to walk a lattice's covers, and so is ``_code``,
+    ``hasse_covers`` reads to walk a lattice's covers, and ``_code``,
     the encoding of position vectors as ints on which every pointwise meet
     runs, with ``_imp_codes``, its implication rows as translate tables.
 
@@ -182,14 +183,14 @@ class Algebra:
         holds its own sizes and the identity, with no certificate run."""
         return _lukasiewicz_factors(self)
 
-    @cached_property
+    @property
     def _is_lia(self) -> bool:
         """Whether the algebra is a lattice implication algebra, at any
-        size: :func:`_is_lukasiewicz_product` certifies it, which it does
-        exactly when :func:`check_axioms` passes.
-        Computed once, on first use; products are LIAs by construction and
-        skip the certificate."""
-        return _is_lukasiewicz_product(self)
+        size: whether the certificate found its proof, ``_chains``. Every
+        finite one is a product of Lukasiewicz chains (Cignoli, D'Ottaviano
+        and Mundici, 2000, ch. 3), so the verdict is exact, and it holds
+        exactly when :func:`check_axioms` passes."""
+        return self._chains is not None
 
     @cached_property
     def _lattice_fault(self) -> str | None:
@@ -473,7 +474,6 @@ class ProductAlgebra(Algebra):
     BudgetError.
     """
 
-    _is_lia = True  # every product of Lukasiewicz chains is one
     _lattice_fault = None  # every coordinatewise order is a lattice
 
     def __init__(self, chain_sizes: Sequence[int]):
@@ -722,8 +722,9 @@ class AxiomReport:
 
 
 def check_axioms(algebra: Algebra) -> AxiomReport:
-    """Test the laws of a lattice implication algebra. One that
-    :func:`_is_lukasiewicz_product` certifies is isomorphic to a lattice
+    """Test the laws of a lattice implication algebra. One that the
+    Lukasiewicz certificate proves (``Algebra._is_lia``, the one verdict,
+    also read by enumeration and mining) is isomorphic to a lattice
     implication algebra and passes untested, at any size. Every other, one
     with a missing bound too, is not one; larger than
     ``DEFAULT_AXIOM_BUDGET``, read at call time, it raises BudgetError, and
@@ -754,7 +755,7 @@ def check_axioms(algebra: Algebra) -> AxiomReport:
     finds them. The Python work is quadratic plus one append per
     violation, and the cubic work runs in C.
     """
-    if _is_lukasiewicz_product(algebra):
+    if algebra._is_lia:
         return AxiomReport()
     n = len(algebra.elements)
     if n > DEFAULT_AXIOM_BUDGET:
@@ -802,15 +803,6 @@ def check_axioms(algebra: Algebra) -> AxiomReport:
         bad.append((law, (name[x], name[y], name[z])))
 
     return report
-
-
-def _is_lukasiewicz_product(algebra: Algebra) -> bool:
-    """Whether the algebra is a lattice implication algebra: whether the
-    certificate found its proof, ``Algebra._chains``. Every finite one is a
-    product of Lukasiewicz chains (Cignoli, D'Ottaviano and Mundici, 2000,
-    ch. 3), so the verdict is exact at any size and is the one
-    ``Algebra._is_lia`` caches."""
-    return algebra._chains is not None
 
 
 def _lukasiewicz_factors(algebra: Algebra) -> tuple[tuple[int, ...], tuple[int, ...]] | None:

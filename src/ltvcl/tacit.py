@@ -7,26 +7,35 @@ read as an object-side set, is an extent of the base context: base extents
 are closed under meets and under shifts a -> A, and the extents of an
 extension by a column c are the sets E meet (b -> c) for a base extent E
 and a value b. A column c is an extent exactly when it is its own
-closure, closure_extent(base, c) == c, and both domains are subalgebras
+closure, closure_extent(base, c) == c, two derivations on the encoded
+kernel (``galois._derive``) and no lattice; both domains are subalgebras
 holding every cell, so that closed column is also an extent of the base
-lattice enumerated over the domain. The rule costs two derivations per
-new column, on the encoded kernel (``galois._derive``), and no lattice;
-``mine``, which holds that base lattice, looks each column up among its
-extents instead. Columns that are meets of existing columns, or constant
-top (the meet of no columns), are always extents; they are the tacit
-attributes this module hunts for. ``extend_context`` builds them and
-``classify_columns`` names their sources from one fold over attribute
-subsets (``context._subset_meets``). ``is_congener`` and ``mine`` take the
-congener decision by that one rule, and enumerate the extension only
-where it does not settle the question: on an algebra that is not a
-lattice implication algebra (see ``Algebra._is_lia``), over an explicit
-domain, or for a non-congener extension, whose witnesses need both
-lattices. Where the rule shows an extension congener, ``is_congener``
-builds no lattice at all: it counts the base concepts as the distinct
-images of the base scan's fold (``galois._images``), one per concept over
-a lattice implication algebra. The fast extension rewrites each base
-concept's intent instead of re-enumerating, and ``mine`` checks it
-concept by concept against intents computed independently of it.
+lattice enumerated over the domain. ``is_congener`` decides by that
+closure rule.
+
+Columns that are meets of existing columns, or constant top (the meet of
+no columns), always pass it there: each base column is the extent of the
+attribute set that is top at that column and bottom elsewhere, since
+top -> x = x and bottom -> x = top, and extents are closed under meets.
+That sufficient condition marks the tacit attributes this module hunts
+for. ``extend_context`` builds such columns and ``classify_columns`` names
+their sources from one fold over attribute subsets
+(``context._subset_meets``). ``mine`` decides by the condition
+classification already checks: over a lattice implication algebra and a
+named domain, an extension whose every new column is classified is
+congener, with no closure and no second lattice.
+
+The extension is enumerated only where the rule in use does not settle
+the question: on an algebra that is not a lattice implication algebra
+(see ``Algebra._is_lia``), over an explicit domain, for ``is_congener`` a
+non-congener extension, whose witnesses need both lattices, and for
+``mine`` an unclassified column. Where the closure rule shows an
+extension congener, ``is_congener`` builds no lattice at all: it counts
+the base concepts as the distinct images of the base scan's fold
+(``galois._images``), one per concept over a lattice implication algebra.
+The fast extension rewrites each base concept's intent instead of
+re-enumerating, and ``mine`` checks it concept by concept against intents
+computed independently of it.
 """
 
 from __future__ import annotations
@@ -168,33 +177,6 @@ def _congener_report(
     )
 
 
-def _closed_extension(
-    base: FuzzyContext, extended: FuzzyContext, domain, lattice: ConceptLattice | None = None
-) -> bool:
-    """Whether the closure rule shows the extension congener: over a
-    lattice implication algebra and the "generated" or "full" domain, every
-    new column c, read as an object-side set of element positions, is its
-    own closure in the base context, two derivations on the kernel (see the
-    module docstring). Given ``lattice``, the base lattice enumerated over
-    the domain resolved on the extension, a column is closed exactly when
-    it is one of its extents, one lookup instead. False where the rule
-    does not apply, or says no."""
-    if domain not in (GENERATED_DOMAIN, FULL_DOMAIN) or not base.algebra._is_lia:
-        return False
-    base_names = set(base.attributes)
-    columns = [c for name, c in zip(extended.attributes, extended.column_positions)
-               if name not in base_names]
-    if lattice is not None:
-        extents = set(lattice._extents)
-        return all(c in extents for c in columns)
-    algebra, objects, attributes = base.algebra, len(base.objects), len(base.attributes)
-    row_masks, column_masks = base.row_masks, base.column_masks
-    return all(
-        _derive(algebra, column_masks, objects, _derive(algebra, row_masks, attributes, c)) == c
-        for c in columns
-    )
-
-
 def is_congener(
     base: FuzzyContext,
     extended: FuzzyContext,
@@ -205,21 +187,29 @@ def is_congener(
 ) -> CongenerReport:
     """Compare the extent families of a context and its extension.
 
-    The decision is the one ``mine`` takes. Over a lattice implication
-    algebra and the "generated" or "full" domain, an extension whose new
-    columns are all closed in the base context is congener (see the module
-    docstring), and the report needs no lattice: equal counts, no
-    witnesses, the count being the number of distinct images of the base
-    scan's fold, one per concept there. Otherwise both lattices are
-    enumerated and their extent families compared, which yields the
-    witnesses. Both are scanned over one domain, resolved on the extension.
+    The decision is by the closure rule. Over a lattice implication algebra
+    and the "generated" or "full" domain, an extension is congener exactly
+    when every new column, read as an object-side set of element
+    positions, is its own closure in the base context, two derivations on
+    the kernel (see the module docstring). Then the report needs no
+    lattice: equal counts, no witnesses, the count being the number of
+    distinct images of the base scan's fold, one per concept there.
+    Otherwise both lattices are enumerated and their extent families
+    compared, which yields the witnesses. Both are scanned over one domain,
+    resolved on the extension.
     """
     _require_restriction(base, extended)
     # "generated" resolves on the extension, a superset of the base's; the
     # contexts share one algebra, so "full" and explicit values resolve the
     # same
     values = scan_domain(extended, domain)
-    if _closed_extension(base, extended, domain):
+    algebra, objects, attributes = base.algebra, len(base.objects), len(base.attributes)
+    row_masks, column_masks, base_names = base.row_masks, base.column_masks, set(base.attributes)
+    if domain in (GENERATED_DOMAIN, FULL_DOMAIN) and algebra._is_lia and all(
+        _derive(algebra, column_masks, objects, _derive(algebra, row_masks, attributes, c)) == c
+        for name, c in zip(extended.attributes, extended.column_positions)
+        if name not in base_names
+    ):
         count = len(_images(base, engine, values, budget))
         return CongenerReport(base_extent_count=count, extended_extent_count=count, witnesses=())
     base_lattice = enumerate_concepts(base, engine, domain=values, budget=budget)
@@ -341,34 +331,41 @@ def mine(
 ) -> MiningReport:
     """Full pipeline: extend, classify, fast-extend, verify, report.
 
-    The congener verdict is the one is_congener takes, by the same closure
-    rule, read off the base lattice: a new column is closed exactly when it
-    is one of its extents. The base lattice is enumerated here, since the
-    fast extension rewrites its intents, and the base count is its size;
-    the extension is enumerated only where the rule does not show it
-    congener, as in is_congener. A congener extension's concepts are the
-    base extents, in the base lattice's order (the order reads extents
-    only), so the fast extension is verified concept by concept against
-    intents computed independently of it, rather than trusted: each base
-    extent's intent derived in the extension. Where the extension was enumerated, that is
-    the intent its lattice pairs with the extent, since enumeration pairs
-    every extent with its forward derivation. Both sides are compared as
-    tuples of element positions. A non-congener extension builds no fast
-    extension and reports it unverified.
+    The congener verdict is the sufficient condition classification
+    checks: over a lattice implication algebra and the "generated" or
+    "full" domain, an extension whose every new column is classified, a
+    meet of base columns or constant top, is congener (see the module
+    docstring), and both counts are the size of the base lattice, which is
+    enumerated here since the fast extension rewrites its intents. Off a
+    lattice implication algebra, over an explicit domain, or with a column
+    unclassified, the extension is enumerated too and the verdict read off
+    the two extent families. Both lattices are enumerated over the one
+    domain: an extension built here generates the same subalgebra as its
+    base, since its columns are meets of base columns or top.
+
+    A congener extension's concepts are the base extents, in the base
+    lattice's order (the order reads extents only), so the fast extension
+    is verified concept by concept against intents computed independently
+    of it, rather than trusted: each base extent's intent derived in the
+    extension. Where the extension was enumerated, that is the intent its
+    lattice pairs with the extent, since enumeration pairs every extent
+    with its forward derivation. Both sides are compared as tuples of
+    element positions. A non-congener extension, or one with a column
+    unclassified, builds no fast extension and reports it unverified.
     """
     extended = extend_context(context, config)
     checks = classify_columns(context, extended)
-    values = scan_domain(extended, domain)
-    base_lattice = enumerate_concepts(context, engine, domain=values, budget=budget)
-    if _closed_extension(context, extended, domain, base_lattice):
+    classified = all(c.satisfied for c in checks)
+    base_lattice = enumerate_concepts(context, engine, domain=domain, budget=budget)
+    if classified and domain in (GENERATED_DOMAIN, FULL_DOMAIN) and context.algebra._is_lia:
         count = len(base_lattice)
         congener = CongenerReport(base_extent_count=count, extended_extent_count=count, witnesses=())
     else:
-        extended_lattice = enumerate_concepts(extended, engine, domain=values, budget=budget)
+        extended_lattice = enumerate_concepts(extended, engine, domain=domain, budget=budget)
         congener = _congener_report(base_lattice, extended_lattice)
 
     fast_verified = False
-    if congener.is_congener and all(c.satisfied for c in checks):
+    if congener.is_congener and classified:
         fast_lattice = extend_concepts_fast(base_lattice, extended, checks=checks)
         masks, width = extended.row_masks, len(extended.attributes)
         fast_verified = fast_lattice._intents == tuple(

@@ -298,8 +298,8 @@ def test_gate_certifies_tables_over_the_axiom_budget(monkeypatch):
 def test_table_gate_checks_the_axioms_once(name, monkeypatch):
     # the gate runs the certificate once and never the law check
     algebra = ALGEBRAS[name]()
-    assert "_is_lia" not in vars(algebra)
-    calls = {"_is_lukasiewicz_product": [], "check_axioms": []}
+    assert "_chains" not in vars(algebra)
+    calls = {"_lukasiewicz_factors": [], "check_axioms": []}
 
     def counted(function):
         def wrapper(*args, **kwargs):
@@ -312,8 +312,8 @@ def test_table_gate_checks_the_axioms_once(name, monkeypatch):
     context = random_context(random.Random(name), algebra, 2, 2)
     for engine in ENGINES:
         enumerate_concepts(context, engine, domain=FULL_DOMAIN)
-    assert calls == {"_is_lukasiewicz_product": [algebra], "check_axioms": []}
-    assert vars(algebra)["_is_lia"] is True
+    assert calls == {"_lukasiewicz_factors": [algebra], "check_axioms": []}
+    assert vars(algebra)["_chains"] is not None
 
 
 # the algebras that are products of two or more chains; bool2, product 4,

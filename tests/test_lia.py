@@ -602,9 +602,9 @@ class TestLukasiewiczCertificate:
             listed.append(sizes)
         for sizes in listed:
             alg = ProductAlgebra(sizes)
-            assert lia._is_lukasiewicz_product(alg), sizes
+            assert alg._is_lia, sizes
             names, imp, neg, _ = shuffled_tables(alg, rng)
-            assert lia._is_lukasiewicz_product(TableAlgebra(names, imp, neg)), sizes
+            assert TableAlgebra(names, imp, neg)._is_lia, sizes
 
     @pytest.mark.parametrize("sizes", [[3, 2], [2, 2], [4], [2, 2, 2], [3, 3]])
     def test_no_table_with_one_changed_entry_is_certified(self, sizes):
@@ -621,7 +621,7 @@ class TestLukasiewiczCertificate:
             except LoadError:
                 seen["load-error"] += 1
                 continue
-            assert not lia._is_lukasiewicz_product(table)
+            assert not table._is_lia
             assert not check_axioms(table).passed
             seen["imp" if bad_neg is neg else "neg"] += 1
         assert seen["imp"] and seen["neg"], seen
@@ -677,7 +677,7 @@ class TestLukasiewiczCertificate:
 
     def test_the_one_element_table_is_certified(self):
         one = TableAlgebra(["o"], {("o", "o"): "o"}, {"o": "o"})
-        assert lia._is_lukasiewicz_product(one)
+        assert one._is_lia
         assert check_axioms(one).violations == reference_check_axioms(one).violations == []
 
     def test_small_tables_match_the_reference_check(self):
@@ -702,7 +702,7 @@ class TestLukasiewiczCertificate:
                 continue
             violations = check_axioms(table).violations
             assert violations == reference_check_axioms(table).violations, (names, imp, neg)
-            assert lia._is_lukasiewicz_product(table) == (not violations), (names, imp, neg)
+            assert table._is_lia == (not violations), (names, imp, neg)
             seen[len(names), not violations] += 1
         assert all(seen[k] for k in ((2, True), (2, False), (3, True), (3, False))), seen
 

@@ -333,10 +333,11 @@ def _crisp_context(seed: int, n_objects: int, n_attrs: int) -> FuzzyContext:
 
 
 class TestClosureTest:
-    """Over a lattice implication algebra, is_congener and mine decide the
+    """Over a lattice implication algebra, is_congener decides the
     congener question by the closure of every new column in the base
-    context, two kernel derivations per column. is_congener then
-    enumerates nothing, and mine only the base."""
+    context, two kernel derivations per column, and mine by the
+    classification of its own columns. is_congener then enumerates
+    nothing, and mine only the base."""
 
     @pytest.fixture
     def enumerations(self, monkeypatch):
@@ -373,9 +374,8 @@ class TestClosureTest:
         # the closure of each new column: an intent, then its extent
         assert len(calls) == 2 * new_columns
         calls.clear()
-        # mine: no closure, since it looks the new columns up among the base
-        # lattice's extents, then its check of the fast extension, one
-        # intent per base concept
+        # mine: no closure, since its verdict is the classification's, then
+        # its check of the fast extension, one intent per base concept
         mined = mine(demo, PAPER_PRESET, domain=domain)
         assert mined.fast_extension_verified
         assert len(calls) == mined.congener.base_extent_count
@@ -393,8 +393,8 @@ class TestClosureTest:
     @pytest.mark.parametrize("explicit", [False, True])
     def test_a_wrong_fast_extension_is_caught(self, demo, enumerations, monkeypatch, explicit):
         # one flipped intent component in one concept of the fast extension
-        # fails the concept-by-concept check, on the closure path and on the
-        # enumeration path (an explicit domain gates the closure rule off)
+        # fails the concept-by-concept check, on the classified path and on
+        # the enumeration path (an explicit domain gates the former off)
         real = tacit.extend_concepts_fast
 
         def flipped(base_lattice, extended, **kwargs):

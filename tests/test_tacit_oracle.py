@@ -6,7 +6,9 @@ congener verdict taken from enumerating the extension. The library builds
 columns on element positions, searches a column's upper set, and decides
 congener by the closure of every new column in the base context, on the
 encoded kernel, where that is exact; a congener extension then gets its
-concept count from the base scan's fold, with no lattice built. Both must
+concept count from the base scan's fold, with no lattice built. ``mine``
+decides there by the classification of the columns it builds, which all
+pass the closure rule. Both must
 give the same extensions, classifications, congener reports and mining
 reports, and raise the same errors, on algebras where the closure test
 applies and on algebras where it is gated off. The library's decision must
@@ -192,8 +194,9 @@ def test_mining_matches_the_oracle(name):
         for config in case_configs:
             extended = extend_context(context, config)
             assert extended == reference_extend_context(context, config)
-            # an explicit domain gates the closure rule off: mine enumerates
-            # the extension and checks the fast path against its intents
+            # an explicit domain gates mine's verdict off the
+            # classification: it enumerates the extension and checks the
+            # fast path against its intents
             for domain in (*DOMAINS, algebra.elements):
                 for engine in ENGINES:
                     report = mine(context, config, engine=engine, domain=domain, budget=BUDGET)
@@ -370,30 +373,89 @@ def test_membership_decides_as_the_closure_rule(name, monkeypatch):
     assert sum(seen.values()) == 400 and seen[True] and seen[False], seen
 
 
-@pytest.mark.parametrize("name", sorted(ALGEBRAS))
-def test_mine_reads_the_closure_rule_off_the_base_lattice(name):
-    # mine's gate, a lookup of every new column among the extents of the
-    # base lattice enumerated over the domain resolved on the extension,
-    # decides as is_congener's, two derivations per column: on 60 seeded
-    # extensions per algebra, both named domains and an explicit one, and
-    # both engines; chain5 and the explicit domain are gated off
-    algebra = ALGEBRAS[name]()
-    rng = random.Random(f"gate {name}")
+def mined_configs(n_attributes: int):
+    """Every extension mine builds over n attributes, n >= 2: each arity
+    with the top column and the novelty filter on and off, the paper
+    preset, and every pair pinned without the filter."""
+    for arity in range(2, n_attributes + 1):
+        for top in (False, True):
+            for novelty in (False, True):
+                yield ExtensionConfig(
+                    max_meet_arity=arity, include_top_column=top, novelty_filter=novelty
+                )
+    yield ExtensionConfig(meet_subsets=((0, 1),))
+    pairs = tuple((a, b) for a in range(n_attributes) for b in range(a + 1, n_attributes))
+    for top in (False, True):
+        yield ExtensionConfig(include_top_column=top, novelty_filter=False, meet_subsets=pairs)
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS) + sorted(WIDE_ALGEBRAS))
+def test_mine_decides_by_the_classification(name, monkeypatch):
+    # a mine-built extension classifies every column and generates the
+    # base's subalgebra; over an LIA and a named domain each new column is
+    # closed, so mine's verdict, read off the classification with only the
+    # base enumerated, is is_congener's. chain5 and an explicit domain
+    # enumerate the extension too
+    enumerated = []
+
+    def counting(context, *args, **kwargs):
+        enumerated.append(context)
+        return enumerate_concepts(context, *args, **kwargs)
+
+    monkeypatch.setattr(tacit, "enumerate_concepts", counting)
+    algebra = {**ALGEBRAS, **WIDE_ALGEBRAS}[name]()
+    rng = random.Random(f"classified {name}")
     seen = Counter()
-    for _ in range(60):
-        base = random_context(rng, algebra, rng.randint(1, 3), rng.randint(1, 3))
-        ext = base
-        for label in ("x", "y")[: rng.randint(1, 2)]:
-            kind = rng.choice(("random", "extent", "shifted", "meet"))
-            ext = append_column(ext, label, membership_column(rng, base, kind))
-        for domain in (*DOMAINS, algebra.elements):
-            values = scan_domain(ext, domain)
-            rule = tacit._closed_extension(base, ext, domain)
-            for engine in ENGINES:
-                lattice = enumerate_concepts(base, engine, domain=values, budget=BUDGET)
-                assert tacit._closed_extension(base, ext, domain, lattice) == rule
-            seen[rule] += 1
-    assert seen[True] == 0 if name == "chain5" else seen[True] and seen[False], seen
+    for _ in range(5):
+        base = random_context(rng, algebra, rng.randint(1, 3), rng.randint(2, 4))
+        for config in mined_configs(len(base.attributes)):
+            ext = extend_context(base, config)
+            assert all(check.satisfied for check in classify_columns(base, ext))
+            if algebra._is_lia:
+                for column in list(zip(*ext.rows))[len(base.attributes):]:
+                    assert closure_extent(base, object_set(column)).values == column
+            for domain in (*DOMAINS, algebra.elements):
+                named = domain in DOMAINS
+                if named:
+                    assert scan_domain(ext, domain) == scan_domain(base, domain)
+                enumerated.clear()
+                report = mine(base, config, domain=domain, budget=BUDGET)
+                gated = named and algebra._is_lia
+                assert enumerated == ([base] if gated else [base, ext])
+                if gated:
+                    assert report.congener == is_congener(base, ext, domain=domain, budget=BUDGET)
+                    assert report.congener.is_congener and report.fast_extension_verified
+                seen[gated] += 1
+    assert seen[False] and (seen[True] or name == "chain5"), seen
+
+
+def test_mine_enumerates_an_unclassified_extension(monkeypatch):
+    # no extension mine builds leaves a column unclassified, so one check
+    # is marked unsatisfied here: the extension is then enumerated, its
+    # verdict, still congener, comes from comparing the two lattices, and
+    # no fast extension is built
+    enumerated = []
+
+    def counting(context, *args, **kwargs):
+        enumerated.append(context)
+        return enumerate_concepts(context, *args, **kwargs)
+
+    classify = tacit.classify_columns
+
+    def one_unsatisfied(base, extended):
+        first, *rest = classify(base, extended)
+        return [tacit.TheoremCheck(first.attribute, None, False), *rest]
+
+    monkeypatch.setattr(tacit, "enumerate_concepts", counting)
+    monkeypatch.setattr(tacit, "classify_columns", one_unsatisfied)
+    context = load_context("demo.ctx")
+    for domain in DOMAINS:
+        enumerated.clear()
+        report = mine(context, domain=domain)
+        assert enumerated == [context, extend_context(context)]
+        assert report.congener == is_congener(context, extend_context(context), domain=domain)
+        assert report.congener.is_congener and not report.fast_extension_verified
+        assert report.theorem_checks[0].rule is None
 
 
 @pytest.mark.parametrize("name", sorted(LIAS) + sorted(set(WIDE_ALGEBRAS) - set(LIAS)))
