@@ -6,12 +6,14 @@ Subcommands: ``algebra`` (inspect/validate an algebra), ``concepts``
 against an extension). Exit codes are stable for scripting: 0 for success
 or an affirmative verdict, 1 for a negative verdict or failed validation,
 2 for usage and input errors. The environment variable ``LTVCL_BUDGET``
-(a positive integer) overrides the enumeration candidate budget.
+(a positive integer) overrides the enumeration candidate budget. The
+argument parser is built on first use and reused for the life of the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -189,6 +191,7 @@ def cmd_check_congener(args) -> int:
     return 1
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ltvcl",
@@ -207,7 +210,6 @@ def _parser() -> argparse.ArgumentParser:
                             "else list the violations (exit 1)")
     p_alg.add_argument("--show-tables", action="store_true",
                        help="print the implication and negation tables")
-    p_alg.set_defaults(func=cmd_algebra)
 
     p_con = sub.add_parser("concepts", help="enumerate the concept lattice of a context")
     p_con.add_argument("context", help="context file")
@@ -218,7 +220,6 @@ def _parser() -> argparse.ArgumentParser:
                        help="scan the values the context generates, or the whole algebra")
     p_con.add_argument("--dot", metavar="PATH", help="write a Graphviz rendering")
     p_con.add_argument("--json", metavar="PATH", help="write the JSON document")
-    p_con.set_defaults(func=cmd_concepts)
 
     p_mine = sub.add_parser("mine", help="run the tacit-attribute pipeline")
     p_mine.add_argument("context", help="context file")
@@ -232,22 +233,21 @@ def _parser() -> argparse.ArgumentParser:
     p_mine.add_argument("--engine", choices=["extent", "intent"], default="extent")
     p_mine.add_argument("--domain", choices=[GENERATED_DOMAIN, FULL_DOMAIN], default=None)
     p_mine.add_argument("--out", metavar="PATH", help="write the mining report as JSON")
-    p_mine.set_defaults(func=cmd_mine)
 
     p_chk = sub.add_parser("check-congener", help="compare a context with an extension")
     p_chk.add_argument("base", help="base context file")
     p_chk.add_argument("extended", help="extended context file")
     p_chk.add_argument("--engine", choices=["extent", "intent"], default="extent")
     p_chk.add_argument("--domain", choices=[GENERATED_DOMAIN, FULL_DOMAIN], default=None)
-    p_chk.set_defaults(func=cmd_check_congener)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    try:
-        return args.func(args)
+    try:  # the handler is looked up per call, so a rebound ``cmd_*`` name is the one run
+        return {"algebra": cmd_algebra, "concepts": cmd_concepts, "mine": cmd_mine,
+                "check-congener": cmd_check_congener}[args.command](args)
     except (BudgetError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,8 +1,10 @@
+import argparse
 import functools
 import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -346,3 +348,74 @@ class TestCheckCongenerCommand:
         )
         assert main(["check-congener", DEMO, str(tampered)]) == 2
         assert "disagrees" in capsys.readouterr().err
+
+
+class TestOneParserPerProcess:
+    # one golden run per subcommand, in process, with the files it writes
+    REPEATED = ("algebra_product_3_2", "demo_generated", "mine_demo_paper",
+                "check_congener_demo_extended")
+
+    def test_repeats_are_byte_identical_on_one_parser(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(REPO)
+        monkeypatch.delenv("LTVCL_BUDGET", raising=False)
+        builds = []
+
+        def counted(*args, **kwargs):
+            builds.append(kwargs.get("prog"))
+            return argparse.ArgumentParser(*args, **kwargs)
+
+        # the subcommand parsers are built from the class of the root
+        # parser, so only the root is counted
+        monkeypatch.setattr(ltvcl.cli, "argparse", types.SimpleNamespace(
+            **{**vars(argparse), "ArgumentParser": counted}))
+        ltvcl.cli._parser.cache_clear()
+        runs = {run[0]: run for run in GOLDEN_RUNS}
+
+        def run_all(round_dir):
+            round_dir.mkdir()
+            results = []
+            for name in self.REPEATED:
+                _, argv, code, files = runs[name]
+                written = [(option, round_dir / f"{name}.{suffix}") for option, suffix in files]
+                returned = main([*argv.split(),
+                                 *[arg for option, path in written for arg in (option, str(path))]])
+                out, err = capsys.readouterr()
+                assert returned == code, err
+                assert out == (GOLDENS / f"{name}.out").read_text(encoding="utf-8")
+                for _, path in written:
+                    assert path.read_bytes() == (GOLDENS / path.name).read_bytes()
+                results.append((returned, out, err))
+            return results
+
+        first = run_all(tmp_path / "first")
+        with pytest.raises(SystemExit) as exc:
+            main(["algebra"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: ltvcl algebra")
+        assert run_all(tmp_path / "second") == first
+        assert builds == ["ltvcl"]
+
+    def test_dispatch_reads_the_handler_name_per_call(self, capsys, monkeypatch):
+        # the bench tracer rebinds cli.cmd_* after the parser may be built
+        ltvcl.cli._parser()
+        calls = []
+
+        def spy(args):
+            calls.append((args.command, args.context))
+            return 7
+
+        monkeypatch.setattr(ltvcl.cli, "cmd_mine", spy)
+        assert main(["mine", DEMO]) == 7
+        assert calls == [("mine", DEMO)]
+        assert capsys.readouterr().out == ""
+
+    def test_help_reads_the_terminal_width_per_call(self, capsys, monkeypatch):
+        widths = []
+        for columns in ("200", "40"):
+            monkeypatch.setenv("COLUMNS", columns)
+            with pytest.raises(SystemExit) as exc:
+                main(["--help"])
+            assert exc.value.code == 0
+            widths.append(max(map(len, capsys.readouterr().out.splitlines())))
+        assert widths[1] < widths[0]
