@@ -5,9 +5,10 @@ Subcommands: ``algebra`` (inspect/validate an algebra), ``concepts``
 (the tacit-attribute pipeline), and ``check-congener`` (compare a context
 against an extension). Exit codes are stable for scripting: 0 for success
 or an affirmative verdict, 1 for a negative verdict or failed validation,
-2 for usage and input errors. The environment variable ``LTVCL_BUDGET``
-(a positive integer) overrides the enumeration candidate budget. The
-argument parser is built on first use and reused for the life of the process.
+2 for usage and input errors and for running out of memory. The
+environment variable ``LTVCL_BUDGET`` (a positive integer) overrides the
+enumeration candidate budget. The argument parser is built on first use
+and reused for the life of the process.
 """
 
 from __future__ import annotations
@@ -149,8 +150,7 @@ def cmd_mine(args) -> int:
     # the report file first, so that a path that cannot be written prints nothing
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(report.as_dict(context), handle, indent=2)
-            handle.write("\n")
+            handle.write(json.dumps(report.as_dict(context), indent=2) + "\n")
 
     if report.tacit_attributes:
         print("tacit attributes:")
@@ -250,6 +250,9 @@ def main(argv=None) -> int:
                 "check-congener": cmd_check_congener}[args.command](args)
     except (BudgetError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

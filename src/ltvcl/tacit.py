@@ -20,22 +20,21 @@ top -> x = x and bottom -> x = top, and extents are closed under meets.
 That sufficient condition marks the tacit attributes this module hunts
 for. ``extend_context`` builds such columns and ``classify_columns`` names
 their sources from one fold over attribute subsets
-(``context._subset_meets``). ``mine`` decides by the condition
-classification already checks: over a lattice implication algebra and a
-named domain, an extension whose every new column is classified is
-congener, with no closure and no second lattice.
+(``context._subset_meets``). ``mine`` decides by construction: every
+column it adds is such a meet, so over a lattice implication algebra and a
+named domain its extension is congener, with no closure and no second
+lattice.
 
-The extension is enumerated only where the rule in use does not settle
-the question: on an algebra that is not a lattice implication algebra
-(see ``Algebra._is_lia``), over an explicit domain, for ``is_congener`` a
-non-congener extension, whose witnesses need both lattices, and for
-``mine`` an unclassified column. Where the closure rule shows an
-extension congener, ``is_congener`` builds no lattice at all: it counts
-the base concepts as the distinct images of the base scan's fold
-(``galois._images``), one per concept over a lattice implication algebra.
-The fast extension rewrites each base concept's intent instead of
-re-enumerating, and ``mine`` checks it concept by concept against intents
-computed independently of it.
+The extension is enumerated only where the rule in use does not settle the
+question: on an algebra that is not a lattice implication algebra (see
+``Algebra._is_lia``), over an explicit domain, and for ``is_congener`` a
+non-congener extension, whose witnesses need both lattices. Where the
+closure rule shows an extension congener, ``is_congener`` builds no
+lattice at all: it counts the base concepts as the distinct images of the
+base scan's fold (``galois._images``), one per concept over a lattice
+implication algebra. The fast extension rewrites each base concept's
+intent instead of re-enumerating, and ``mine`` checks it concept by
+concept against intents computed independently of it.
 """
 
 from __future__ import annotations
@@ -331,17 +330,15 @@ def mine(
 ) -> MiningReport:
     """Full pipeline: extend, classify, fast-extend, verify, report.
 
-    The congener verdict is the sufficient condition classification
-    checks: over a lattice implication algebra and the "generated" or
-    "full" domain, an extension whose every new column is classified, a
-    meet of base columns or constant top, is congener (see the module
-    docstring), and both counts are the size of the base lattice, which is
-    enumerated here since the fast extension rewrites its intents. Off a
-    lattice implication algebra, over an explicit domain, or with a column
-    unclassified, the extension is enumerated too and the verdict read off
-    the two extent families. Both lattices are enumerated over the one
-    domain: an extension built here generates the same subalgebra as its
-    base, since its columns are meets of base columns or top.
+    The congener verdict follows from construction: every column
+    ``extend_context`` adds is a meet of base columns or constant top, so
+    over a lattice implication algebra and the "generated" or "full"
+    domain the extension is congener (see the module docstring), and both
+    counts are the size of the base lattice, enumerated here since the
+    fast extension rewrites its intents. Off a lattice implication
+    algebra, or over an explicit domain, the extension is enumerated too
+    and the verdict read off the two extent families, over the one domain:
+    an extension built here generates the same subalgebra as its base.
 
     A congener extension's concepts are the base extents, in the base
     lattice's order (the order reads extents only), so the fast extension
@@ -350,14 +347,14 @@ def mine(
     extension. Where the extension was enumerated, that is the intent its
     lattice pairs with the extent, since enumeration pairs every extent
     with its forward derivation. Both sides are compared as tuples of
-    element positions. A non-congener extension, or one with a column
-    unclassified, builds no fast extension and reports it unverified.
+    element positions. A non-congener extension builds no fast extension
+    and reports it unverified, and ``extend_concepts_fast`` refuses any
+    unsatisfied check.
     """
     extended = extend_context(context, config)
     checks = classify_columns(context, extended)
-    classified = all(c.satisfied for c in checks)
     base_lattice = enumerate_concepts(context, engine, domain=domain, budget=budget)
-    if classified and domain in (GENERATED_DOMAIN, FULL_DOMAIN) and context.algebra._is_lia:
+    if domain in (GENERATED_DOMAIN, FULL_DOMAIN) and context.algebra._is_lia:
         count = len(base_lattice)
         congener = CongenerReport(base_extent_count=count, extended_extent_count=count, witnesses=())
     else:
@@ -365,7 +362,7 @@ def mine(
         congener = _congener_report(base_lattice, extended_lattice)
 
     fast_verified = False
-    if congener.is_congener and classified:
+    if congener.is_congener:
         fast_lattice = extend_concepts_fast(base_lattice, extended, checks=checks)
         masks, width = extended.row_masks, len(extended.attributes)
         fast_verified = fast_lattice._intents == tuple(

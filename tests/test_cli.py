@@ -114,6 +114,22 @@ def test_golden_run(tmp_path, name, argv, code, files):
         assert path.read_bytes() == (GOLDENS / path.name).read_bytes()
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["concepts", DEMO], "enumerate_concepts"),
+    (["mine", DEMO], "mine"),
+    (["check-congener", DEMO, DEMO_EXT], "is_congener"),
+])
+def test_out_of_memory_exits_2(capsys, monkeypatch, argv, name):
+    # exit 1 is a negative verdict, so running out of memory must not be
+    # left to Python's uncaught-exception status
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(ltvcl.cli, name, exhausted)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: out of memory\n")
+
+
 class TestAlgebraCommand:
     def test_product_check_passes(self, capsys):
         assert main(["algebra", "--product", "3", "2", "--check-axioms"]) == 0

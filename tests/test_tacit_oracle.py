@@ -7,14 +7,14 @@ columns on element positions, searches a column's upper set, and decides
 congener by the closure of every new column in the base context, on the
 encoded kernel, where that is exact; a congener extension then gets its
 concept count from the base scan's fold, with no lattice built. ``mine``
-decides there by the classification of the columns it builds, which all
-pass the closure rule. Both must
-give the same extensions, classifications, congener reports and mining
-reports, and raise the same errors, on algebras where the closure test
-applies and on algebras where it is gated off. The library's decision must
-follow the public rule, ``closure_extent(base, c) == c`` for every new
-column c, and the fold must count the concepts exactly over a lattice
-implication algebra, and not off one.
+decides there by construction: every column it builds passes the closure
+rule. Both must give the same extensions, classifications, congener
+reports and mining reports, and raise the same errors, on algebras where
+the closure test applies and on algebras where it is gated off. The
+library's decision must follow the public rule,
+``closure_extent(base, c) == c`` for every new column c, and the fold must
+count the concepts exactly over a lattice implication algebra, and not off
+one.
 """
 
 import functools
@@ -37,7 +37,8 @@ from ltvcl import (
     object_set,
     tacit,
 )
-from ltvcl.errors import BudgetError, StructureError
+from ltvcl.cli import main
+from ltvcl.errors import BudgetError, StructureError, UnclassifiedColumnError
 from ltvcl.galois import (
     EXTENT_SCAN,
     FULL_DOMAIN,
@@ -46,7 +47,15 @@ from ltvcl.galois import (
     _images,
     scan_domain,
 )
-from conftest import ALGEBRAS, WIDE_ALGEBRAS, append_column, load_context, random_context, table
+from conftest import (
+    ALGEBRAS,
+    DATA_DIR,
+    WIDE_ALGEBRAS,
+    append_column,
+    load_context,
+    random_context,
+    table,
+)
 from oracle import (
     reference_classify_columns,
     reference_extend_concepts_fast,
@@ -393,9 +402,9 @@ def mined_configs(n_attributes: int):
 def test_mine_decides_by_the_classification(name, monkeypatch):
     # a mine-built extension classifies every column and generates the
     # base's subalgebra; over an LIA and a named domain each new column is
-    # closed, so mine's verdict, read off the classification with only the
+    # closed, so mine's verdict, decided by construction with only the
     # base enumerated, is is_congener's. chain5 and an explicit domain
-    # enumerate the extension too
+    # enumerate the extension too, and there is_congener enumerates as well
     enumerated = []
 
     def counting(context, *args, **kwargs):
@@ -422,18 +431,17 @@ def test_mine_decides_by_the_classification(name, monkeypatch):
                 report = mine(base, config, domain=domain, budget=BUDGET)
                 gated = named and algebra._is_lia
                 assert enumerated == ([base] if gated else [base, ext])
+                assert report.congener == is_congener(base, ext, domain=domain, budget=BUDGET)
                 if gated:
-                    assert report.congener == is_congener(base, ext, domain=domain, budget=BUDGET)
                     assert report.congener.is_congener and report.fast_extension_verified
                 seen[gated] += 1
     assert seen[False] and (seen[True] or name == "chain5"), seen
 
 
-def test_mine_enumerates_an_unclassified_extension(monkeypatch):
+def test_mine_refuses_an_unclassified_column(monkeypatch, capsys):
     # no extension mine builds leaves a column unclassified, so one check
-    # is marked unsatisfied here: the extension is then enumerated, its
-    # verdict, still congener, comes from comparing the two lattices, and
-    # no fast extension is built
+    # is marked unsatisfied here: mine does not switch to enumerating the
+    # extension, the fast extension refuses the check, and the CLI exits 2
     enumerated = []
 
     def counting(context, *args, **kwargs):
@@ -451,11 +459,13 @@ def test_mine_enumerates_an_unclassified_extension(monkeypatch):
     context = load_context("demo.ctx")
     for domain in DOMAINS:
         enumerated.clear()
-        report = mine(context, domain=domain)
-        assert enumerated == [context, extend_context(context)]
-        assert report.congener == is_congener(context, extend_context(context), domain=domain)
-        assert report.congener.is_congener and not report.fast_extension_verified
-        assert report.theorem_checks[0].rule is None
+        with pytest.raises(UnclassifiedColumnError):
+            mine(context, domain=domain)
+        assert enumerated == [context]
+    assert main(["mine", str(DATA_DIR / "demo.ctx")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: fast extension is unsound for unclassified columns")
 
 
 @pytest.mark.parametrize("name", sorted(LIAS) + sorted(set(WIDE_ALGEBRAS) - set(LIAS)))
