@@ -1,10 +1,9 @@
 """Finite lattice implication algebras.
 
 Every algebra is one table-backed :class:`Algebra`: its elements in display
-order, their spellings, and every operation precomputed as a table, so
-``leq``, ``meet``, ``join``, ``imp`` and ``neg`` are lookups and a value
-that is not an element raises :class:`DimensionError`. Two builders emit
-the tables:
+order, their spellings, and every operation as a table, so ``leq``,
+``meet``, ``join``, ``imp`` and ``neg`` are lookups and a value that is not
+an element raises :class:`DimensionError`. Two builders emit the tables:
 
 - ``ProductAlgebra`` combines Lukasiewicz chains coordinatewise; on a factor
   chain of size n the implication is ``(i, j) -> min(n - i + j, n)``,
@@ -19,15 +18,16 @@ the tables:
   algebra is a product of Lukasiewicz chains, so a table is one exactly
   when it is such a product under a renaming of its elements.
   :func:`check_axioms` passes what the certificate proves and runs the
-  exhaustive law check, within a budget, only to name what fails: each
-  law is evaluated once, the cubic ones in one pass of ``bytes.translate``
-  kernels whose differing cells are the violations.
+  exhaustive law check, within a budget, only to name what fails.
 
-From the implication the algebra derives the rest once, at construction:
-top is the common value of the diagonal, x <= y iff imp(x, y) = top, and
-meets and joins come from that order. Every table is indexed by element
-position (display order) and holds positions; a :class:`TruthValue` is
-only ever an argument or result of the public operations.
+At construction the algebra derives top (the diagonal's value) and
+the order (x <= y iff imp(x, y) = top) from the implication; the meet and
+join tables come from that order when first read, by the certificate on a
+table, the law check, ``generated_subalgebra``, the lattice test,
+``meet``, ``join`` or ``galois.concept_join``. Every table is indexed by
+element position (display order) and holds positions; a
+:class:`TruthValue` is only ever an argument or result of the public
+operations.
 
 The default product of a 3-chain and a 2-chain carries the six linguistic
 labels AbT, VeT, SlT, SlF, VeF, AbF (modifier + polarity); every other
@@ -46,11 +46,11 @@ from typing import Iterable, Iterator, Sequence
 from .errors import BudgetError, DimensionError, LoadError, StructureError
 
 # the element budget of check_axioms' exhaustive law check, which runs only
-# on an algebra the Lukasiewicz certificate does not prove; it also keeps
-# every position and the cubic pass's missing-bound sentinel in one byte
+# on an algebra the Lukasiewicz certificate does not prove; the check also
+# holds n to 255, so that a position and the missing-bound sentinel fit a byte
 DEFAULT_AXIOM_BUDGET = 128
-# Products build every table eagerly, about n^2 entries each; larger
-# products raise BudgetError instead of exhausting time and memory.
+# Products build their n^2-entry implication table at construction (meet
+# and join only when read); larger ones raise BudgetError instead.
 PRODUCT_ELEMENT_LIMIT = 512
 # a byte other than zero: where the XOR of two byte strings marks a difference
 _NONZERO_BYTE = re.compile(rb"[^\x00]")
@@ -99,31 +99,28 @@ class LinguisticLabel:
 
 
 class Algebra:
-    """A finite algebra whose operations are precomputed position tables.
+    """A finite algebra whose operations are position tables.
 
     Builders pass the elements in display order, their spellings, and the
     implication and negation as position tables (``imp[i][j]`` and
-    ``neg[i]`` are positions in ``values``). The constructor derives top
-    (at position ``_top``), the order (``_up[i]`` / ``_down[i]``: bitmasks
-    of the positions above / below i), bottom, and meet and join tables
-    with None where no unique bound exists. Each operation is stored once,
-    as such a table. Values map to positions in one place, ``_by_coords``,
-    keyed by coordinate tuples, which hash in C where a ``TruthValue``
-    hashes through its dataclass ``__hash__``: ``_position`` maps one value
-    and ``_positions`` a vector, and only a value of type ``TruthValue``
-    itself is looked up there. It rejects a non-constant diagonal or a
-    non-antisymmetric order with LoadError; whether every other law holds
-    is decided by the Lukasiewicz certificate, whose proof ``_chains``
-    caches on first use, and ``_is_lia``, the one verdict, is whether it
-    found one. Also cached on first use are ``_lattice_fault``, which a
-    ``FuzzyContext`` reads to refuse an order that is not a lattice and
-    ``hasse_covers`` reads to walk a lattice's covers, and ``_code``,
-    the encoding of position vectors as ints on which every pointwise meet
-    runs, with ``_imp_codes``, its implication rows as translate tables.
+    ``neg[i]`` are positions in ``values``). The constructor derives top (at
+    position ``_top``), the order (``_up[i]`` / ``_down[i]``: bitmasks of
+    the positions above / below i) and bottom; the meet and join tables
+    ``_meet`` and ``_join``, with None where no unique bound exists, are
+    built on first read (see the module docstring). Values map to positions
+    only through ``_by_coords``, keyed by coordinate tuples, which hash in C
+    (a ``TruthValue`` hashes in Python): ``_position`` maps one value and
+    ``_positions`` a vector, and only an exact ``TruthValue`` is looked up.
+    It rejects a non-constant diagonal or a non-antisymmetric order with
+    LoadError; whether every other law holds is decided by the Lukasiewicz
+    certificate, whose proof ``_chains`` caches on first use, and
+    ``_is_lia``, the one verdict, is whether it found one. Also cached on
+    first use are ``_lattice_fault`` and the vector code ``_code`` with
+    ``_imp_codes`` (see each).
 
     Algebras are immutable after construction and every operation is a pure
-    function (the cached verdicts are too), so instances may be shared freely
-    between threads.
+    function (the cached tables and verdicts too), so instances may be
+    shared freely between threads.
     """
 
     def __init__(
@@ -165,14 +162,16 @@ class Algebra:
         self.top = els[t]
         bottoms = [i for i in range(n) if up[i] == (1 << n) - 1]
         self._bottom = els[bottoms[0]] if bottoms else None
-        self._meet = _meet_table(down)
-        self._join = _meet_table(up)
 
     @property
     def bottom(self) -> TruthValue:
         if self._bottom is None:
             raise StructureError("the derived order has no least element")
         return self._bottom
+
+    # the bound tables, built by _meet_table on first read
+    _meet = cached_property(lambda self: _meet_table(self._down))
+    _join = cached_property(lambda self: _meet_table(self._up))
 
     @cached_property
     def _chains(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -196,7 +195,8 @@ class Algebra:
     def _lattice_fault(self) -> str | None:
         """Why the derived order is not a lattice, or None when it is: the
         first pair in display order with no meet, else the first triple
-        that breaks transitivity, else the first pair with no join.
+        that breaks transitivity, else the first pair with no join. Read by
+        a ``FuzzyContext``, to refuse a non-lattice, and ``hasse_covers``.
         Computed once, on first use; products are lattices by construction."""
         els, up = self.elements, self._up
 
@@ -483,10 +483,8 @@ class ProductAlgebra(Algebra):
         if any(n < 2 for n in sizes):
             raise ValueError(f"every chain size must be >= 2, got {list(sizes)}")
         if math.prod(sizes) > PRODUCT_ELEMENT_LIMIT:
-            raise BudgetError(
-                f"product {' '.join(map(str, sizes))} has {math.prod(sizes)} elements, "
-                f"over the limit of {PRODUCT_ELEMENT_LIMIT}"
-            )
+            raise BudgetError(f"product {' '.join(map(str, sizes))} has {math.prod(sizes)} "
+                              f"elements, over the limit of {PRODUCT_ELEMENT_LIMIT}")
         self.chain_sizes = sizes
         self._chains = (sizes, tuple(range(math.prod(sizes))))
         # display order runs top-down, later factors first (see
@@ -579,53 +577,50 @@ class TableAlgebra(Algebra):
     """Builder for an algebra given by implication and negation tables.
 
     Elements are numbered in declared order, which is also the display
-    order. The order is derived from the implication alone (see
-    :class:`Algebra`), and meets and joins are derived from the order; a
-    pair with no unique bound raises :class:`StructureError` when used. A
-    table whose order is not a lattice loads, so that :func:`check_axioms`
-    can report it, but a context over it is refused when it is built.
+    order. The order, meets and joins derive from the implication alone
+    (see :class:`Algebra`); a pair with no unique bound raises
+    :class:`StructureError` when used. A table whose order is not a
+    lattice loads, so that :func:`check_axioms` can report it, but a
+    context over it is refused when it is built.
     """
 
-    def __init__(
-        self,
-        element_names: Sequence[str],
-        imp_table: dict[tuple[str, str], str],
-        neg_table: dict[str, str],
-        source: str | None = None,
-    ):
+    def __init__(self, element_names: Sequence[str], imp_table: dict[tuple[str, str], str],
+                 neg_table: dict[str, str], source: str | None = None):
         names = tuple(element_names)
         if not names:
             raise LoadError("a table algebra needs at least one element")
-        if len(set(names)) != len(names):
-            raise LoadError(f"duplicate element name in {list(names)}")
-        index = {name: i for i, name in enumerate(names)}
+        index = _index(names)
         for x, y in imp_table:
             if x not in index or y not in index:
                 raise LoadError(f"implication entry ({x}, {y}) names an undeclared element")
         for x in neg_table:
             if x not in index:
                 raise LoadError(f"negation entry for {x!r} names an undeclared element")
-        for x in names:
-            for y in names:
-                v = imp_table.get((x, y))
-                if v is None:
-                    raise LoadError(f"implication table is missing entry ({x}, {y})")
-                if v not in index:
-                    raise LoadError(f"implication entry ({x}, {y}) = {v!r} is not an element")
-        for x in names:
-            v = neg_table.get(x)
-            if v is None:
-                raise LoadError(f"negation table is missing entry for {x}")
-            if v not in index:
-                raise LoadError(f"negation entry {x} -> {v!r} is not an element")
+        self._build(names, index, [[imp_table.get((x, y)) for y in names] for x in names],
+                    neg_table, source)
+
+    def _build(self, names, index, imp_rows, neg_table, source) -> None:
+        """The value check of both entry points, then construction:
+        ``imp_rows[i][j]`` spells imp(i, j), None if missing; the first
+        entry, by rows then negations, that is missing or no element raises
+        LoadError."""
+        imp = [tuple(map(index.get, row)) for row in imp_rows]
+        neg_row = list(map(neg_table.get, names))
+        neg = tuple(map(index.get, neg_row))
+        for x, row, positions in zip(names, imp_rows, imp):
+            if None in positions:
+                y = positions.index(None)
+                v, pair = row[y], f"({x}, {names[y]})"
+                raise LoadError(f"implication table is missing entry {pair}" if v is None
+                                else f"implication entry {pair} = {v!r} is not an element")
+        if None in neg:
+            i = neg.index(None)
+            v, x = neg_row[i], names[i]
+            raise LoadError(f"negation table is missing entry for {x}" if v is None
+                            else f"negation entry {x} -> {v!r} is not an element")
         self.element_names = names
         self.source = source
-        super().__init__(
-            [TruthValue((i + 1,)) for i in range(len(names))],
-            names,
-            [[index[imp_table[x, y]] for y in names] for x in names],
-            [index[neg_table[x]] for x in names],
-        )
+        super().__init__([TruthValue((i + 1,)) for i in range(len(names))], names, imp, neg)
 
     def __repr__(self) -> str:
         return f"TableAlgebra({list(self.element_names)})"
@@ -658,8 +653,7 @@ def load_table_algebra(text: str, source: str | None = None) -> TableAlgebra:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        kind, rest = parts[0], parts[1:]
+        kind, *rest = line.split()
         if kind == "elements":
             if names:
                 raise LoadError("duplicate 'elements' line", lineno)
@@ -670,9 +664,7 @@ def load_table_algebra(text: str, source: str | None = None) -> TableAlgebra:
             if not names:
                 raise LoadError("'imp' before 'elements'", lineno)
             if len(rest) != 1 + len(names):
-                raise LoadError(
-                    f"'imp' row needs a row name and {len(names)} values", lineno
-                )
+                raise LoadError(f"'imp' row needs a row name and {len(names)} values", lineno)
             imp_rows.append((lineno, rest[0], rest[1:]))
         elif kind == "neg":
             if not names:
@@ -687,14 +679,10 @@ def load_table_algebra(text: str, source: str | None = None) -> TableAlgebra:
         raise LoadError("missing 'elements' line")
     if len(imp_rows) != len(names):
         raise LoadError(f"expected {len(names)} 'imp' rows, found {len(imp_rows)}")
-    imp_table: dict[tuple[str, str], str] = {}
-    for (lineno, row_name, values), expected in zip(imp_rows, names):
+    for (lineno, row_name, _), expected in zip(imp_rows, names):
         if row_name != expected:
-            raise LoadError(
-                f"'imp' rows must follow the declared order; expected {expected!r}", lineno
-            )
-        for col_name, v in zip(names, values):
-            imp_table[(row_name, col_name)] = v
+            raise LoadError(f"'imp' rows must follow the declared order; expected {expected!r}",
+                            lineno)
     neg_table: dict[str, str] = {}
     for lineno, name, v in neg_lines:
         if name not in names:
@@ -702,7 +690,17 @@ def load_table_algebra(text: str, source: str | None = None) -> TableAlgebra:
         if name in neg_table:
             raise LoadError(f"duplicate 'neg' line for {name!r}", lineno)
         neg_table[name] = v
-    return TableAlgebra(names, imp_table, neg_table, source=source)
+    algebra = TableAlgebra.__new__(TableAlgebra)
+    algebra._build(tuple(names), _index(names), [row for _, _, row in imp_rows], neg_table, source)
+    return algebra
+
+
+def _index(names: Sequence[str]) -> dict[str, int]:
+    """The declared position of each name; a repeated one raises LoadError."""
+    index = {name: i for i, name in enumerate(names)}
+    if len(index) != len(names):
+        raise LoadError(f"duplicate element name in {list(names)}")
+    return index
 
 
 @dataclass
@@ -727,39 +725,35 @@ def check_axioms(algebra: Algebra) -> AxiomReport:
     also read by enumeration and mining) is isomorphic to a lattice
     implication algebra and passes untested, at any size. Every other, one
     with a missing bound too, is not one; larger than
-    ``DEFAULT_AXIOM_BUDGET``, read at call time, it raises BudgetError, and
-    otherwise the exhaustive check over every element tuple names its
-    violations:
-    bounded-top/-bottom, meet-/join-defined, neg-involutive, neg-antitone,
-    lia-3, lia-5 and the cubic lia-1, lia-6, lia-7, meet-assoc and
-    join-assoc. Eight more laws hold on every ``Algebra`` by construction
-    and are not tested: lia-2 (top is the diagonal's single value), lia-4
-    (antisymmetry, which construction enforces), and meet-/join-idem,
-    meet-/join-comm and both absorption laws (``_meet_table`` derives (x, y)
-    and (y, x) from the same common mask and, on a reflexive antisymmetric
-    order, gives x for (x, x) and for any (x, y) with y above x).
+    ``DEFAULT_AXIOM_BUDGET``, read at call time, or than 255 whatever the
+    budget, it raises BudgetError, and otherwise the exhaustive check over
+    every element tuple names its violations: bounded-top/-bottom,
+    meet-/join-defined, neg-involutive, neg-antitone, lia-3, lia-5 and the
+    cubic lia-1, lia-6, lia-7, meet-assoc and join-assoc. Eight more laws
+    hold on every ``Algebra`` by construction and are not tested: lia-2
+    (top is the diagonal's single value), lia-4 (antisymmetry, which
+    construction enforces), and meet-/join-idem, meet-/join-comm and both
+    absorption laws (``_meet_table`` derives (x, y) and (y, x) from the
+    same common mask and, on a reflexive antisymmetric order, gives x for
+    (x, x) and for any (x, y) with y above x).
 
     The laws are read straight from the algebra's position tables, over
-    positions in display order, so witnesses come in that order. A pair
-    missing either bound is reported as ``meet-defined`` and/or
-    ``join-defined`` and is skipped for both operations by every later law.
-    Every violating instance is reported with a witness tuple of spellings.
+    positions in display order, so witnesses, tuples of spellings, come in
+    that order. A pair missing either bound is reported as ``meet-defined``
+    and/or ``join-defined`` and is skipped for both operations by every
+    later law.
 
-    The five cubic laws (lia-1, lia-6, lia-7, meet-assoc, join-assoc) are
-    evaluated once, on every table, by :func:`_cubic_violations`: per x it
-    compares the two sides of each law over all (y, z) at once with
-    ``bytes.translate`` kernels in which a missing bound is a sentinel
-    position, and hands back each cell where both sides are defined and
-    differ, with the law. Those are exactly the violations, in (y, z) order
-    and with the laws in the order above, as a loop over every (x, y, z)
-    finds them. The Python work is quadratic plus one append per
-    violation, and the cubic work runs in C.
+    The five cubic laws are evaluated once, on every table, by
+    :func:`_cubic_violations`, whose byte kernels run the cubic work in C
+    and yield exactly the violations a loop over every (x, y, z) finds, in
+    its order. The Python work is quadratic plus one append per violation.
     """
     if algebra._is_lia:
         return AxiomReport()
-    n = len(algebra.elements)
-    if n > DEFAULT_AXIOM_BUDGET:
-        raise BudgetError(f"{n} elements exceed the axiom-check budget of {DEFAULT_AXIOM_BUDGET}")
+    n, budget = len(algebra.elements), min(DEFAULT_AXIOM_BUDGET, 255)
+    if n > budget:
+        cap = "budget" if budget == DEFAULT_AXIOM_BUDGET else "one-byte cap"
+        raise BudgetError(f"{n} elements exceed the axiom-check {cap} of {budget}")
     name = algebra._spellings
     imp, neg, up, down = algebra._imp, algebra._neg, algebra._up, algebra._down
     els = range(n)
@@ -775,16 +769,12 @@ def check_axioms(algebra: Algebra) -> AxiomReport:
 
     # totality of meet/join; a pair missing either bound counts as
     # undefined for both operations
-    meet = [[None] * n for _ in els]
-    join = [[None] * n for _ in els]
+    meet, join = ([list(row) for row in table] for table in (algebra._meet, algebra._join))
     for x, y in itertools.product(els, repeat=2):
-        m, j = algebra._meet[x][y], algebra._join[x][y]
-        if m is None:
-            bad.append(("meet-defined", (name[x], name[y])))
-        if j is None:
-            bad.append(("join-defined", (name[x], name[y])))
-        if m is not None and j is not None:
-            meet[x][y], join[x][y] = m, j
+        if meet[x][y] is None or join[x][y] is None:
+            bad += [(law, (name[x], name[y])) for law, table in
+                    (("meet-defined", meet), ("join-defined", join)) if table[x][y] is None]
+            meet[x][y] = join[x][y] = None
 
     for x in els:
         if neg[neg[x]] != x:
@@ -854,16 +844,14 @@ def _cubic_violations(imp, meet, join) -> Iterator[tuple[str, int, int, int]]:
     of n elements, with None where a pair has no bound: x ascending, then
     y * n + z ascending, then the laws in that order.
 
-    None is encoded as the sentinel position n, so n < 256 is needed for a
-    position to fit a byte; :func:`check_axioms` holds n to
-    ``DEFAULT_AXIOM_BUDGET`` (128) before this runs. Every row of the
+    None is encoded as the sentinel position n, so a position fits a byte
+    only for n < 256, which :func:`check_axioms` ensures. Every row of the
     three tables and every implication column is built once as ``bytes``
     (``rows_i``, ``rows_m``, ``rows_j``, ``cols``), and once more padded
     with the sentinel to 256 bytes as a ``bytes.translate`` table (``ti``,
     ``tm``, ``tj``, ``tc``). So ``b.translate(tm[a])`` is the meet of a with
     each position in b, computed in C, and a sentinel in b yields the
-    sentinel. Per x each law's two sides are compared over all (y, z) at
-    once:
+    sentinel. Per x each law's two sides are compared over all (y, z):
 
     - lia-1, x -> (y -> z) against y -> (x -> z), row by row:
       ``all_i.translate(ti[x])`` with ``ix.translate(ti[y])`` over y;
@@ -877,8 +865,8 @@ def _cubic_violations(imp, meet, join) -> Iterator[tuple[str, int, int, int]]:
       the join tables.
 
     A side is the sentinel exactly when it reads a missing bound, where the
-    law does not apply, so a cell is reported only where both sides of a
-    law are defined and differ: exactly the violations, on every table.
+    law does not apply, so the cells reported, where both sides are defined
+    and differ, are exactly the violations.
     """
     n = len(imp)
     rows_i = [bytes(row) for row in imp]

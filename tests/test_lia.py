@@ -7,6 +7,10 @@ import pytest
 
 from ltvcl import lia
 from ltvcl import (
+    EXTENT_SCAN,
+    FULL_DOMAIN,
+    GENERATED_DOMAIN,
+    INTENT_SCAN,
     BudgetError,
     Concept,
     DimensionError,
@@ -34,6 +38,7 @@ from conftest import (
     WIDE_ALGEBRAS,
     break_contraposition,
     corrupted_tables,
+    random_context,
     shuffled_table,
     shuffled_tables,
 )
@@ -357,6 +362,37 @@ class TestTableAlgebra:
         with pytest.raises(LoadError, match=f"entry .*{key}.* undeclared"):
             TableAlgebra(["O", "I"], imp, neg)
 
+    def test_the_loader_builds_what_the_dicts_build(self):
+        # seeded shuffled tables of products, some with a corrupted entry
+        # that still loads and some with one that does not: the loader and
+        # the dict constructor agree, on the algebra or on the LoadError
+        rng = random.Random(37)
+        seen = Counter()
+        for sizes in ([3, 2], [2, 2, 2], [4, 4], [3, 3, 3], [5, 2, 2]):
+            for trial in range(6):
+                names, imp, neg, _ = shuffled_tables(ProductAlgebra(sizes), rng)
+                if trial % 3 == 1:
+                    imp = break_contraposition(names, imp, neg, rng)
+                elif trial % 3 == 2:
+                    bad = rng.choice(["X", rng.choice(names)])
+                    if rng.random() < 0.5:
+                        imp[rng.choice(names), rng.choice(names)] = bad
+                    else:
+                        neg[rng.choice(names)] = bad
+                outcomes = []
+                for build in (lambda: load_table_algebra(table_text(names, imp, neg), "t.lia"),
+                              lambda: TableAlgebra(names, imp, neg, "t.lia")):
+                    try:
+                        alg = build()
+                    except LoadError as error:
+                        outcomes.append(("error", str(error), error.line))
+                    else:
+                        outcomes.append((alg._imp, alg._neg, alg._spellings, alg.elements,
+                                         alg.source))
+                assert outcomes[0] == outcomes[1], (sizes, trial)
+                seen[outcomes[0][0] == "error"] += 1
+        assert seen[True] and seen[False], seen
+
     @pytest.mark.parametrize("build, message, line", [
         # load_table_algebra
         (loaded("elements O I\nelements O I\n"), "duplicate 'elements' line", 2),
@@ -530,14 +566,20 @@ class TestAxiomChecker:
             ]
             assert found == reference_cubic_violations(imp, meet, join, names), trial
 
-    def test_the_budget_keeps_every_position_in_a_byte(self):
+    def test_the_budget_keeps_every_position_in_a_byte(self, monkeypatch):
         # the cubic pass encodes positions and the missing-bound sentinel n
-        # as single bytes, and check_axioms applies the budget before it runs
-        assert lia.DEFAULT_AXIOM_BUDGET < 256, (
-            "a budget of 256 elements or more breaks check_axioms' cubic pass, "
-            "lia._cubic_violations, which holds every position and the sentinel "
-            "n in one byte: widen its kernels before lifting the budget"
-        )
+        # as single bytes, so check_axioms holds n to 255 whatever the
+        # budget: raised past it, the budget still refuses 256 elements with
+        # BudgetError, naming the cap, before the pass runs
+        corrupted = TableAlgebra(*corrupted_tables(ProductAlgebra([2] * 8), 256))
+        for budget in (256, 300):
+            monkeypatch.setattr(lia, "DEFAULT_AXIOM_BUDGET", budget)
+            with pytest.raises(BudgetError) as caught:
+                check_axioms(corrupted)
+            assert str(caught.value) == "256 elements exceed the axiom-check one-byte cap of 255"
+        monkeypatch.setattr(lia, "DEFAULT_AXIOM_BUDGET", 255)
+        with pytest.raises(BudgetError, match="^256 elements exceed the axiom-check budget of 255"):
+            check_axioms(corrupted)
 
 
 def assert_bounds_by_definition(alg):
@@ -588,6 +630,44 @@ class TestBoundTables:
                 else:
                     seen["no bound" if alg._meet[i][j] is None else "searched bound"] += 1
         assert seen["hit"] and seen["searched bound"] and seen["no bound"], seen
+
+
+def table_text(names, imp, neg):
+    """The table file of ``names`` and the dicts ``imp`` and ``neg``."""
+    lines = ["elements " + " ".join(names)]
+    lines += [f"imp {x} " + " ".join(imp[x, y] for y in names) for x in names]
+    return "\n".join(lines + [f"neg {x} {neg[x]}" for x in names]) + "\n"
+
+
+class TestDeferredBoundTables:
+    def test_the_algebra_path_and_a_full_scan_build_none(self):
+        # what `ltvcl algebra --check-axioms --show-tables` runs on a product,
+        # then a full-domain scan of product 3 2: neither reads meet or join
+        for sizes in ([3, 2], [4, 4], [3, 3, 3], [3, 3, 3, 3, 2]):
+            alg = ProductAlgebra(sizes)
+            assert check_axioms(alg).passed
+            assert [alg.format_value(x) for pair in alg.hasse_covers() for x in pair]
+            assert not {"_meet", "_join"} & set(vars(alg)), sizes
+        context = random_context(random.Random(6), ProductAlgebra([3, 2]), 3, 3)
+        for engine in (EXTENT_SCAN, INTENT_SCAN):
+            assert enumerate_concepts(context, engine, domain=FULL_DOMAIN)
+        assert not {"_meet", "_join"} & set(vars(context.algebra))
+        # the generated domain closes under meet and join, so it builds both
+        enumerate_concepts(context, domain=GENERATED_DOMAIN)
+        assert {"_meet", "_join"} <= set(vars(context.algebra))
+
+    @pytest.mark.parametrize("name", [*sorted(ALGEBRAS), *sorted(WIDE_ALGEBRAS), "nojoin.lia",
+                                      "nonlattice.lia", "bool16_bad.lia", "chain5.lia",
+                                      "meet4.lia"])
+    def test_a_first_read_builds_each_table_once(self, name):
+        build = {**ALGEBRAS, **WIDE_ALGEBRAS}.get(
+            name, lambda: load_table_algebra((DATA_DIR / name).read_text(encoding="utf-8")))
+        alg = build()
+        for attr, masks in (("_meet", alg._down), ("_join", alg._up)):
+            assert attr not in vars(alg)
+            table = getattr(alg, attr)
+            assert table == lia._meet_table(masks)
+            assert vars(alg)[attr] is table is getattr(alg, attr)
 
 
 class TestLukasiewiczCertificate:
