@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -33,7 +32,7 @@ from .galois import (
     export_json,
 )
 from .lia import ProductAlgebra, check_axioms, load_table_algebra
-from .tacit import is_congener, mine
+from .tacit import _report_json, is_congener, mine
 
 MAX_PRINTED_VIOLATIONS = 10
 
@@ -150,7 +149,7 @@ def cmd_mine(args) -> int:
     # the report file first, so that a path that cannot be written prints nothing
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(report.as_dict(context), indent=2) + "\n")
+            handle.write(_report_json(report, context))
 
     if report.tacit_attributes:
         print("tacit attributes:")

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
 from functools import cached_property
 
+from ._value import _setattr, _Value
 from .errors import ParseError, StructureError
 from .lia import Algebra, ProductAlgebra, TruthValue, load_table_algebra
 
@@ -22,23 +22,23 @@ MEET = "meet"
 TOP = "top"
 
 
-@dataclass(frozen=True, slots=True)
-class AttributeProvenance:
+class AttributeProvenance(_Value):
     """How a column came to be: given data, a meet of columns, or all-top."""
 
-    kind: str
-    sources: tuple[int, ...] = ()
+    __slots__ = _fields = ("kind", "sources")
 
-    def __post_init__(self):
-        if self.kind not in (ORIGINAL, MEET, TOP):
-            raise ValueError(f"unknown provenance kind {self.kind!r}")
-        if self.kind == MEET:
-            if len(self.sources) < 2:
+    def __init__(self, kind: str, sources: tuple[int, ...] = ()):
+        if kind not in (ORIGINAL, MEET, TOP):
+            raise ValueError(f"unknown provenance kind {kind!r}")
+        if kind == MEET:
+            if len(sources) < 2:
                 raise ValueError("a meet column needs at least two sources")
-            if list(self.sources) != sorted(set(self.sources)):
+            if list(sources) != sorted(set(sources)):
                 raise ValueError("meet sources must be strictly increasing")
-        elif self.sources:
-            raise ValueError(f"{self.kind} provenance takes no sources")
+        elif sources:
+            raise ValueError(f"{kind} provenance takes no sources")
+        _setattr(self, "kind", kind)
+        _setattr(self, "sources", sources)
 
     @classmethod
     def original(cls) -> "AttributeProvenance":
@@ -60,8 +60,7 @@ class AttributeProvenance:
         return "original"
 
 
-@dataclass(frozen=True)
-class FuzzyContext:
+class FuzzyContext(_Value):
     """Objects x attributes grid of truth values over one algebra.
 
     Rows follow the object order, columns the attribute order. Immutable
@@ -75,48 +74,51 @@ class FuzzyContext:
     layers above take on a context's values exists.
     """
 
-    algebra: Algebra
-    objects: tuple[str, ...]
-    attributes: tuple[str, ...]
-    rows: tuple[tuple[TruthValue, ...], ...]
-    provenance: tuple[AttributeProvenance, ...] = ()
+    _fields = ("algebra", "objects", "attributes", "rows", "provenance")
 
-    def __post_init__(self):
-        object.__setattr__(self, "objects", tuple(self.objects))
-        object.__setattr__(self, "attributes", tuple(self.attributes))
-        object.__setattr__(self, "rows", tuple(tuple(row) for row in self.rows))
-        provenance = self.provenance or [AttributeProvenance.original()] * len(self.attributes)
-        object.__setattr__(self, "provenance", tuple(provenance))
+    def __init__(
+        self,
+        algebra: Algebra,
+        objects: tuple[str, ...],
+        attributes: tuple[str, ...],
+        rows: tuple[tuple[TruthValue, ...], ...],
+        provenance: tuple[AttributeProvenance, ...] = (),
+    ):
+        objects, attributes = tuple(objects), tuple(attributes)
+        rows = tuple(tuple(row) for row in rows)
+        provenance = tuple(provenance or [AttributeProvenance.original()] * len(attributes))
 
-        if len(set(self.objects)) != len(self.objects):
+        if len(set(objects)) != len(objects):
             raise ValueError("duplicate object name")
-        if len(set(self.attributes)) != len(self.attributes):
+        if len(set(attributes)) != len(attributes):
             raise ValueError("duplicate attribute name")
-        if len(self.rows) != len(self.objects):
-            raise ValueError(
-                f"{len(self.objects)} objects but {len(self.rows)} rows"
-            )
+        if len(rows) != len(objects):
+            raise ValueError(f"{len(objects)} objects but {len(rows)} rows")
         positions = []
-        for obj, row in zip(self.objects, self.rows):
-            if len(row) != len(self.attributes):
+        for obj, row in zip(objects, rows):
+            if len(row) != len(attributes):
                 raise ValueError(
-                    f"row {obj!r} has {len(row)} values for "
-                    f"{len(self.attributes)} attributes"
+                    f"row {obj!r} has {len(row)} values for {len(attributes)} attributes"
                 )
-            positions.append(self.algebra._positions(row))
-        object.__setattr__(self, "row_positions", tuple(positions))
-        if len(self.provenance) != len(self.attributes):
+            positions.append(algebra._positions(row))
+        if len(provenance) != len(attributes):
             raise ValueError("provenance list does not match the attribute list")
-        for prov in self.provenance:
+        for prov in provenance:
             if prov.kind == MEET:
                 for s in prov.sources:
-                    if not 0 <= s < len(self.attributes):
+                    if not 0 <= s < len(attributes):
                         raise ValueError(f"meet source index {s} out of range")
-                    if self.provenance[s].kind != ORIGINAL:
+                    if provenance[s].kind != ORIGINAL:
                         raise ValueError("meet sources must be original attributes")
-        fault = self.algebra._lattice_fault
+        fault = algebra._lattice_fault
         if fault is not None:
             raise StructureError(fault)
+        _setattr(self, "algebra", algebra)
+        _setattr(self, "objects", objects)
+        _setattr(self, "attributes", attributes)
+        _setattr(self, "rows", rows)
+        _setattr(self, "provenance", provenance)
+        _setattr(self, "row_positions", tuple(positions))
 
     @cached_property
     def columns(self) -> tuple[tuple[TruthValue, ...], ...]:
@@ -152,8 +154,7 @@ class FuzzyContext:
             raise StructureError(f"no attribute named {name!r}") from None
 
 
-@dataclass(frozen=True)
-class ExtensionConfig:
+class ExtensionConfig(_Value):
     """Knobs for the candidate-column generator.
 
     ``max_meet_arity`` bounds the k-wise meets (pairs by default, though
@@ -162,10 +163,19 @@ class ExtensionConfig:
     enumerating, which is how the two-column preset is expressed.
     """
 
-    max_meet_arity: int = 2
-    include_top_column: bool = True
-    novelty_filter: bool = True
-    meet_subsets: tuple[tuple[int, ...], ...] | None = None
+    _fields = ("max_meet_arity", "include_top_column", "novelty_filter", "meet_subsets")
+
+    def __init__(
+        self,
+        max_meet_arity: int = 2,
+        include_top_column: bool = True,
+        novelty_filter: bool = True,
+        meet_subsets: tuple[tuple[int, ...], ...] | None = None,
+    ):
+        _setattr(self, "max_meet_arity", max_meet_arity)
+        _setattr(self, "include_top_column", include_top_column)
+        _setattr(self, "novelty_filter", novelty_filter)
+        _setattr(self, "meet_subsets", meet_subsets)
 
 
 def extend_context(context: FuzzyContext, config: ExtensionConfig | None = None) -> FuzzyContext:

@@ -53,12 +53,12 @@ fold stands for, each distinct value counted once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from functools import cache, cached_property
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator
 
+from ._value import _setattr, _Value
 from .context import FuzzyContext
 from .errors import BudgetError, DimensionError, MembershipError, StructureError
 from .lia import ProductAlgebra, TruthValue, _bits, _cover_pairs
@@ -75,17 +75,25 @@ FULL_DOMAIN = "full"
 DEFAULT_CANDIDATE_BUDGET = 10**6
 
 
-@dataclass(frozen=True, slots=True)
-class FuzzySet:
+class FuzzySet(_Value):
     """A vector of truth values aligned with one side of a context."""
 
-    side: str
-    values: tuple[TruthValue, ...]
+    __slots__ = _fields = ("side", "values")
 
-    def __post_init__(self):
-        if self.side not in (OBJECTS, ATTRIBUTES):
-            raise ValueError(f"side must be 'objects' or 'attributes', got {self.side!r}")
-        object.__setattr__(self, "values", tuple(self.values))
+    def __init__(self, side: str, values: tuple[TruthValue, ...]):
+        if side not in (OBJECTS, ATTRIBUTES):
+            raise ValueError(f"side must be 'objects' or 'attributes', got {side!r}")
+        _setattr(self, "side", side)
+        _setattr(self, "values", tuple(values))
+
+    # on the two fields themselves, which compare and hash faster than ``_key``
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.side == other.side and self.values == other.values
+
+    def __hash__(self):
+        return hash((self.side, self.values))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -99,16 +107,16 @@ def attribute_set(values: Iterable[TruthValue]) -> FuzzySet:
     return FuzzySet(ATTRIBUTES, tuple(values))
 
 
-@dataclass(frozen=True, slots=True)
-class Concept:
+class Concept(_Value):
     """A fixpoint pair: derive(extent) = intent and derive(intent) = extent."""
 
-    extent: FuzzySet
-    intent: FuzzySet
+    __slots__ = _fields = ("extent", "intent")
 
-    def __post_init__(self):
-        if self.extent.side != OBJECTS or self.intent.side != ATTRIBUTES:
+    def __init__(self, extent: FuzzySet, intent: FuzzySet):
+        if extent.side != OBJECTS or intent.side != ATTRIBUTES:
             raise ValueError("a concept pairs an object-side set with an attribute-side set")
+        _setattr(self, "extent", extent)
+        _setattr(self, "intent", intent)
 
 
 def _check_sized(fset: FuzzySet, side: str, size: int) -> None:
@@ -670,6 +678,12 @@ def _json_array(items: list[str], depth: int) -> str:
     return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
 
 
+def _json_document(members: dict[str, str]) -> str:
+    """A top-level JSON object of already encoded member values, laid out
+    as ``json.dumps(doc, indent=2)`` lays it out, plus a newline."""
+    return "{\n" + ",\n".join([f'  "{key}": {value}' for key, value in members.items()]) + "\n}\n"
+
+
 def export_json(lattice: ConceptLattice) -> str:
     """Deterministic JSON document with labels in canonical spelling.
 
@@ -699,4 +713,4 @@ def export_json(lattice: ConceptLattice) -> str:
     members["covers"] = _json_array(
         [f"[\n      {i},\n      {j}\n    ]" for i, j in lattice.covers], 1
     )
-    return "{\n" + ",\n".join([f'  "{key}": {value}' for key, value in members.items()]) + "\n}\n"
+    return _json_document(members)

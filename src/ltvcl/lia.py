@@ -39,10 +39,10 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
 
+from ._value import _setattr, _Value
 from .errors import BudgetError, DimensionError, LoadError, StructureError
 
 # the element budget of check_axioms' exhaustive law check, which runs only
@@ -60,32 +60,42 @@ META_TRUE = "Tr"
 META_FALSE = "Fa"
 
 
-@dataclass(frozen=True, slots=True)
-class TruthValue:
+class TruthValue(_Value):
     """A point of a finite algebra: one 1-based index per factor chain.
 
     Values carry no identity beyond their coordinates; all operations live
     on the owning algebra.
     """
 
-    coords: tuple[int, ...]
+    __slots__ = _fields = ("coords",)
+
+    def __init__(self, coords: tuple[int, ...]):
+        _setattr(self, "coords", coords)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self):
+        return hash(self.coords)
 
     def __repr__(self) -> str:
         return f"TruthValue({self.coords})"
 
 
-@dataclass(frozen=True, slots=True)
-class LinguisticLabel:
+class LinguisticLabel(_Value):
     """A hedged truth judgment: a modifier (Sl/Ve/Ab) plus Tr or Fa."""
 
-    modifier: str
-    meta: str
+    __slots__ = _fields = ("modifier", "meta")
 
-    def __post_init__(self):
-        if self.modifier not in MODIFIERS:
-            raise ValueError(f"unknown modifier {self.modifier!r}")
-        if self.meta not in (META_TRUE, META_FALSE):
-            raise ValueError(f"unknown meta truth value {self.meta!r}")
+    def __init__(self, modifier: str, meta: str):
+        if modifier not in MODIFIERS:
+            raise ValueError(f"unknown modifier {modifier!r}")
+        if meta not in (META_TRUE, META_FALSE):
+            raise ValueError(f"unknown meta truth value {meta!r}")
+        _setattr(self, "modifier", modifier)
+        _setattr(self, "meta", meta)
 
     @property
     def spelling(self) -> str:
@@ -703,16 +713,23 @@ def _index(names: Sequence[str]) -> dict[str, int]:
     return index
 
 
-@dataclass
-class AxiomReport:
+class AxiomReport(_Value):
     """Outcome of :func:`check_axioms`.
 
     A certified algebra has no violations. Each violation is a (law,
     witness) pair where the witness lists the offending elements in display
-    spelling. ``passed`` holds exactly when no violation was found.
+    spelling. ``passed`` holds exactly when no violation was found. Unlike
+    the other value types a report is mutable, so it does not hash; each
+    one built without a list gets a new one.
     """
 
-    violations: list[tuple[str, tuple[str, ...]]] = field(default_factory=list)
+    _fields = ("violations",)
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, violations: list[tuple[str, tuple[str, ...]]] | None = None):
+        self.violations = [] if violations is None else violations
 
     @property
     def passed(self) -> bool:

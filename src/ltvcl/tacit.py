@@ -39,8 +39,9 @@ concept against intents computed independently of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
+from ._value import _setattr, _Value
 from .context import (
     ORIGINAL,
     ExtensionConfig,
@@ -61,6 +62,8 @@ from .galois import (
     FuzzySet,
     _derive,
     _images,
+    _json_array,
+    _json_document,
     enumerate_concepts,
     scan_domain,
 )
@@ -70,8 +73,7 @@ RULE_K_MEET = "k-meet"
 RULE_ALL_TOP = "all-top"
 
 
-@dataclass(frozen=True)
-class CongenerReport:
+class CongenerReport(_Value):
     """Extent-family comparison between a context and its extension.
 
     ``witnesses`` lists the extents present on exactly one side, tagged
@@ -79,17 +81,24 @@ class CongenerReport:
     is empty.
     """
 
-    base_extent_count: int
-    extended_extent_count: int
-    witnesses: tuple[tuple[str, FuzzySet], ...]
+    _fields = ("base_extent_count", "extended_extent_count", "witnesses")
+
+    def __init__(
+        self,
+        base_extent_count: int,
+        extended_extent_count: int,
+        witnesses: tuple[tuple[str, FuzzySet], ...],
+    ):
+        _setattr(self, "base_extent_count", base_extent_count)
+        _setattr(self, "extended_extent_count", extended_extent_count)
+        _setattr(self, "witnesses", witnesses)
 
     @property
     def is_congener(self) -> bool:
         return not self.witnesses
 
 
-@dataclass(frozen=True)
-class TheoremCheck:
+class TheoremCheck(_Value):
     """Which sufficient condition a new column satisfies, if any.
 
     ``rule`` is "pair-meet" for a meet of two original columns, "k-meet"
@@ -99,22 +108,34 @@ class TheoremCheck:
     question).
     """
 
-    attribute: str
-    rule: str | None
-    satisfied: bool
-    sources: tuple[str, ...] = ()
+    _fields = ("attribute", "rule", "satisfied", "sources")
+
+    def __init__(self, attribute: str, rule: str | None, satisfied: bool,
+                 sources: tuple[str, ...] = ()):
+        _setattr(self, "attribute", attribute)
+        _setattr(self, "rule", rule)
+        _setattr(self, "satisfied", satisfied)
+        _setattr(self, "sources", sources)
 
 
-@dataclass(frozen=True)
-class MiningReport:
+class MiningReport(_Value):
     """End-to-end mining outcome: the tacit columns and their formulas, the
     per-column checks, the congener verdict, and whether the fast extension
     agreed with intents derived independently, concept for concept."""
 
-    tacit_attributes: tuple[tuple[str, str], ...]
-    theorem_checks: tuple[TheoremCheck, ...]
-    congener: CongenerReport
-    fast_extension_verified: bool
+    _fields = ("tacit_attributes", "theorem_checks", "congener", "fast_extension_verified")
+
+    def __init__(
+        self,
+        tacit_attributes: tuple[tuple[str, str], ...],
+        theorem_checks: tuple[TheoremCheck, ...],
+        congener: CongenerReport,
+        fast_extension_verified: bool,
+    ):
+        _setattr(self, "tacit_attributes", tacit_attributes)
+        _setattr(self, "theorem_checks", theorem_checks)
+        _setattr(self, "congener", congener)
+        _setattr(self, "fast_extension_verified", fast_extension_verified)
 
     def as_dict(self, context: FuzzyContext) -> dict:
         """The JSON-facing shape of the report."""
@@ -143,6 +164,38 @@ class MiningReport:
                 for side, extent in self.congener.witnesses
             ],
         }
+
+
+def _report_json(report: MiningReport, context: FuzzyContext) -> str:
+    """``json.dumps(report.as_dict(context), indent=2)`` plus a newline, byte
+    for byte, laid out from the document's known shape as
+    ``galois.export_json`` lays out its own: every string is encoded once,
+    by the function ``json.dumps`` encodes strings with, since with an
+    indent ``json.dumps`` would run its pure-Python encoder."""
+    doc = report.as_dict(context)
+    encode = encode_basestring_ascii
+    tacit = [
+        '{\n      "name": ' + encode(column["name"])
+        + ',\n      "kind": ' + encode(column["kind"])
+        + ',\n      "sources": ' + _json_array([encode(s) for s in column["sources"]], 3)
+        + "\n    }"
+        for column in doc["tacit"]
+    ]
+    witnesses = [
+        '{\n      "side": ' + encode(witness["side"])
+        + ',\n      "extent": ' + _json_array([encode(v) for v in witness["extent"]], 3)
+        + "\n    }"
+        for witness in doc["witnesses"]
+    ]
+    members = {
+        "tacit": _json_array(tacit, 1),
+        "congener": "true" if doc["congener"] else "false",
+        "concepts_base": str(doc["concepts_base"]),
+        "concepts_ext": str(doc["concepts_ext"]),
+        "fast_verified": "true" if doc["fast_verified"] else "false",
+        "witnesses": _json_array(witnesses, 1),
+    }
+    return _json_document(members)
 
 
 def _require_restriction(base: FuzzyContext, extended: FuzzyContext) -> None:

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import random
 import re
 
@@ -10,9 +11,11 @@ from ltvcl import (
     BudgetError,
     Concept,
     ConceptLattice,
+    CongenerReport,
     ExtensionConfig,
     FuzzyContext,
     FuzzySet,
+    MiningReport,
     PreconditionError,
     TheoremCheck,
     UnclassifiedColumnError,
@@ -30,7 +33,8 @@ from ltvcl import (
 )
 from ltvcl.cli import main
 from ltvcl.galois import FULL_DOMAIN, GENERATED_DOMAIN, scan_domain
-from conftest import DATA_DIR, append_column, concept_set, oset, random_context
+from ltvcl.tacit import _report_json
+from conftest import ALGEBRAS, DATA_DIR, append_column, concept_set, oset, random_context
 from golden import EXTENDED_CONCEPTS
 from oracle import check_pointwise_condition, reference_is_congener
 
@@ -314,6 +318,74 @@ class TestMine:
             report = mine(ctx, ExtensionConfig(max_meet_arity=3))
             assert report.congener.is_congener
             assert report.fast_extension_verified
+
+
+def dumped(report, context) -> str:
+    """The ``mine --out`` text as the standard library lays it out."""
+    return json.dumps(report.as_dict(context), indent=2) + "\n"
+
+
+class TestReportWriter:
+    """``_report_json`` writes what ``json.dumps(..., indent=2)`` writes. No
+    golden has witnesses, so hand-built reports cover them."""
+
+    CONFIGS = [
+        ExtensionConfig(),
+        ExtensionConfig(max_meet_arity=3, include_top_column=False),
+        ExtensionConfig(max_meet_arity=4, novelty_filter=False),
+        PAPER_PRESET,
+    ]
+
+    @pytest.mark.parametrize("name", sorted(ALGEBRAS))
+    def test_seeded_reports(self, name):
+        algebra = ALGEBRAS[name]()
+        rng = random.Random(name)
+        for config in self.CONFIGS:
+            for n_objects, n_attrs in ((0, 2), (1, 1), (3, 3), (4, 5)):
+                context = random_context(rng, algebra, n_objects, n_attrs)
+                report = mine(context, config if n_attrs >= 2 else ExtensionConfig())
+                assert _report_json(report, context) == dumped(report, context)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_crisp_reports(self, seed):
+        context = _crisp_context(seed, 7, 10)
+        report = mine(context, ExtensionConfig(max_meet_arity=4))
+        assert report.tacit_attributes
+        assert _report_json(report, context) == dumped(report, context)
+
+    def test_witnesses_on_both_sides_and_every_kind_of_column(self, demo):
+        alg = demo.algebra
+        top, bottom = alg.top, alg.bottom
+        witnesses = (
+            ("base", FuzzySet("objects", (top, bottom))),
+            ("base", FuzzySet("objects", ())),
+            ("extended", FuzzySet("objects", (bottom, alg.parse_value("SlT")))),
+        )
+        checks = (
+            TheoremCheck("m4", "pair-meet", True, ("m1", "m2")),
+            TheoremCheck("m5", "k-meet", True, ("m1", "m2", "m3")),
+            TheoremCheck("m6", "all-top", True),
+            TheoremCheck("m7", None, False),
+        )
+        tacit_columns = (("m4", "meet(m1,m2)"), ("m5", "meet(m1,m2,m3)"), ("m6", "top"),
+                         ("m7", "?"), ("m8", "no check"))
+        for verified in (True, False):
+            report = MiningReport(tacit_columns, checks, CongenerReport(12, 11, witnesses), verified)
+            text = _report_json(report, demo)
+            assert text == dumped(report, demo)
+            assert '"sources": []' in text and '"extended"' in text
+
+    def test_no_tacit_columns_and_no_witnesses(self, demo):
+        report = MiningReport((), (), CongenerReport(0, 0, ()), True)
+        text = _report_json(report, demo)
+        assert text == dumped(report, demo)
+        assert '"tacit": [],' in text and '"witnesses": []\n}\n' in text
+
+    def test_names_are_escaped_as_json_dumps_escapes_them(self, demo):
+        names = ('q"uote', "back\\slash", "caf\u00e9", "tab\t", "\u2603")
+        checks = (TheoremCheck(names[0], "k-meet", True, names[1:]),)
+        report = MiningReport(((names[0], "meet"),), checks, CongenerReport(1, 1, ()), True)
+        assert _report_json(report, demo) == dumped(report, demo)
 
 
 def _crisp_context(seed: int, n_objects: int, n_attrs: int) -> FuzzyContext:
