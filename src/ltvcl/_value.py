@@ -22,9 +22,8 @@ class _Value:
     Each subclass writes its own ``__init__``, which validates its arguments
     and then sets each field once, by ``_setattr``; on a class without slots
     writing ``__dict__`` instead would give every instance a dict of its
-    own, twice the size of the values it keeps. Equality and hashing compare the tuple of
-    fields, read by one ``attrgetter`` in C; ``TruthValue`` and
-    ``FuzzySet``, built and compared most, compare their fields directly.
+    own, twice the size of the values it keeps. Equality and hashing compare
+    the fields, read by one ``attrgetter`` in C.
     """
 
     __slots__ = ()

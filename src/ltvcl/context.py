@@ -136,16 +136,15 @@ class FuzzyContext(_Value):
         """Per object g and element position b, the implication column
         imp(b, I(g, m)) over the attributes m, encoded as one int (see
         ``Algebra._code``): an intent is the ``&`` of one mask per object.
-        Built on first use, each mask one ``bytes.translate`` of the row
-        where the code's blocks are one byte (see ``_masks``)."""
-        return _masks(self.algebra, self.row_positions)
+        Built on first use, by ``VectorCode.masks``."""
+        return self.algebra._code.masks(self.row_positions)
 
     @cached_property
     def column_masks(self) -> tuple[tuple[int, ...], ...]:
         """Per attribute m and element position b, imp(b, I(g, m)) over the
         objects g, encoded as one int: an extent is the ``&`` of one mask
         per attribute."""
-        return _masks(self.algebra, self.column_positions)
+        return self.algebra._code.masks(self.column_positions)
 
     def attribute_index(self, name: str) -> int:
         try:
@@ -235,20 +234,6 @@ def extend_context(context: FuzzyContext, config: ExtensionConfig | None = None)
     meet_of, constant_top = AttributeProvenance.meet_of, AttributeProvenance.constant_top()
     provenance = context.provenance + tuple(meet_of(s) if s else constant_top for s, _ in new_columns)
     return FuzzyContext(algebra, context.objects, names, rows, provenance)
-
-
-def _masks(algebra: Algebra, lines) -> tuple[tuple[int, ...], ...]:
-    """Per line and element position b, the encoded vector of imp(b, v)
-    over the positions v of the line. With one-byte blocks that is one
-    ``bytes.translate`` of the line through b's table in
-    ``Algebra._imp_codes``; wider codes ``encode`` each vector."""
-    tables = algebra._imp_codes
-    if tables is None:
-        encode = algebra._code.encode
-        return tuple(tuple([encode([imp_b[v] for v in line]) for imp_b in algebra._imp])
-                     for line in lines)
-    return tuple(tuple([int.from_bytes(line.translate(t), "little") for t in tables])
-                 for line in map(bytes, lines))
 
 
 def _meet(columns, subset, top: int) -> int:

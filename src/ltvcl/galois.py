@@ -86,15 +86,6 @@ class FuzzySet(_Value):
         _setattr(self, "side", side)
         _setattr(self, "values", tuple(values))
 
-    # on the two fields themselves, which compare and hash faster than ``_key``
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.side == other.side and self.values == other.values
-
-    def __hash__(self):
-        return hash((self.side, self.values))
-
     def __len__(self) -> int:
         return len(self.values)
 
@@ -617,33 +608,29 @@ def _enumerate(context: FuzzyContext, engine: str, values, budget: int) -> Conce
 
 def concept_meet(lattice: ConceptLattice, left: Concept, right: Concept) -> Concept:
     """Greatest common subconcept: extents are closed under pointwise
-    meets, so its extent is the pointwise meet of the two (the ``&`` of
-    their codes) and its intent that extent's derivation. Exact over a
-    lattice implication algebra; over one that breaks lia-6 it can raise
-    StructureError where the concept order has a meet."""
+    meets, so its extent is the pointwise meet of the two (read from the
+    algebra's meet table) and its intent that extent's derivation. Exact
+    over a lattice implication algebra; over one that breaks lia-6 it can
+    raise StructureError where the concept order has a meet."""
     i, j = lattice.index_of(left), lattice.index_of(right)
-    context, algebra = lattice.context, lattice.context.algebra
-    extent = _meet_vectors(algebra._code, lattice._extents[i], lattice._extents[j])
-    intent = _derive(algebra, context.row_masks, len(context.attributes), extent)
+    context, meet = lattice.context, lattice.context.algebra._meet
+    extent = tuple([meet[p][q] for p, q in zip(lattice._extents[i], lattice._extents[j])])
+    intent = _derive(context.algebra, context.row_masks, len(context.attributes), extent)
     return lattice._computed(extent, intent)
 
 
 def concept_join(lattice: ConceptLattice, left: Concept, right: Concept) -> Concept:
     """Least common superconcept: closure of the pointwise join of extents,
-    pointwise meet of intents (the ``&`` of their codes). Exact over a
-    lattice implication algebra; off lia-6 it can miss the least one."""
+    pointwise meet of intents (both read from the algebra's tables). Exact
+    over a lattice implication algebra; off lia-6 it can miss the least one."""
     i, j = lattice.index_of(left), lattice.index_of(right)
     context, algebra = lattice.context, lattice.context.algebra
-    join = algebra._join
+    join, meet = algebra._join, algebra._meet
     joined = [join[p][q] for p, q in zip(lattice._extents[i], lattice._extents[j])]
     closed = _derive(algebra, context.row_masks, len(context.attributes), joined)
     extent = _derive(algebra, context.column_masks, len(context.objects), closed)
-    intent = _meet_vectors(algebra._code, lattice._intents[i], lattice._intents[j])
+    intent = tuple([meet[p][q] for p, q in zip(lattice._intents[i], lattice._intents[j])])
     return lattice._computed(extent, intent)
-
-
-def _meet_vectors(code, left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...]:
-    return code.decode(code.encode(left) & code.encode(right), len(left))
 
 
 def concept_label(lattice: ConceptLattice, index: int) -> str:

@@ -24,10 +24,10 @@ At construction the algebra derives top (the diagonal's value) and
 the order (x <= y iff imp(x, y) = top) from the implication; the meet and
 join tables come from that order when first read, by the certificate on a
 table, the law check, ``generated_subalgebra``, the lattice test,
-``meet``, ``join`` or ``galois.concept_join``. Every table is indexed by
-element position (display order) and holds positions; a
-:class:`TruthValue` is only ever an argument or result of the public
-operations.
+``meet``, ``join``, ``galois.concept_meet`` or ``galois.concept_join``.
+Every table is indexed by element position (display order) and holds
+positions; a :class:`TruthValue` is only ever an argument or result of the
+public operations.
 
 The default product of a 3-chain and a 2-chain carries the six linguistic
 labels AbT, VeT, SlT, SlF, VeF, AbF (modifier + polarity); every other
@@ -71,14 +71,6 @@ class TruthValue(_Value):
 
     def __init__(self, coords: tuple[int, ...]):
         _setattr(self, "coords", coords)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
 
     def __repr__(self) -> str:
         return f"TruthValue({self.coords})"
@@ -125,8 +117,8 @@ class Algebra:
     LoadError; whether every other law holds is decided by the Lukasiewicz
     certificate, whose proof ``_chains`` caches on first use, and
     ``_is_lia``, the one verdict, is whether it found one. Also cached on
-    first use are ``_lattice_fault`` and the vector code ``_code`` with
-    ``_imp_codes`` (see each).
+    first use are ``_lattice_fault`` and the vector code ``_code`` (see
+    each).
 
     Algebras are immutable after construction and every operation is a pure
     function (the cached tables and verdicts too), so instances may be
@@ -157,8 +149,9 @@ class Algebra:
                 f"{sorted(spellings[k] for k in diagonal)} instead of a single top element"
             )
         t = diagonal.pop()
-        up = [sum(1 << j for j, k in enumerate(row) if k == t) for row in self._imp]
-        down = [sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)]
+        # _up from the rows of imp, _down from its columns: bit j where cell j is top
+        up, down = ([sum(1 << j for j, k in enumerate(line) if k == t) for line in lines]
+                    for lines in (self._imp, zip(*self._imp)))
         for i in range(n):
             both = up[i] & down[i] & ~((2 << i) - 1)
             if both:
@@ -229,18 +222,7 @@ class Algebra:
         """The encoding of position vectors as ints, on which a pointwise
         meet is one ``&`` (see ``VectorCode``). Built once, on first use;
         it needs a lattice order, as every context's algebra has."""
-        return VectorCode(self._down, self._top)
-
-    @cached_property
-    def _imp_codes(self) -> tuple[bytes, ...] | None:
-        """Per element b, the ``bytes.translate`` table taking a position v
-        to the one-byte block of imp(b, v) in ``_code``, or None where the
-        code's blocks are wider than a byte. Built once, on first use."""
-        code = self._code
-        if code.block != 1:
-            return None
-        pad = bytes(256 - len(self.elements))
-        return tuple(bytes([code.code[k] for k in row]) + pad for row in self._imp)
+        return VectorCode(self._down, self._top, self._imp)
 
     def __eq__(self, other) -> bool:
         return self is other or (
@@ -435,12 +417,16 @@ class VectorCode:
     an int of ``length`` blocks back to positions: with one-byte blocks (at
     most eight irreducibles, so at most 256 elements) by one
     ``bytes.translate``, otherwise through a dict keyed by each block's
-    bytes.
+    bytes. ``masks`` encodes, per line of a context and element b, the
+    vector of imp(b, v) over the line's positions v: with one-byte blocks by
+    one ``bytes.translate`` of the line through b's row of ``imp`` mapped to
+    blocks, a table built with the code; otherwise by ``encode``.
     """
 
-    __slots__ = ("code", "block", "_blocks", "_top", "_table", "_of_block")
+    __slots__ = ("code", "block", "_blocks", "_top", "_table", "_of_block", "_imp",
+                 "_imp_tables")
 
-    def __init__(self, down: Sequence[int], top: int):
+    def __init__(self, down: Sequence[int], top: int, imp: Sequence[Sequence[int]]):
         # j is join-irreducible when the elements strictly below it have a
         # greatest one: their mask is some element's down-set
         downsets = set(down)
@@ -451,18 +437,31 @@ class VectorCode:
         self.block = max(1, -(-len(irreducibles) // 8))
         self._blocks = [c.to_bytes(self.block, "little") for c in self.code]
         self._top = self._blocks[top]
-        self._table = self._of_block = None
+        self._imp = imp
+        self._table = self._of_block = self._imp_tables = None
         if self.block == 1:
             table = bytearray(256)
             for p, c in enumerate(self.code):
                 table[c] = p
             self._table = bytes(table)
+            pad = bytes(256 - len(self.code))
+            self._imp_tables = tuple(bytes([self.code[k] for k in row]) + pad for row in imp)
         else:
             self._of_block = {b: p for p, b in enumerate(self._blocks)}
 
     def encode(self, positions: Iterable[int]) -> int:
         """The int of a vector of positions."""
         return int.from_bytes(b"".join([self._blocks[p] for p in positions]), "little")
+
+    def masks(self, lines) -> tuple[tuple[int, ...], ...]:
+        """Per line of positions and element position b, the int of the
+        vector of imp(b, v) over the positions v of the line."""
+        if self._imp_tables is None:
+            encode = self.encode
+            return tuple(tuple([encode([imp_b[v] for v in line]) for imp_b in self._imp])
+                         for line in lines)
+        return tuple(tuple([int.from_bytes(line.translate(t), "little") for t in self._imp_tables])
+                     for line in map(bytes, lines))
 
     def top(self, length: int) -> int:
         """The int of the all-top vector of ``length`` components."""

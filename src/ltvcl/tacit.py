@@ -104,8 +104,8 @@ class TheoremCheck(_Value):
     ``rule`` is "pair-meet" for a meet of two original columns, "k-meet"
     for any other source count, "all-top" for the constant-top column (the
     meet of no columns), and None when no condition matched (the column is
-    unclassified and only a full enumeration can settle the congener
-    question).
+    unclassified: ``extend_concepts_fast`` refuses it, and ``is_congener``
+    settles it by the closure rule).
     """
 
     _fields = ("attribute", "rule", "satisfied", "sources")
@@ -336,9 +336,9 @@ def extend_concepts_fast(
     encoded columns over all concepts (see ``Algebra._code``), decoded
     once, and the intents are one transpose of the columns. Sound only when
     every new column is classified: an unsatisfied check, or a new column
-    with no check, raises UnclassifiedColumnError, and the caller must fall
-    back to enumerate_concepts on the extension. A satisfied check whose sources
-    name anything but a base attribute raises PreconditionError.
+    with no check, raises UnclassifiedColumnError, which ``mine`` lets
+    propagate. A satisfied check whose sources name anything but a base
+    attribute raises PreconditionError.
     """
     base = base_lattice.context
     if checks is None:

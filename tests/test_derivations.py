@@ -77,7 +77,7 @@ def test_masks_encode_the_implication_columns(name):
     # one-byte codes build each mask by one bytes.translate; the wide
     # algebras' two-byte codes take encode, the reference here
     algebra = {**ALGEBRAS, **WIDE_ALGEBRAS}[name]()
-    assert (algebra._imp_codes is None) == (name in WIDE_ALGEBRAS)
+    assert (algebra._code.block == 1) == (name not in WIDE_ALGEBRAS)
     encode, imp = algebra._code.encode, algebra._imp
     rng = random.Random(f"masks/{name}")
     shapes = [(0, 2), (2, 0), (0, 0)] + [(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(20)]

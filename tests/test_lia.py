@@ -639,6 +639,14 @@ def table_text(names, imp, neg):
     return "\n".join(lines + [f"neg {x} {neg[x]}" for x in names]) + "\n"
 
 
+def assert_order_masks_read_the_implication(alg):
+    # p <= q exactly where imp(p, q) is top, in both masks, on any table
+    n = len(alg.elements)
+    for p, q in itertools.product(range(n), repeat=2):
+        below = alg._imp[p][q] == alg._top
+        assert bool(alg._up[p] >> q & 1) == below == bool(alg._down[q] >> p & 1), (p, q)
+
+
 class TestDeferredBoundTables:
     def test_the_algebra_path_and_a_full_scan_build_none(self):
         # what `ltvcl algebra --check-axioms --show-tables` runs on a product,
@@ -663,6 +671,7 @@ class TestDeferredBoundTables:
         build = {**ALGEBRAS, **WIDE_ALGEBRAS}.get(
             name, lambda: load_table_algebra((DATA_DIR / name).read_text(encoding="utf-8")))
         alg = build()
+        assert_order_masks_read_the_implication(alg)
         for attr, masks in (("_meet", alg._down), ("_join", alg._up)):
             assert attr not in vars(alg)
             table = getattr(alg, attr)
@@ -986,6 +995,7 @@ class TestVectorCode:
         algebra = ENCODED[name]()
         encoding, n = algebra._code, len(algebra.elements)
         code = encoding.code
+        assert_order_masks_read_the_implication(algebra)
         assert len(set(code)) == n
         assert bin(code[algebra._top]).count("1") == IRREDUCIBLES[name]
         assert encoding.block == -(-IRREDUCIBLES[name] // 8)
